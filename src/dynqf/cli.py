@@ -2,8 +2,10 @@
 drive lower-bound attacks, transform and analyze programs, browse the corpus.
 
 Exit codes for verify/attack: 0 = consistent up to the bounds, 1 = a
-counterexample was found, 2 = inconclusive or resource-limited.  All
-randomness is seeded; the seed is echoed in the output.
+counterexample was found, 2 = inconclusive or resource-limited.  Bad input
+(a missing file, a malformed document, an out-of-range bound) gets a
+one-line error on stderr and exit code 2.  All randomness is seeded; the
+seed is echoed in the output.
 """
 from __future__ import annotations
 
@@ -25,12 +27,33 @@ from .serialize import (counterexample_from_dict, counterexample_to_dict,
 from .state import State, make_state
 from .transforms import (dependency_graph, deletion_depth,
                          eliminate_repeated_variables, relations_to_functions)
-from .verify import (CheckConfig, attack_star_deletion, attack_subset_gadget,
-                     check_maintenance, cq_adversary, validate_counterexample)
+from .verify import (CheckConfig, Counterexample, attack_star_deletion,
+                     attack_subset_gadget, check_maintenance, cq_adversary,
+                     validate_counterexample)
 
 
 def _load_program(path: str) -> DynamicProgram:
     return parse_program(Path(path).read_text(), path)
+
+
+def _require_at_least(args, **minimums: int) -> None:
+    for name, least in minimums.items():
+        value = getattr(args, name)
+        if value is not None and value < least:
+            raise DynqfError(f"--{name} must be at least {least}, got {value}")
+
+
+def _load_counterexample(path: str, input_schema) -> Counterexample:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise DynqfError(f"{path}: invalid JSON: {e}") from None
+    try:
+        return counterexample_from_dict(doc, input_schema)
+    except KeyError as e:
+        raise DynqfError(f"{path}: malformed counterexample: missing field {e}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise DynqfError(f"{path}: malformed counterexample: {e}") from None
 
 
 def _script_state(p: DynamicProgram, script) -> State:
@@ -81,6 +104,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_at_least(args, domain=1, maxlen=0, random=1)
     p = _load_program(args.program)
     key = p.name.replace("_", "-")
     oracle_name = args.oracle
@@ -103,7 +127,6 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         honest_only=args.honest,
         guard=guard,
-        jobs=args.jobs,
         override_cap=args.override_cap,
     )
     verdict = check_maintenance(p, oracle, cfg)
@@ -123,6 +146,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    _require_at_least(args, n=1, bound=0)
     p = _load_program(args.program)
     if args.driver == "star-deletion":
         cex = attack_star_deletion(p, args.n)
@@ -150,6 +174,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    _require_at_least(args, domain=1, maxlen=0)
     p = _load_program(args.program)
     if args.transform_pass == "dedup-vars":
         out = eliminate_repeated_variables(p)
@@ -231,8 +256,7 @@ def cmd_corpus(args) -> int:
 
 def cmd_replay(args) -> int:
     p = _load_program(args.program)
-    doc = json.loads(Path(args.counterexample).read_text())
-    cex = counterexample_from_dict(doc, p.schema.input_only())
+    cex = _load_counterexample(args.counterexample, p.schema.input_only())
     oracle = _resolve_oracle(args.oracle) if args.oracle else builtin_program(
         p.name.replace("_", "-")).oracle
     ok = validate_counterexample(p, oracle, cex)
@@ -265,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--dishonest", dest="honest", action="store_false")
     ver.add_argument("--guard")
     ver.add_argument("--no-guard", action="store_true")
-    ver.add_argument("--jobs", type=int, default=1)
     ver.add_argument("--override-cap", action="store_true")
     ver.add_argument("--json", action="store_true")
     ver.set_defaults(fn=cmd_verify)
@@ -315,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except DynqfError as e:
+    except (DynqfError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

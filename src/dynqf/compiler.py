@@ -40,6 +40,9 @@ class LeanContext:
         self.fun_index = {name: i for i, name in enumerate(self.fun_order)}
         self.query_index = self.rel_index[program.query_symbol]
         self.input_rels = [name for name in self.rel_order if sch.role(name) is Role.INPUT]
+        self.input_schema = sch.input_only()
+        self._input_index = [(name, self.rel_index[name]) for name in self.input_rels]
+        self._domain = tuple(range(n))
         self._appliers = {}
         for trigger in sch.input_relations:
             for kind in (INS, DEL):
@@ -60,7 +63,13 @@ class LeanContext:
         functions = {name: self._unflatten(funs[i], self.schema.arity(name))
                      for name, i in self.fun_index.items()}
         functions.update({name: dict(t) for name, t in self.builtin_funs.items()})
-        return State(self.schema, tuple(range(self.n)), relations, functions, dict(self.constants))
+        return State(self.schema, self._domain, relations, functions, dict(self.constants))
+
+    def input_state(self, lean: LeanState) -> State:
+        """The input part of a lean state; equal to from_lean(lean).input_part()."""
+        rels = lean[0]
+        return State(self.input_schema, self._domain,
+                     {name: rels[i] for name, i in self._input_index}, {}, dict(self.constants))
 
     def _flatten(self, table: Mapping[tuple, int], arity: int) -> tuple:
         if arity == 0:
@@ -80,11 +89,10 @@ class LeanContext:
     def query(self, lean: LeanState) -> bool:
         return () in lean[0][self.query_index]
 
-    def rel(self, lean: LeanState, name: str) -> frozenset:
-        return lean[0][self.rel_index[name]]
-
-    def contains(self, lean: LeanState, m: Modification) -> bool:
-        return m.tuple in lean[0][self.rel_index[m.relation]]
+    def is_honest(self, lean: LeanState, m: Modification) -> bool:
+        """Insertion of an absent tuple, or deletion of a present one."""
+        present = m.tuple in lean[0][self.rel_index[m.relation]]
+        return not present if m.kind == INS else present
 
     # -- code generation ----------------------------------------------------------
 

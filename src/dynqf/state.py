@@ -15,7 +15,8 @@ class State:
 
     Domains are contiguous 0..n-1 so that deterministic search orders are
     reproducible.  All interpretations are total; instances are immutable and
-    hash structurally.
+    hash structurally.  The canonical sorted key behind hashing and equality
+    is built on first use, so a state that is only read costs no sorting.
     """
 
     schema: Schema
@@ -23,21 +24,27 @@ class State:
     relations: dict[str, frozenset[tuple[int, ...]]]
     functions: dict[str, dict[tuple[int, ...], int]]
     constants: dict[str, int]
-    _key: tuple = field(init=False, repr=False, compare=False, default=None)
+    _key: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_key", (
-            self.domain,
-            tuple(sorted((n, tuple(sorted(ts))) for n, ts in self.relations.items())),
-            tuple(sorted((n, tuple(sorted(m.items()))) for n, m in self.functions.items())),
-            tuple(sorted(self.constants.items())),
-        ))
+        object.__setattr__(self, "_key", None)
+
+    def _canonical(self) -> tuple:
+        if self._key is None:
+            object.__setattr__(self, "_key", (
+                self.domain,
+                tuple(sorted((n, tuple(sorted(ts))) for n, ts in self.relations.items())),
+                tuple(sorted((n, tuple(sorted(m.items()))) for n, m in self.functions.items())),
+                tuple(sorted(self.constants.items())),
+            ))
+        return self._key
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self._canonical())
 
     def __eq__(self, other):
-        return isinstance(other, State) and self.schema == other.schema and self._key == other._key
+        return (isinstance(other, State) and self.schema == other.schema
+                and self._canonical() == other._canonical())
 
     @property
     def n(self) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -22,8 +21,8 @@ from .compiler import LeanContext, context_for_state
 from .corpus import InstanceGuard
 from .errors import DynqfError, GuardError, ResourceLimitError
 from .formulas import classify_syntax, eval_term, terms_up_to_depth, equality_type_of, EqualityType
-from .program import DynamicProgram, empty_input_db, init_state, run
-from .queries import ORACLES, oracle_nonemptyset, oracle_st_reach
+from .program import DynamicProgram, apply, empty_input_db, init_state, run
+from .queries import oracle_nonemptyset, oracle_st_reach
 from .schema import Role
 from .state import DEL, INS, Modification, State, is_honest, transport
 from .transforms import deletion_depth, eliminate_repeated_variables
@@ -43,7 +42,6 @@ class CheckConfig:
     constants: dict[str, int] | None = None
     state_cap: int = 2_000_000
     override_cap: bool = False
-    jobs: int = 1
 
 
 @dataclass
@@ -103,46 +101,8 @@ def _finish_counterexample(p: DynamicProgram, oracle, cex: Counterexample) -> Co
 # -- lean oracles --------------------------------------------------------------------
 
 def _lean_oracle(oracle: Callable[[State], bool], ctx: LeanContext):
-    """A fast equivalent of a known oracle on lean states; falls back to
-    rebuilding full states for unknown oracles."""
-    n, consts = ctx.n, ctx.constants
-    idx = ctx.rel_index
-    if oracle is oracle_nonemptyset and "U" in idx:
-        i = idx["U"]
-        return lambda lean: bool(lean[0][i])
-    if "E" in idx and "s" in consts:
-        i = idx["E"]
-        s = consts["s"]
-        if oracle is ORACLES["st-twopath"] and "t" in consts:
-            t = consts["t"]
-            def st_twopath(lean):
-                E = lean[0][i]
-                return any((s, x) in E and (x, t) in E for x in range(n))
-            return st_twopath
-        if oracle is ORACLES["s-twopath"]:
-            def s_twopath(lean):
-                E = lean[0][i]
-                return any((s, x) in E and (x, y) in E for x in range(n) for y in range(n))
-            return s_twopath
-        if oracle is oracle_st_reach and "t" in consts:
-            t = consts["t"]
-            def reach(lean):
-                E = lean[0][i]
-                succ: dict[int, list[int]] = {}
-                for (u, v) in E:
-                    succ.setdefault(u, []).append(v)
-                seen, frontier = {s}, [s]
-                while frontier:
-                    nxt = []
-                    for u in frontier:
-                        for v in succ.get(u, ()):
-                            if v not in seen:
-                                seen.add(v)
-                                nxt.append(v)
-                    frontier = nxt
-                return t in seen
-            return reach
-    return lambda lean: oracle(ctx.from_lean(lean).input_part())
+    """The oracle on lean states: it sees the input part of each state."""
+    return lambda lean: oracle(ctx.input_state(lean))
 
 
 def _candidate_mods(p: DynamicProgram, n: int) -> list[Modification]:
@@ -184,9 +144,7 @@ def check_maintenance(p: DynamicProgram, oracle: Callable[[State], bool],
         return Verdict("resource", bounds,
                        notes=[f"estimated {est} sequence prefixes exceeds the state cap "
                               f"{cfg.state_cap}; pass override to force the search"])
-    if cfg.jobs > 1:
-        return _parallel_check(p, oracle, cfg, bounds, mods)
-    return _bfs_check(p, oracle, cfg, bounds, mods, first=None)
+    return _bfs_check(p, oracle, cfg, bounds, mods)
 
 
 def _setup(p: DynamicProgram, cfg: CheckConfig):
@@ -196,13 +154,12 @@ def _setup(p: DynamicProgram, cfg: CheckConfig):
     return db, ctx.to_lean(s0), ctx
 
 
-def _bfs_check(p, oracle, cfg, bounds, mods, first: Modification | None) -> Verdict:
+def _bfs_check(p, oracle, cfg, bounds, mods) -> Verdict:
     db, lean0, ctx = _setup(p, cfg)
     lean_oracle = _lean_oracle(oracle, ctx)
     consts = db.constants
     guard = cfg.guard
     states = steps = 0
-    prefix: tuple[Modification, ...] = ()
 
     def diverged(lean) -> tuple[bool, bool] | None:
         exp = lean_oracle(lean)
@@ -214,31 +171,18 @@ def _bfs_check(p, oracle, cfg, bounds, mods, first: Modification | None) -> Verd
         _finish_counterexample(p, oracle, c)
         return Verdict("counterexample", bounds, states, steps, c)
 
-    if first is None:
-        d = diverged(lean0)
-        if d:
-            return cex((), 0, *d)
-        frontier = [lean0]
-        parents: dict = {lean0: None}
-        start_depth = 0
-    else:
-        # admissibility of `first` is the caller's responsibility
-        lean1 = ctx.apply(lean0, first)
-        prefix = (first,)
-        d = diverged(lean1)
-        if d:
-            return cex(prefix, 1, *d)
-        frontier = [lean1]
-        parents = {lean1: None}
-        start_depth = 1
-
-    seen = set(frontier)
-    states = len(frontier)
-    for depth in range(start_depth + 1, cfg.max_len + 1):
+    d = diverged(lean0)
+    if d:
+        return cex((), 0, *d)
+    frontier = [lean0]
+    parents: dict = {lean0: None}
+    seen = {lean0}
+    states = 1
+    for depth in range(1, cfg.max_len + 1):
         new_frontier = []
         for st in frontier:
             for m in mods:
-                if cfg.honest_only and (m.tuple in ctx.rel(st, m.relation)) == (m.kind == INS):
+                if cfg.honest_only and not ctx.is_honest(st, m):
                     continue
                 if guard is not None and not guard(m, cfg.domain_size, consts):
                     continue
@@ -260,72 +204,10 @@ def _bfs_check(p, oracle, cfg, bounds, mods, first: Modification | None) -> Verd
                         node, m2 = parents[node]
                         seq.append(m2)
                     seq.reverse()
-                    return cex(prefix + tuple(seq), depth, *d)
+                    return cex(seq, depth, *d)
                 new_frontier.append(succ)
         frontier = new_frontier
     return Verdict("ok", bounds, states, steps)
-
-
-def _worker_check(args) -> Verdict:
-    p, oracle_name, cfg, bounds, mods, chunk = args
-    oracle = ORACLES[oracle_name]
-    best: Verdict | None = None
-    for first in chunk:
-        db = empty_input_db(p, cfg.domain_size, cfg.constants)
-        s0 = init_state(p, db)
-        ctx = context_for_state(p, s0)
-        if cfg.honest_only and not is_honest_lean(ctx, ctx.to_lean(s0), first):
-            continue
-        if cfg.guard is not None and not cfg.guard(first, cfg.domain_size, db.constants):
-            continue
-        v = _bfs_check(p, oracle, cfg, bounds, mods, first)
-        best = _merge_verdicts(best, v)
-        if best.status == "counterexample" and best.counterexample.step == 1:
-            break
-    return best or Verdict("ok", bounds)
-
-
-def is_honest_lean(ctx: LeanContext, lean, m: Modification) -> bool:
-    present = m.tuple in ctx.rel(lean, m.relation)
-    return (not present) if m.kind == INS else present
-
-
-def _merge_verdicts(a: Verdict | None, b: Verdict) -> Verdict:
-    if a is None:
-        return b
-    merged_states = a.checked_states + b.checked_states
-    merged_steps = a.checked_steps + b.checked_steps
-    order = {"counterexample": 0, "resource": 1, "inconclusive": 2, "ok": 3}
-    pick = a
-    if order[b.status] < order[a.status]:
-        pick = b
-    elif b.status == a.status == "counterexample":
-        ka = (len(a.counterexample.sequence), a.counterexample.sequence)
-        kb = (len(b.counterexample.sequence), b.counterexample.sequence)
-        pick = b if kb < ka else a
-    out = Verdict(pick.status, pick.bounds, merged_states, merged_steps,
-                  pick.counterexample, pick.seed, a.notes + b.notes)
-    return out
-
-
-def _parallel_check(p, oracle, cfg, bounds, mods) -> Verdict:
-    oracle_name = next((k for k, v in ORACLES.items() if v is oracle), None)
-    if oracle_name is None:
-        v = _bfs_check(p, oracle, cfg, bounds, mods, None)
-        v.notes.append("oracle not registered by name; ran serially")
-        return v
-    db, lean0, ctx = _setup(p, cfg)
-    d0 = _lean_oracle(oracle, ctx)(lean0)
-    if d0 != ctx.query(lean0):
-        c = _finish_counterexample(p, oracle, Counterexample(p.name, db, (), 0, d0, not d0))
-        return Verdict("counterexample", bounds, 1, 0, c)
-    chunks = [mods[i::cfg.jobs] for i in range(cfg.jobs)]
-    args = [(p, oracle_name, cfg, bounds, mods, chunk) for chunk in chunks if chunk]
-    best: Verdict | None = None
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-        for v in pool.map(_worker_check, args):
-            best = _merge_verdicts(best, v)
-    return best or Verdict("ok", bounds)
 
 
 def _random_check(p, oracle, cfg, bounds) -> Verdict:
@@ -345,7 +227,7 @@ def _random_check(p, oracle, cfg, bounds) -> Verdict:
         seq: list[Modification] = []
         for i in range(1, length + 1):
             admissible = [m for m in mods
-                          if (not cfg.honest_only or is_honest_lean(ctx, lean, m))
+                          if (not cfg.honest_only or ctx.is_honest(lean, m))
                           and (cfg.guard is None or cfg.guard(m, cfg.domain_size, consts))]
             if not admissible:
                 break
@@ -507,13 +389,8 @@ def _random_reachable_state(p: DynamicProgram, cfg: CheckConfig, rng: random.Ran
                       and (cfg.guard is None or cfg.guard(m, cfg.domain_size, db.constants))]
         if not admissible:
             break
-        s = _apply_fast(p, s, rng.choice(admissible))
+        s = apply(p, s, rng.choice(admissible))
     return s
-
-
-def _apply_fast(p, s, m):
-    from .program import apply
-    return apply(p, s, m)
 
 
 def _mods_on(p: DynamicProgram, subset: Sequence[int], rng: random.Random,
@@ -646,7 +523,7 @@ def _replay_with_oracle(p: DynamicProgram, oracle, db: State,
         return _finish_counterexample(p, oracle, Counterexample(
             p.name, db, (), 0, oracle(s.input_part()), s.query_value(p.query_symbol)))
     for i, m in enumerate(seq, start=1):
-        s = _apply_fast(p, s, m)
+        s = apply(p, s, m)
         got = s.query_value(p.query_symbol)
         exp = oracle(s.input_part())
         if got != exp:
@@ -690,7 +567,7 @@ def attack_star_deletion(p: DynamicProgram, n: int,
     suffix: list[Modification] = []
     for i in range(n - 1, 0, -1):
         suffix.append(Modification("E", (0, layer[i]), DEL))
-        states[i] = _apply_fast(p, states[i + 1], suffix[-1])
+        states[i] = apply(p, states[i + 1], suffix[-1])
 
     words = {i: tuple(atomic_type(states[i], (layer[j],), sigma=aux_rels) for j in range(i))
              for i in range(1, n + 1)}
@@ -842,7 +719,7 @@ def cq_adversary(p: DynamicProgram, bound: int,
         present = sorted(x for (x,) in state.relations[u_rel])
         for e in present:
             m_ = Modification(u_rel, (e,), DEL)
-            nxt = _apply_fast(p, state, m_)
+            nxt = apply(p, state, m_)
             got = nxt.query_value(p.query_symbol)
             exp = oracle(nxt.input_part())
             if got != exp:

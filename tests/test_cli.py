@@ -82,14 +82,6 @@ def test_verify_reach_uses_registered_guard(reach_file, capsys):
     assert main(["verify", reach_file, "--domain", "4", "--maxlen", "4", "--exhaustive"]) == 0
 
 
-def test_verify_parallel_jobs(broken_file, capsys):
-    code = main(["verify", broken_file, "--oracle", "non-empty-set",
-                 "--domain", "3", "--maxlen", "4", "--exhaustive", "--jobs", "2", "--json"])
-    assert code == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["counterexample"]["sequence"] == [["ins", "U", [0]], ["del", "U", [0]]]
-
-
 def test_run_reach_with_graph_literal(reach_file, tmp_path, capsys):
     script = tmp_path / "g.txt"
     script.write_text(
@@ -217,3 +209,50 @@ def test_corpus_list_and_show(capsys):
         assert name in out
     assert main(["corpus", "show", "non-empty-set"]) == 0
     assert "program non_empty_set" in capsys.readouterr().out
+
+
+# -- bad input: one line on stderr, exit 2 ----------------------------------------
+
+def assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_replay_missing_file(broken_file, tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    assert main(["replay", missing, broken_file, "--oracle", "non-empty-set"]) == 2
+    assert_one_line_error(capsys, "nope.json")
+
+
+def test_replay_invalid_json(broken_file, tmp_path, capsys):
+    f = tmp_path / "cex.json"
+    f.write_text("{not json")
+    assert main(["replay", str(f), broken_file, "--oracle", "non-empty-set"]) == 2
+    assert_one_line_error(capsys, "invalid JSON")
+
+
+def test_replay_document_without_program(broken_file, tmp_path, capsys):
+    f = tmp_path / "cex.json"
+    f.write_text(json.dumps({"format": 1, "initial": {"domain": 3}, "sequence": []}))
+    assert main(["replay", str(f), broken_file, "--oracle", "non-empty-set"]) == 2
+    assert_one_line_error(capsys, "missing field 'program'")
+
+
+def test_verify_missing_program_file(tmp_path, capsys):
+    assert main(["verify", str(tmp_path / "nope.dynp"), "--oracle", "non-empty-set"]) == 2
+    assert_one_line_error(capsys, "nope.dynp")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "{nes}", "--domain", "0"], "--domain"),
+    (["verify", "{nes}", "--maxlen", "-1"], "--maxlen"),
+    (["verify", "{nes}", "--random", "0"], "--random"),
+    (["attack", "{nes}", "--driver", "star-deletion", "--n", "0"], "--n"),
+    (["attack", "{nes}", "--driver", "cq-adversary", "--bound", "-1"], "--bound"),
+    (["transform", "{nes}", "--pass", "rel2fun", "--check", "--maxlen", "-1"], "--maxlen"),
+])
+def test_out_of_range_bounds_are_rejected(nes_file, capsys, argv, flag):
+    assert main([a.format(nes=nes_file) for a in argv]) == 2
+    assert_one_line_error(capsys, f"{flag} must be at least")

@@ -5,7 +5,7 @@ from dynqf.corpus import builtin_program, strawman_program
 from dynqf.errors import GuardError
 from dynqf.parser import parse_program
 from dynqf.program import empty_input_db, init_state, run
-from dynqf.queries import oracle_nonemptyset, oracle_st_reach
+from dynqf.queries import oracle_nonemptyset, oracle_st_reach, oracle_st_twopath
 from dynqf.schema import make_schema
 from dynqf.state import ins, make_state
 from dynqf.transforms import deletion_depth
@@ -62,13 +62,34 @@ def test_check_maintenance_resource_guard():
     assert v.status == "resource" and v.exit_code == 2
 
 
-def test_parallel_matches_serial():
-    p = parse_program(BROKEN_SRC)
-    serial = check_maintenance(p, oracle_nonemptyset, CheckConfig(domain_size=3, max_len=4))
-    parallel = check_maintenance(p, oracle_nonemptyset,
-                                 CheckConfig(domain_size=3, max_len=4, jobs=2))
-    assert serial.status == parallel.status == "counterexample"
-    assert serial.counterexample.sequence == parallel.counterexample.sequence
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_wrapped_oracle_matches_registered_oracle(mode):
+    # an oracle the checker cannot recognize by identity takes the same path
+    p = strawman_program("unary-twopath-naive")
+    cfg = CheckConfig(domain_size=3, max_len=6, mode=mode, samples=300, seed=0)
+    registered = check_maintenance(p, oracle_st_twopath, cfg)
+    wrapped = check_maintenance(p, lambda g: oracle_st_twopath(g), cfg)
+    assert registered.status == wrapped.status == "counterexample"
+    assert registered.checked_states == wrapped.checked_states
+    assert registered.checked_steps == wrapped.checked_steps
+    assert registered.counterexample == wrapped.counterexample
+
+
+@pytest.mark.parametrize("name", ["non-empty-set", "st-twopath-binary", "s-twopath-ternary",
+                                  "reach-1layer-qf"])
+def test_input_state_equals_input_part_on_reachable_states(name):
+    from dynqf.compiler import context_for_state
+    from dynqf.verify import _candidate_mods
+    e = builtin_program(name)
+    s = init_state(e.program, empty_input_db(e.program, 3))
+    ctx = context_for_state(e.program, s)
+    reached = {ctx.to_lean(s)}
+    mods = _candidate_mods(e.program, 3)
+    for _ in range(3):
+        reached |= {ctx.apply(lean, m) for lean in reached for m in mods if ctx.is_honest(lean, m)}
+    for lean in reached:
+        view, full = ctx.input_state(lean), ctx.from_lean(lean).input_part()
+        assert view == full and hash(view) == hash(full)
 
 
 # -- subsequences -----------------------------------------------------------------
