@@ -71,7 +71,10 @@ def _resolve_oracle(name: str):
         return ORACLES[name]
     if "=" in name:
         base, _, arg = name.partition("=")
-        k = int(arg)
+        try:
+            k = int(arg)
+        except ValueError:
+            raise DynqfError(f"oracle {name!r}: k must be an integer, got {arg!r}") from None
         if base == "k-clique":
             return lambda g: oracle_k_clique(g, k)
         if base == "k-colorability":
@@ -249,6 +252,8 @@ def cmd_corpus(args) -> int:
             print(f"{name}: classes={','.join(tags.classes)} arity={tags.arity} "
                   f"oracle={entry.oracle_name} guard={entry.guard_name}")
         return 0
+    if args.name is None:
+        raise DynqfError(f"corpus show needs a program name; have {corpus_names()}")
     entry = builtin_program(args.name)
     print(corpus_source(_SPECS[entry.name][0]), end="")
     return 0

@@ -256,3 +256,14 @@ def test_verify_missing_program_file(tmp_path, capsys):
 def test_out_of_range_bounds_are_rejected(nes_file, capsys, argv, flag):
     assert main([a.format(nes=nes_file) for a in argv]) == 2
     assert_one_line_error(capsys, f"{flag} must be at least")
+
+
+@pytest.mark.parametrize("oracle", ["k-clique=x", "k-colorability=2.5", "k-clique="])
+def test_verify_oracle_with_non_integer_k(nes_file, capsys, oracle):
+    assert main(["verify", nes_file, "--oracle", oracle, "--domain", "3"]) == 2
+    assert_one_line_error(capsys, "k must be an integer")
+
+
+def test_corpus_show_without_name(capsys):
+    assert main(["corpus", "show"]) == 2
+    assert_one_line_error(capsys, "needs a program name", "non-empty-set")
