@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Mapping
 
-from .errors import DynqfError
+from .errors import DynqfError, SchemaError
 from .formulas import classify_syntax
 from .parser import parse_program
 from .program import DynamicProgram, register_base
@@ -27,6 +27,10 @@ def guard_any(m: Modification, n: int, consts: Mapping[str, int]) -> bool:
 
 def guard_1layered(m: Modification, n: int, consts: Mapping[str, int]) -> bool:
     """Edges (s,x) or (x,t) with x strictly inside the layer."""
+    if "s" not in consts or "t" not in consts:
+        raise SchemaError("the 1-layered-st guard needs constants s and t")
+    if len(m.tuple) != 2:
+        raise SchemaError(f"the 1-layered-st guard needs binary edges, got {m.relation!r}")
     s, t = consts["s"], consts["t"]
     u, v = m.tuple
     return (u == s and v not in (s, t)) or (v == t and u not in (s, t))

@@ -116,6 +116,49 @@ def _candidate_mods(p: DynamicProgram, n: int) -> list[Modification]:
     return out
 
 
+def _moves(p: DynamicProgram, cfg: CheckConfig, start: State):
+    """The candidate moves the instance guard admits, in candidate order;
+    those admissible in `start`; and the flip table of the random walks.
+
+    A guard reads only the move, so it is evaluated once per run.  With
+    `honest_only`, the table maps each move to its opposite kind, or to None
+    when the guard rejects the opposite; without it, each move maps to
+    itself, so the admissible list never changes.
+    """
+    n = cfg.domain_size
+    guarded = [m for m in _candidate_mods(p, n)
+               if cfg.guard is None or cfg.guard(m, n, start.constants)]
+    if not cfg.honest_only:
+        return guarded, guarded, {m: m for m in guarded}
+    admitted = set(guarded)
+    flip = {}
+    for m in guarded:
+        opposite = Modification(m.relation, m.tuple, DEL if m.kind == INS else INS)
+        flip[m] = opposite if opposite in admitted else None
+    return guarded, [m for m in guarded if is_honest(start, m)], flip
+
+
+def _walk(start: list[Modification], flip: Mapping, rng: random.Random, length: int):
+    """Up to `length` seeded moves, each drawn from the moves admissible at
+    that step; the walk stops early when none is."""
+    admissible = list(start)
+    for _ in range(length):
+        if not admissible:
+            return
+        j = rng.choice(range(len(admissible)))
+        m = admissible[j]
+        # `admissible` stays equal to the guarded candidates that are honest
+        # in the current state, in candidate order: honesty reads only the
+        # move's own tuple, and a step changes its input relation only at
+        # m.tuple, so m turns into its opposite, which sorts next to it.
+        flipped = flip[m]
+        if flipped is None:
+            del admissible[j]
+        else:
+            admissible[j] = flipped
+        yield m
+
+
 # -- maintenance checking ---------------------------------------------------------------
 
 def check_maintenance(p: DynamicProgram, oracle: Callable[[State], bool],
@@ -125,40 +168,47 @@ def check_maintenance(p: DynamicProgram, oracle: Callable[[State], bool],
 
     Exhaustive mode explores every state reachable by an admissible sequence
     of at most max_len modifications (breadth-first, deduplicated), which
-    covers all such sequences.  Checking only empty starts loses no
-    generality for the shipped programs: their oracle initialization is
-    defined as replay-from-empty, so a non-empty start is a longer empty
-    start.  Random mode replays `samples` seeded admissible sequences.
+    covers all such sequences.  Random mode replays `samples` seeded
+    admissible sequences.  Both start from the empty input database only.
+    Under `init oracle` that loses no generality, since the initial state of
+    a non-empty database is defined as replay-from-empty, so a non-empty
+    start is a longer empty start.  Under any other init kind it does, and
+    the verdict says so in a note.
     """
     bounds = {"domain_size": cfg.domain_size, "max_len": cfg.max_len, "mode": cfg.mode,
               "honest_only": cfg.honest_only}
     if cfg.mode == "random":
         bounds["samples"] = cfg.samples
-        return _random_check(p, oracle, cfg, bounds)
-    if cfg.mode != "exhaustive":
+        verdict = _random_check(p, oracle, cfg, bounds)
+    elif cfg.mode != "exhaustive":
         raise DynqfError(f"unknown mode {cfg.mode!r}")
-    mods = _candidate_mods(p, cfg.domain_size)
-    # quick pre-estimate so hopeless configurations fail fast
-    est = sum(len(mods) ** d for d in range(1, min(cfg.max_len, 4) + 1))
-    if est > cfg.state_cap * 10 and not cfg.override_cap:
-        return Verdict("resource", bounds,
-                       notes=[f"estimated {est} sequence prefixes exceeds the state cap "
-                              f"{cfg.state_cap}; pass override to force the search"])
-    return _bfs_check(p, oracle, cfg, bounds, mods)
+    else:
+        # quick pre-estimate so hopeless configurations fail fast
+        n_mods = sum(2 * cfg.domain_size ** p.schema.arity(r) for r in p.schema.input_relations)
+        est = sum(n_mods ** d for d in range(1, min(cfg.max_len, 4) + 1))
+        if est > cfg.state_cap * 10 and not cfg.override_cap:
+            verdict = Verdict("resource", bounds,
+                              notes=[f"estimated {est} sequence prefixes exceeds the state cap "
+                                     f"{cfg.state_cap}; pass override to force the search"])
+        else:
+            verdict = _bfs_check(p, oracle, cfg, bounds)
+    if p.init.kind != "oracle":
+        verdict.notes.append(f"only the empty initial database was checked; under init "
+                             f"{p.init.kind} other initial databases are not covered")
+    return verdict
 
 
 def _setup(p: DynamicProgram, cfg: CheckConfig):
     db = empty_input_db(p, cfg.domain_size, cfg.constants)
     s0 = init_state(p, db)
     ctx = context_for_state(p, s0)
-    return db, ctx.to_lean(s0), ctx
+    return db, s0, ctx.to_lean(s0), ctx
 
 
-def _bfs_check(p, oracle, cfg, bounds, mods) -> Verdict:
-    db, lean0, ctx = _setup(p, cfg)
+def _bfs_check(p, oracle, cfg, bounds) -> Verdict:
+    db, s0, lean0, ctx = _setup(p, cfg)
     lean_oracle = _lean_oracle(oracle, ctx)
-    consts = db.constants
-    guard = cfg.guard
+    mods = _moves(p, cfg, s0)[0]
     states = steps = 0
 
     def diverged(lean) -> tuple[bool, bool] | None:
@@ -183,8 +233,6 @@ def _bfs_check(p, oracle, cfg, bounds, mods) -> Verdict:
         for st in frontier:
             for m in mods:
                 if cfg.honest_only and not ctx.is_honest(st, m):
-                    continue
-                if guard is not None and not guard(m, cfg.domain_size, consts):
                     continue
                 succ = ctx.apply(st, m)
                 steps += 1
@@ -211,27 +259,19 @@ def _bfs_check(p, oracle, cfg, bounds, mods) -> Verdict:
 
 
 def _random_check(p, oracle, cfg, bounds) -> Verdict:
-    db, lean0, ctx = _setup(p, cfg)
+    db, s0, lean0, ctx = _setup(p, cfg)
     lean_oracle = _lean_oracle(oracle, ctx)
-    mods = _candidate_mods(p, cfg.domain_size)
+    _, start, flip = _moves(p, cfg, s0)
     rng = random.Random(cfg.seed)
-    consts = db.constants
     steps = 0
     if lean_oracle(lean0) != ctx.query(lean0):
         c = _finish_counterexample(p, oracle, Counterexample(
             p.name, db, (), 0, lean_oracle(lean0), ctx.query(lean0), seed=cfg.seed))
         return Verdict("counterexample", bounds, 1, 0, c, seed=cfg.seed)
     for _ in range(cfg.samples):
-        length = rng.randint(1, cfg.max_len)
         lean = lean0
         seq: list[Modification] = []
-        for i in range(1, length + 1):
-            admissible = [m for m in mods
-                          if (not cfg.honest_only or ctx.is_honest(lean, m))
-                          and (cfg.guard is None or cfg.guard(m, cfg.domain_size, consts))]
-            if not admissible:
-                break
-            m = rng.choice(admissible)
+        for i, m in enumerate(_walk(start, flip, rng, rng.randint(1, cfg.max_len)), start=1):
             lean = ctx.apply(lean, m)
             seq.append(m)
             steps += 1
@@ -379,20 +419,6 @@ class PropertyReport:
     witness: dict | None = None
 
 
-def _random_reachable_state(p: DynamicProgram, cfg: CheckConfig, rng: random.Random) -> State:
-    db = empty_input_db(p, cfg.domain_size, cfg.constants)
-    s = init_state(p, db)
-    mods = _candidate_mods(p, cfg.domain_size)
-    for _ in range(rng.randint(0, cfg.max_len * 2)):
-        admissible = [m for m in mods
-                      if (not cfg.honest_only or is_honest(s, m))
-                      and (cfg.guard is None or cfg.guard(m, cfg.domain_size, db.constants))]
-        if not admissible:
-            break
-        s = apply(p, s, rng.choice(admissible))
-    return s
-
-
 def _mods_on(p: DynamicProgram, subset: Sequence[int], rng: random.Random,
              length: int) -> list[Modification]:
     out = []
@@ -425,13 +451,17 @@ def substructure_property(p: DynamicProgram, cfg: CheckConfig,
     if with_functions and similarity_depth is None:
         # one similarity level per potentially consumed nesting step, plus one
         similarity_depth = cfg.max_len * max(p.nesting_depth(), 1) + max(p.nesting_depth(), 1)
+    s0 = init_state(p, empty_input_db(p, cfg.domain_size, cfg.constants))
+    _, start, flip = _moves(p, cfg, s0)
     done = skipped = 0
     attempts = 0
     while done < cfg.samples:
         attempts += 1
         if attempts > cfg.samples * 20:
             return PropertyReport("inconclusive", done, skipped, cfg.seed)
-        s = _random_reachable_state(p, cfg, rng)
+        s = s0  # a random reachable state
+        for m in _walk(start, flip, rng, rng.randint(0, cfg.max_len * 2)):
+            s = apply(p, s, m)
         n = s.n
         cap = max_tuple if max_tuple is not None else (n - 1)
         strategy = rng.choice(("transport", "same-state"))

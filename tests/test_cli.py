@@ -267,3 +267,9 @@ def test_verify_oracle_with_non_integer_k(nes_file, capsys, oracle):
 def test_corpus_show_without_name(capsys):
     assert main(["corpus", "show"]) == 2
     assert_one_line_error(capsys, "needs a program name", "non-empty-set")
+
+
+@pytest.mark.parametrize("mode", [["--exhaustive"], ["--random", "20"]])
+def test_verify_layered_guard_without_st_constants(nes_file, capsys, mode):
+    assert main(["verify", nes_file, "--guard", "1-layered-st", "--domain", "3", *mode]) == 2
+    assert_one_line_error(capsys, "needs constants s and t")

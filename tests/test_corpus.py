@@ -1,6 +1,7 @@
 import pytest
 
-from dynqf.corpus import builtin_program, computed_tags, strawman_program
+from dynqf.corpus import builtin_program, computed_tags, guard_1layered, strawman_program
+from dynqf.errors import SchemaError
 from dynqf.formulas import classify_syntax
 from dynqf.program import empty_input_db, init_state, run
 from dynqf.schema import Role
@@ -82,6 +83,15 @@ def test_nonemptyset_state_invariant_along_traces():
 def test_unknown_corpus_name():
     with pytest.raises(Exception):
         builtin_program("no-such-program")
+
+
+@pytest.mark.parametrize("m,consts,fragment", [
+    (ins("E", 0, 1), {"s": 0}, "constants s and t"),
+    (ins("U", 0), {"s": 0, "t": 2}, "binary edges"),
+])
+def test_layered_guard_rejects_instances_it_cannot_read(m, consts, fragment):
+    with pytest.raises(SchemaError, match=fragment):
+        guard_1layered(m, 3, consts)
 
 
 @pytest.mark.parametrize("name,n,maxlen", [

@@ -1,7 +1,10 @@
-import pytest
+import re
 
-from dynqf.corpus import builtin_program, corpus_names
-from dynqf.errors import ParseError, ProgramError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dynqf.corpus import _SPECS, _STRAWMEN, builtin_program, corpus_names, corpus_source
+from dynqf.errors import DynqfError, ParseError, ProgramError
 from dynqf.formulas import And, App, Eq, Ite, Not, Or, RelAtom, Var
 from dynqf.parser import parse_formula, parse_program, parse_script, parse_term
 from dynqf.printer import print_formula, print_program
@@ -191,3 +194,43 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_program("program x\ninput { U/1 }\naux { Q/0 }\nquery Q\non insert U(a):\n  Q(): U(")
     assert exc.value.line >= 6
+
+
+CORPUS_SOURCES = ([corpus_source(spec[0]) for spec in _SPECS.values()]
+                  + [corpus_source(path) for path in _STRAWMEN.values()])
+TOKEN = re.compile(r"\w+|\S")
+
+
+@st.composite
+def corpus_mutants(draw):
+    """A corpus source after one to three deletions, insertions or swaps of
+    characters or tokens."""
+    text = draw(st.sampled_from(CORPUS_SOURCES))
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            spans = [(i, i + 1) for i in range(len(text))]
+        else:
+            spans = [m.span() for m in TOKEN.finditer(text)]
+        if not spans:
+            break
+        (a0, a1), (b0, b1) = sorted((draw(st.sampled_from(spans)), draw(st.sampled_from(spans))))
+        op = draw(st.sampled_from(("delete", "insert", "swap")))
+        if op == "delete":
+            text = text[:a0] + text[a1:]
+        elif op == "insert":
+            piece = draw(st.sampled_from((text[b0:b1] + " ", *"(){},:=!&|/#\n0sxE")))
+            text = text[:a0] + piece + text[a0:]
+        elif a1 <= b0:
+            text = text[:a0] + text[b0:b1] + text[a1:b0] + text[a0:a1] + text[b1:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus_mutants())
+def test_mutated_corpus_sources_fail_cleanly_or_roundtrip(text):
+    # every DynqfError is a one-line error with exit code 2 on the CLI
+    try:
+        program = parse_program(text)
+    except DynqfError:
+        return
+    assert parse_program(print_program(program)) == program

@@ -1,20 +1,24 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from dynqf.corpus import builtin_program, strawman_program
+from dynqf.corpus import GUARDS, builtin_program, corpus_source, strawman_program
 from dynqf.errors import GuardError
 from dynqf.parser import parse_program
-from dynqf.program import empty_input_db, init_state, run
+from dynqf.program import apply, empty_input_db, init_state, run
 from dynqf.queries import oracle_nonemptyset, oracle_st_reach, oracle_st_twopath
 from dynqf.schema import make_schema
-from dynqf.state import ins, make_state
+from dynqf.serialize import trace_digest, verdict_to_dict
+from dynqf.state import ins, is_honest, make_state
 from dynqf.transforms import deletion_depth
-from dynqf.verify import (CheckConfig, attack_star_deletion,
+from dynqf.verify import (CheckConfig, Counterexample, Verdict, attack_star_deletion,
                           attack_subset_gadget, check_maintenance, cq_adversary,
                           diverse_saturation, embedding_positions, higman_pair,
                           is_closed, k_similar, neighborhood,
                           neighborhood_vector, subsequence,
                           substructure_property, validate_counterexample)
+from dynqf.verify import _candidate_mods
 
 BROKEN_SRC = """
 program broken
@@ -75,11 +79,102 @@ def test_wrapped_oracle_matches_registered_oracle(mode):
     assert registered.counterexample == wrapped.counterexample
 
 
+PROGRAMS = {
+    **{name: (builtin_program(name).program, builtin_program(name).oracle)
+       for name in ("non-empty-set", "st-twopath-binary", "s-twopath-ternary", "reach-1layer-qf")},
+    "unary-twopath-naive": (strawman_program("unary-twopath-naive"), oracle_st_twopath),
+    "binary-reach2-naive": (strawman_program("binary-reach2-naive"), oracle_st_reach),
+    "cq-nonemptyset-naive": (strawman_program("cq-nonemptyset-naive"), oracle_nonemptyset),
+}
+GRAPH_PROGRAMS = {"st-twopath-binary", "reach-1layer-qf", "unary-twopath-naive",
+                  "binary-reach2-naive"}
+TEST_GUARDS = {
+    "none": None,
+    "layered": GUARDS["1-layered-st"],
+    "kind": lambda m, n, consts: m.kind == "ins" or m.tuple[0] == 0,
+}
+
+
+def _reference_random_check(p, oracle, cfg):
+    """Random mode with the admissible list rebuilt before every step."""
+    db = empty_input_db(p, cfg.domain_size, cfg.constants)
+    s0 = init_state(p, db)
+    mods = _candidate_mods(p, cfg.domain_size)
+    rng = random.Random(cfg.seed)
+    bounds = {"domain_size": cfg.domain_size, "max_len": cfg.max_len, "mode": "random",
+              "honest_only": cfg.honest_only, "samples": cfg.samples}
+    assert s0.query_value(p.query_symbol) == oracle(s0.input_part())
+    steps = 0
+    for _ in range(cfg.samples):
+        length = rng.randint(1, cfg.max_len)
+        s, seq = s0, []
+        for i in range(1, length + 1):
+            admissible = [m for m in mods
+                          if (not cfg.honest_only or is_honest(s, m))
+                          and (cfg.guard is None or cfg.guard(m, cfg.domain_size, db.constants))]
+            if not admissible:
+                break
+            m = rng.choice(admissible)
+            s = apply(p, s, m)
+            seq.append(m)
+            steps += 1
+            exp, got = oracle(s.input_part()), s.query_value(p.query_symbol)
+            if exp != got:
+                c = Counterexample(p.name, db, tuple(seq), i, exp, got, cfg.seed,
+                                   trace_digest(run(p, s0, seq)))
+                return Verdict("counterexample", bounds, 0, steps, c, seed=cfg.seed)
+    return Verdict("ok", bounds, 0, steps, seed=cfg.seed)
+
+
+@pytest.mark.parametrize("name,guard", [(name, guard) for name in PROGRAMS for guard in TEST_GUARDS
+                                        if guard != "layered" or name in GRAPH_PROGRAMS])
+@pytest.mark.parametrize("honest", [True, False])
+def test_random_mode_matches_per_step_rebuild(name, guard, honest):
+    p, oracle = PROGRAMS[name]
+    for seed in (0, 7):
+        cfg = CheckConfig(domain_size=3, max_len=6, mode="random", samples=60, seed=seed,
+                          honest_only=honest, guard=TEST_GUARDS[guard])
+        assert (verdict_to_dict(check_maintenance(p, oracle, cfg))
+                == verdict_to_dict(_reference_random_check(p, oracle, cfg)))
+
+
+@pytest.mark.parametrize("name,skipped", [("non-empty-set", 80), ("st-twopath-binary", 155),
+                                          ("s-twopath-ternary", 136)])
+def test_substructure_suite_counts_are_pinned(name, skipped):
+    # the suites of the lower-bound benchmark; the skip counts move whenever
+    # the random stream of the reachable-state walks does
+    cfg = CheckConfig(domain_size=5, max_len=4, seed=501, samples=200, honest_only=True)
+    rep = substructure_property(builtin_program(name).program, cfg)
+    assert (rep.status, rep.samples, rep.skipped) == ("ok", 200, skipped)
+
+
+def test_similarity_suite_counts_are_pinned():
+    e = builtin_program("reach-1layer-qf")
+    cfg = CheckConfig(domain_size=7, max_len=4, seed=601, samples=60, honest_only=True,
+                      guard=e.instance_guard)
+    k = e.program.nesting_depth()
+    rep = substructure_property(e.program, cfg, with_functions=True,
+                                similarity_depth=cfg.max_len * k + k)
+    assert (rep.status, rep.samples, rep.skipped) == ("ok", 60, 43)
+
+
+@pytest.mark.parametrize("init", ["init empty", "init table { List = (0,1) }"])
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_non_oracle_init_notes_that_only_the_empty_start_was_checked(init, mode):
+    e = builtin_program("non-empty-set")
+    cfg = CheckConfig(domain_size=3, max_len=4, mode=mode, samples=50)
+    assert check_maintenance(e.program, e.oracle, cfg).notes == []
+    p = parse_program(corpus_source("non_empty_set.dynp").replace("init    oracle", init))
+    v = check_maintenance(p, e.oracle, cfg)
+    assert v.status == "ok"
+    assert v.notes == [f"only the empty initial database was checked; under init "
+                       f"{p.init.kind} other initial databases are not covered"]
+
+
 @pytest.mark.parametrize("name", ["non-empty-set", "st-twopath-binary", "s-twopath-ternary",
                                   "reach-1layer-qf"])
 def test_input_state_equals_input_part_on_reachable_states(name):
     from dynqf.compiler import context_for_state
-    from dynqf.verify import _candidate_mods
     e = builtin_program(name)
     s = init_state(e.program, empty_input_db(e.program, 3))
     ctx = context_for_state(e.program, s)
