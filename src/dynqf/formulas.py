@@ -2,8 +2,9 @@
 
 The formula class is quantifier-free by construction: there simply are no
 quantifier nodes.  Terms include a conditional (ite) whose condition is again
-a quantifier-free formula; plain terms (no ite) are what neighborhood and
-similarity machinery enumerates.
+a quantifier-free formula; plain terms (no ite) are what neighborhood vectors
+enumerate (neighborhoods and k-similarity compute their values as a fixpoint
+instead, without listing the terms).
 """
 from __future__ import annotations
 
@@ -99,15 +100,6 @@ def conj(parts: Sequence[Formula]) -> Formula:
     out = parts[0]
     for p in parts[1:]:
         out = And(out, p)
-    return out
-
-
-def disj(parts: Sequence[Formula]) -> Formula:
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
     return out
 
 

@@ -158,16 +158,6 @@ def equalities_match(tup: tuple, rho: EqualityType) -> bool:
     return all(tup[pos] == tup[b[0]] for b in rho.blocks for pos in b)
 
 
-def expand_by_partition(tup: tuple, rho: EqualityType) -> tuple:
-    """Inverse of collapsing: place each class representative at every
-    position of its class."""
-    out = [None] * rho.size
-    for value, block in zip(tup, rho.blocks):
-        for pos in block:
-            out[pos] = value
-    return tuple(out)
-
-
 # -- relations-to-functions encoding ---------------------------------------------------
 
 C_TOP = "c_top"

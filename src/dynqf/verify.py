@@ -173,7 +173,8 @@ def check_maintenance(p: DynamicProgram, oracle: Callable[[State], bool],
     Under `init oracle` that loses no generality, since the initial state of
     a non-empty database is defined as replay-from-empty, so a non-empty
     start is a longer empty start.  Under any other init kind it does, and
-    the verdict says so in a note.
+    the verdict says so in a note.  An `ok` that took no step, because no
+    modification was admissible, says so in a note too.
     """
     bounds = {"domain_size": cfg.domain_size, "max_len": cfg.max_len, "mode": cfg.mode,
               "honest_only": cfg.honest_only}
@@ -192,6 +193,10 @@ def check_maintenance(p: DynamicProgram, oracle: Callable[[State], bool],
                                      f"{cfg.state_cap}; pass override to force the search"])
         else:
             verdict = _bfs_check(p, oracle, cfg, bounds)
+    if (verdict.status == "ok" and verdict.checked_steps == 0 and cfg.max_len >= 1
+            and (cfg.mode == "exhaustive" or cfg.samples >= 1)):
+        verdict.notes.append("no modification was admissible, so only the initial "
+                             "state was checked")
     if p.init.kind != "oracle":
         verdict.notes.append(f"only the empty initial database was checked; under init "
                              f"{p.init.kind} other initial databases are not covered")
@@ -329,26 +334,42 @@ def higman_pair(words: Sequence[Sequence]) -> tuple[int, int] | None:
 
 # -- neighborhoods and similarity -------------------------------------------------------
 
-def neighborhood(s: State, a: Iterable[int], k: int, cap: int = 64) -> set[int]:
-    """All values of plain terms of depth <= k under assignments into `a`.
+def _term_pairs(s: State, a_tuple: Sequence[int], t: State, b_tuple: Sequence[int],
+                k: int) -> dict[int, int] | None:
+    """The map u^s(a-tuple) -> u^t(b-tuple) over all plain terms u of depth
+    <= k, or None when it is not a function.
 
-    Depth 0 contributes the set itself and the constant symbols; each further
-    level closes under one application of every function symbol (0-ary
-    function symbols enter at depth 1).
+    Term values are compositional, so the map is a fixpoint on value pairs:
+    depth 0 pairs the tuples positionally and each constant with itself;
+    each further level adds (f^s(v), f^t(w)) for every function symbol and
+    every argument tuple of pairs already found (0-ary symbols enter at
+    depth 1).  A level that adds no pair ends the search, so at most n
+    levels run, each over sum_f |map|^arity argument tuples.
     """
-    if k > cap:
-        raise ResourceLimitError("neighborhood depth exceeds cap", k)
-    current = set(a) | {s.constants[c] for c in s.schema.constants}
+    pi: dict[int, int] = {}
+    base = list(zip(a_tuple, b_tuple))
+    base += [(s.constants[c], t.constants[c]) for c in s.schema.constants]
+    for v, w in base:
+        if pi.setdefault(v, w) != w:
+            return None
+    tables = [(s.functions[f], t.functions[f], ar) for f, ar in s.schema.functions.items()]
     for _ in range(k):
-        nxt = set(current)
-        for name, ar in s.schema.functions.items():
-            table = s.functions[name]
-            for args in itertools.product(sorted(current), repeat=ar):
-                nxt.add(table[args])
-        if nxt == current:
+        known = list(pi)
+        for fs, ft, ar in tables:
+            for vs in itertools.product(known, repeat=ar):
+                w = ft[tuple(map(pi.__getitem__, vs))]
+                if pi.setdefault(fs[vs], w) != w:
+                    return None
+        if len(pi) == len(known):
             break
-        current = nxt
-    return current
+    return pi
+
+
+def neighborhood(s: State, a: Iterable[int], k: int) -> set[int]:
+    """All values of plain terms of depth <= k under assignments into `a`:
+    the domain of the term-pair map of `a` with itself."""
+    a = tuple(a)
+    return set(_term_pairs(s, a, s, a, k))
 
 
 def is_closed(s: State, a: Iterable[int]) -> bool:
@@ -357,7 +378,7 @@ def is_closed(s: State, a: Iterable[int]) -> bool:
 
 
 def k_similar(s: State, a_tuple: Sequence[int], t: State, b_tuple: Sequence[int],
-              k: int, cap: int = 50000) -> dict[int, int] | None:
+              k: int) -> dict[int, int] | None:
     """The bijection induced by term(a-tuple) -> term(b-tuple) over all plain
     terms of depth <= k, if it is well-defined, bijective between the two
     k-neighborhoods, and relation-preserving there; None otherwise."""
@@ -365,17 +386,8 @@ def k_similar(s: State, a_tuple: Sequence[int], t: State, b_tuple: Sequence[int]
         raise DynqfError("states do not share a schema")
     if len(a_tuple) != len(b_tuple):
         raise DynqfError("tuples differ in length")
-    vars = tuple(f"z{i+1}" for i in range(len(a_tuple)))
-    terms = terms_up_to_depth(s.schema, k, vars, cap=cap)
-    asg_s = dict(zip(vars, a_tuple))
-    asg_t = dict(zip(vars, b_tuple))
-    pi: dict[int, int] = {}
-    for term in terms:
-        v = eval_term(term, s, asg_s)
-        w = eval_term(term, t, asg_t)
-        if pi.setdefault(v, w) != w:
-            return None
-    if len(set(pi.values())) != len(pi):
+    pi = _term_pairs(s, a_tuple, t, b_tuple, k)
+    if pi is None or len(set(pi.values())) != len(pi):
         return None
     nb = sorted(pi)
     for name, ar in s.schema.relations.items():

@@ -82,6 +82,13 @@ def test_verify_reach_uses_registered_guard(reach_file, capsys):
     assert main(["verify", reach_file, "--domain", "4", "--maxlen", "4", "--exhaustive"]) == 0
 
 
+def test_verify_without_an_admissible_move_notes_it(reach_file, capsys):
+    assert main(["verify", reach_file, "--domain", "2", "--maxlen", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "1 states / 0 steps" in out
+    assert "note: no modification was admissible, so only the initial state was checked" in out
+
+
 def test_run_reach_with_graph_literal(reach_file, tmp_path, capsys):
     script = tmp_path / "g.txt"
     script.write_text(

@@ -1,16 +1,18 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dynqf.corpus import GUARDS, builtin_program, corpus_source, strawman_program
-from dynqf.errors import GuardError
+from dynqf.errors import GuardError, ResourceLimitError
+from dynqf.formulas import eval_term, terms_up_to_depth
 from dynqf.parser import parse_program
 from dynqf.program import apply, empty_input_db, init_state, run
 from dynqf.queries import oracle_nonemptyset, oracle_st_reach, oracle_st_twopath
 from dynqf.schema import make_schema
 from dynqf.serialize import trace_digest, verdict_to_dict
-from dynqf.state import ins, is_honest, make_state
+from dynqf.state import ins, is_honest, make_state, transport
 from dynqf.transforms import deletion_depth
 from dynqf.verify import (CheckConfig, Counterexample, Verdict, attack_star_deletion,
                           attack_subset_gadget, check_maintenance, cq_adversary,
@@ -171,6 +173,19 @@ def test_non_oracle_init_notes_that_only_the_empty_start_was_checked(init, mode)
                        f"{p.init.kind} other initial databases are not covered"]
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_ok_without_an_admissible_move_says_so(mode):
+    # the 1-layered guard needs a node strictly between s and t
+    e = builtin_program("reach-1layer-qf")
+    note = "no modification was admissible, so only the initial state was checked"
+    cfg = CheckConfig(domain_size=2, max_len=3, mode=mode, samples=20, guard=e.instance_guard)
+    v = check_maintenance(e.program, e.oracle, cfg)
+    assert (v.status, v.checked_steps, v.notes) == ("ok", 0, [note])
+    cfg.domain_size = 3
+    v = check_maintenance(e.program, e.oracle, cfg)
+    assert v.status == "ok" and v.checked_steps > 0 and v.notes == []
+
+
 @pytest.mark.parametrize("name", ["non-empty-set", "st-twopath-binary", "s-twopath-ternary",
                                   "reach-1layer-qf"])
 def test_input_state_equals_input_part_on_reachable_states(name):
@@ -300,6 +315,86 @@ def test_k_similar_closed_isomorphic_subsets_all_depths():
     s = chain_state(4)
     for k in range(4):
         assert k_similar(s, (3,), s, (3,), k) == {3: 3}
+
+
+def _k_similar_by_terms(s, a_tuple, t, b_tuple, k, cap=2000):
+    """k-similarity read off its definition: evaluate every plain term of
+    depth <= k in both states (raises ResourceLimitError past `cap` terms)."""
+    vars = tuple(f"z{i+1}" for i in range(len(a_tuple)))
+    terms = terms_up_to_depth(s.schema, k, vars, cap=cap)
+    asg_s, asg_t = dict(zip(vars, a_tuple)), dict(zip(vars, b_tuple))
+    pi = {}
+    for term in terms:
+        w = eval_term(term, t, asg_t)
+        if pi.setdefault(eval_term(term, s, asg_s), w) != w:
+            return None
+    if len(set(pi.values())) != len(pi):
+        return None
+    for name, ar in s.schema.relations.items():
+        rs, rt = s.relations[name], t.relations[name]
+        for args in itertools.product(sorted(pi), repeat=ar):
+            if (args in rs) != (tuple(pi[x] for x in args) in rt):
+                return None
+    return pi
+
+
+def _random_function_state(rng, schema, n):
+    rels = {name: {tup for tup in itertools.product(range(n), repeat=ar) if rng.random() < 0.2}
+            for name, ar in schema.relations.items()}
+    # narrow ranges make terms collide, so the map can stop being a function
+    funs = {name: {args: rng.randrange(min(n, 3)) for args in itertools.product(range(n), repeat=ar)}
+            for name, ar in schema.functions.items()}
+    consts = {c: rng.randrange(n) for c in schema.constants}
+    return make_state(schema, n, rels, funs, consts)
+
+
+def test_k_similar_matches_term_enumeration():
+    rng = random.Random(2024)
+    outcomes = {"map": 0, "none": 0}
+    compared = set()
+    for _ in range(150):
+        arities = [rng.choice((0, 1, 1, 2)) for _ in range(rng.randint(1, 3))]
+        schema = make_schema(input_relations={"E": 2, "U": 1},
+                             aux_functions={f"f{i}": ar for i, ar in enumerate(arities)},
+                             constants=tuple(f"c{i}" for i in range(rng.randint(0, 2))))
+        n = rng.randint(2, 5)
+        s = _random_function_state(rng, schema, n)
+        a = tuple(rng.sample(range(n), rng.randint(1, min(2, n))))
+        if rng.random() < 0.5:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            t, b = transport(s, dict(enumerate(perm))), tuple(perm[x] for x in a)
+        else:
+            t = _random_function_state(rng, schema, n)
+            b = tuple(rng.sample(range(n), len(a)))
+        for k in range(5):
+            try:
+                expected = _k_similar_by_terms(s, a, t, b, k)
+            except ResourceLimitError:
+                break
+            assert k_similar(s, a, t, b, k) == expected, (schema, s, t, a, b, k)
+            outcomes["none" if expected is None else "map"] += 1
+            compared.add((max(arities), k))
+    assert min(outcomes.values()) > 100
+    assert {(2, 2), (1, 4), (0, 4)} <= compared
+
+
+def test_k_similar_past_the_term_enumeration_cap():
+    # g climbs by one per application up to 6, so from (0,) each of the six
+    # levels adds one value and 7 stays out of reach
+    sch = make_schema(input_relations={"E": 2}, aux_functions={"g": 2})
+    g = {(x, y): min(max(x, y) + 1, 6) if max(x, y) < 7 else 7
+         for x in range(8) for y in range(8)}
+    s = make_state(sch, 8, {"E": {(0, 1), (3, 4), (6, 7)}}, {"g": g})
+    with pytest.raises(ResourceLimitError):
+        terms_up_to_depth(sch, 6, ("z1",), cap=50000)
+    perm = [5, 2, 7, 0, 3, 6, 1, 4]
+    pi = dict(enumerate(perm))
+    t = transport(s, pi)
+    for k in (5, 6, 40):
+        nb = neighborhood(s, (0,), k)
+        assert nb == set(range(min(k, 6) + 1))
+        assert k_similar(s, (0,), t, (pi[0],), k) == {x: pi[x] for x in nb}
 
 
 def test_neighborhood_vector():
