@@ -4,8 +4,9 @@ The reference semantics lives in formulas.eval_formula / program._reference_appl
 this module compiles one code object per (program, kind, trigger), once per
 program, and is cross-checked against the reference by the test suite.  The
 code names n, the constants and the built-ins (`_n`, `_C_s`, `_B_Le`, ...);
-a LeanContext executes it in an environment that binds them.  Each applier is
-planned like a delta query over the old state:
+a LeanContext executes it in an environment that binds them to those of one
+state layout (see state.py).  Each applier is planned like a delta query
+over the old state:
   - hoist: a compound subformula or term over the trigger parameters alone
     is computed once per call, in a local shared by all rules of the applier;
   - a relational rule body goes to DNF, its trigger-only parts and negations
@@ -15,13 +16,12 @@ planned like a delta query over the old state:
   - frame: a disjunct R(x̄) for the target R makes the result R ∪ Δ, and an
     unchanged relation stays the old frozenset object;
   - past _DNF_CAP disjuncts, a scan of the domain tests the whole body.
-States travel through the hot loops in a lean form: a pair (relations,
-functions) of tuples, functions flattened to value vectors in mixed-radix
-argument order.
+In the hot loops a state travels as its payload alone, the lean pair
+(rels, funs) that the appliers read and return; `to_lean` and `from_lean`
+take it out of a State and wrap it in one.
 """
 from __future__ import annotations
 
-import itertools
 import linecache
 import weakref
 from typing import Mapping
@@ -30,75 +30,42 @@ from .errors import DynqfError
 from .formulas import (And, App, Const, Eq, FalseConst, Ite, Not, Or, RelAtom,
                        TrueConst, Var)
 from .schema import Role
-from .state import DEL, INS, Modification, State
+from .state import DEL, INS, Layout, Modification, State, flatten, layout_of, payload_order
 
 LeanState = tuple[tuple, tuple]  # (rel frozensets, fun value vectors)
 
 
 class LeanContext:
-    """Compiled appliers plus the fixed data they close over."""
+    """The compiled appliers of one program on the states of one layout."""
 
-    def __init__(self, program, n: int, constants: dict[str, int],
-                 builtin_rels: dict[str, frozenset], builtin_funs: dict[str, dict]):
+    def __init__(self, program, layout: Layout):
         self.program = program
-        self.schema = program.schema
-        self.n = n
-        self.constants = dict(constants)
-        self.builtin_rels = dict(builtin_rels)
-        self.builtin_funs = dict(builtin_funs)
+        self.layout = layout
+        self.rel_index = layout.rel_index
+        self.query_index = layout.rel_index[program.query_symbol]
         sch = program.schema
-        self.rel_order = [name for name in sorted(sch.relations) if sch.role(name) is not Role.BUILTIN]
-        self.fun_order = [name for name in sorted(sch.functions) if sch.role(name) is Role.AUX]
-        self.rel_index = {name: i for i, name in enumerate(self.rel_order)}
-        self.fun_index = {name: i for i, name in enumerate(self.fun_order)}
-        self.query_index = self.rel_index[program.query_symbol]
-        self.input_rels = [name for name in self.rel_order if sch.role(name) is Role.INPUT]
-        self.input_schema = sch.input_only()
-        self._input_index = [(name, self.rel_index[name]) for name in self.input_rels]
-        self._domain = tuple(range(n))
-        env = {"_dom": self._domain, "_n": n, "_T_": _TRUE_REL, "_E_": _EMPTY_REL}
-        env.update((f"_C_{name}", v) for name, v in self.constants.items())
-        env.update((f"_B_{name}", rel) for name, rel in self.builtin_rels.items())
-        env.update((f"_G_{name}", self._flatten(table, sch.arity(name)))
-                   for name, table in self.builtin_funs.items())
+        env = {"_dom": layout.domain, "_n": layout.n, "_T_": _TRUE_REL, "_E_": _EMPTY_REL}
+        env.update((f"_C_{name}", v) for name, v in layout.constants.items())
+        env.update((f"_B_{name}", rel) for name, rel in layout.builtin_rels.items())
+        env.update((f"_G_{name}", flatten(table, layout.n, sch.arity(name)))
+                   for name, table in layout.builtin_funs.items())
         self._appliers = {}
         for trigger in sch.input_relations:
             for kind in (INS, DEL):
                 exec(_applier_code(program, kind, trigger), env)
                 self._appliers[(kind, trigger)] = env.pop("_applier")
 
-    # -- conversions -----------------------------------------------------------
+    # -- states and their payloads ------------------------------------------------
 
     def to_lean(self, s: State) -> LeanState:
-        rels = tuple(s.relations[name] for name in self.rel_order)
-        funs = tuple(self._flatten(s.functions[name], self.schema.arity(name))
-                     for name in self.fun_order)
-        return (rels, funs)
+        return s.rels, s.funs
 
     def from_lean(self, lean: LeanState) -> State:
-        rels, funs = lean
-        relations = {name: rels[i] for name, i in self.rel_index.items()}
-        relations.update(self.builtin_rels)
-        functions = {name: self._unflatten(funs[i], self.schema.arity(name))
-                     for name, i in self.fun_index.items()}
-        functions.update({name: dict(t) for name, t in self.builtin_funs.items()})
-        return State(self.schema, self._domain, relations, functions, dict(self.constants))
+        return State(self.layout, *lean)
 
     def input_state(self, lean: LeanState) -> State:
         """The input part of a lean state; equal to from_lean(lean).input_part()."""
-        rels = lean[0]
-        return State(self.input_schema, self._domain,
-                     {name: rels[i] for name, i in self._input_index}, {}, dict(self.constants))
-
-    def _flatten(self, table: Mapping[tuple, int], arity: int) -> tuple:
-        if arity == 0:
-            return (table[()],)
-        return tuple(table[args] for args in itertools.product(range(self.n), repeat=arity))
-
-    def _unflatten(self, vec: tuple, arity: int) -> dict:
-        if arity == 0:
-            return {(): vec[0]}
-        return {args: vec[i] for i, args in enumerate(itertools.product(range(self.n), repeat=arity))}
+        return self.layout.input_state(lean[0])
 
     # -- operations on lean states ----------------------------------------------
 
@@ -445,8 +412,7 @@ class _Planner:
                 self._relation(target, tvars, body)
             else:
                 self._function(target, tvars, body)
-        rels = [n for n in sorted(sch.relations) if sch.role(n) is not Role.BUILTIN]
-        funs = [n for n in sorted(sch.functions) if sch.role(n) is Role.AUX]
+        rels, funs = payload_order(sch)
         head = ["def _applier(_state, _m):", "    %s = _state[0]" % _tup(["_R_" + n for n in rels])]
         if funs:
             head.append("    %s = _state[1]" % _tup(["_F_" + n for n in funs]))
@@ -461,34 +427,24 @@ class _Planner:
         return "\n".join(head + self.pre + self.lines + tail) + "\n"
 
 
-_CTX_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_CTX_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()  # program -> {layout: context}
 
 
 def lean_context(program, n: int, constants: Mapping[str, int],
                  builtin_rels: Mapping[str, frozenset], builtin_funs: Mapping[str, Mapping]) -> LeanContext:
-    sub = _CTX_CACHE.setdefault(program, {})
-    key = (
-        n,
-        tuple(sorted(constants.items())),
-        tuple(sorted((k, tuple(sorted(v))) for k, v in builtin_rels.items())),
-        tuple(sorted((k, tuple(sorted(v.items()))) for k, v in builtin_funs.items())),
-    )
-    ctx = sub.get(key)
+    """The context of program on its states over 0..n-1 with these constants
+    and built-in interpretations."""
+    lay = layout_of(program.schema, n, constants, builtin_rels, builtin_funs)
+    contexts = _CTX_CACHE.setdefault(program, {})
+    ctx = contexts.get(lay)
     if ctx is None:
-        ctx = LeanContext(program, n, dict(constants),
-                          {k: frozenset(v) for k, v in builtin_rels.items()},
-                          {k: dict(v) for k, v in builtin_funs.items()})
-        sub[key] = ctx
+        ctx = contexts[lay] = LeanContext(program, lay)
     return ctx
 
 
 def context_for_state(program, s: State) -> LeanContext:
-    sch = program.schema
-    builtin_rels = {name: s.relations[name] for name in sch.relations if sch.role(name) is Role.BUILTIN}
-    builtin_funs = {name: s.functions[name] for name in sch.functions if sch.role(name) is Role.BUILTIN}
-    return lean_context(program, s.n, s.constants, builtin_rels, builtin_funs)
-
-
-def compiled_apply(program, s: State, m: Modification) -> State:
-    ctx = context_for_state(program, s)
-    return ctx.from_lean(ctx.apply(ctx.to_lean(s), m))
+    ctx = _CTX_CACHE.get(program, {}).get(s.layout)
+    if ctx is None:
+        lay = s.layout
+        ctx = lean_context(program, lay.n, lay.constants, lay.builtin_rels, lay.builtin_funs)
+    return ctx

@@ -389,8 +389,6 @@ def _parse_init(ts: TokenStream) -> InitSpec:
         base = ts.expect_ident() if ts.cur.kind == "ident" and not ts.at_word(
             "input", "aux", "builtin", "const", "query", "init", "on", "default") else None
         return InitSpec("oracle", base=base)
-    if ts.accept_word("builtin"):
-        return InitSpec("builtin", name=ts.expect_ident())
     if ts.accept_word("table"):
         # remember the token range; resolved once the schema is known
         start = ts.pos
@@ -405,7 +403,7 @@ def _parse_init(ts: TokenStream) -> InitSpec:
             elif tok.kind == "punct" and tok.value == "}":
                 depth -= 1
         return InitSpec("table", table=("pending", start, ts.pos))
-    ts.error("expected one of: empty, oracle, builtin, table")
+    ts.error("expected one of: empty, oracle, table")
 
 
 def _resolve_table(ts: TokenStream, init: InitSpec, schema: Schema) -> InitSpec:

@@ -61,8 +61,6 @@ def _symbol_block(schema, role: Role) -> str:
 def _print_init(spec: InitSpec) -> str:
     if spec.kind in ("empty", "oracle"):
         return spec.kind + (f" {spec.base}" if spec.base else "")
-    if spec.kind == "builtin":
-        return f"builtin {spec.name}"
     rels, funs = decode_table(spec.table)
     entries = []
     for name in sorted(rels):

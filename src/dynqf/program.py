@@ -8,13 +8,13 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .compiler import context_for_state
 from .errors import ProgramError, RejectedSequenceError, SchemaError
 from .formulas import (App, Formula, RelAtom, Term, Var, eval_formula, eval_term,
                        free_vars, nesting_depth, symbols_used)
 from .schema import Role, Schema
 from .state import (DEL, INS, Modification, State, check_modification,
-                    default_function, is_honest, make_state, transport,
-                    validate_state)
+                    default_function, is_honest, make_state, transport)
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,12 @@ class InitSpec:
                     (base overrides applied on top);
     kind 'oracle' : replay all input tuples, in sorted order, through the
                     program's own insertion rules starting from the base state;
-    kind 'table'  : explicit interpretations;
-    kind 'builtin': a named registered initializer.
+    kind 'table'  : explicit interpretations.
     """
 
     kind: str
     base: str | None = None
     table: tuple | None = None  # canonical encoding, see table_from/table_items
-    name: str | None = None
 
 
 def encode_table(relations: Mapping[str, Iterable[tuple]] | None = None,
@@ -154,8 +152,8 @@ def apply(p: DynamicProgram, s: State, m: Modification, compiled: bool = True) -
     part and constants untouched."""
     check_modification(p.schema, s.n, m)
     if compiled:
-        from .compiler import compiled_apply
-        return compiled_apply(p, s, m)
+        ctx = context_for_state(p, s)
+        return ctx.from_lean(ctx.apply(ctx.to_lean(s), m))
     return _reference_apply(p, s, m)
 
 
@@ -183,7 +181,7 @@ def _reference_apply(p: DynamicProgram, s: State, m: Modification) -> State:
                 asg.update(zip(rule.target_params, tup))
                 table[tup] = eval_term(rule.body, s, asg)
             functions[target] = table
-    return State(s.schema, s.domain, relations, functions, s.constants)
+    return make_state(s.schema, s.n, relations, functions, s.constants)
 
 
 def run(
@@ -215,17 +213,9 @@ def run(
 BaseBuilder = Callable[[Schema, int], tuple[dict, dict, dict, dict]]
 BASE_REGISTRY: dict[str, BaseBuilder] = {}
 
-# Fully custom initializers for InitSpec(kind="builtin"): name ->
-# fn(program, input_db) -> full State.
-INIT_REGISTRY: dict[str, Callable[[DynamicProgram, State], State]] = {}
-
 
 def register_base(name: str, builder: BaseBuilder) -> None:
     BASE_REGISTRY[name] = builder
-
-
-def register_init(name: str, fn: Callable[[DynamicProgram, State], State]) -> None:
-    INIT_REGISTRY[name] = fn
 
 
 def _default_base(schema: Schema, n: int):
@@ -291,14 +281,7 @@ def init_state(p: DynamicProgram, input_db: State) -> State:
             relations[name] = frozenset(ts)
         for name, table in funs.items():
             functions[name] = dict(table)
-        out = State(p.schema, state.domain, relations, functions, state.constants)
-        validate_state(out)
-        return out
-    if spec.kind == "builtin":
-        fn = INIT_REGISTRY.get(spec.name or "")
-        if fn is None:
-            raise ProgramError(f"oracle-backed initializer {spec.name!r} is not registered")
-        return fn(p, input_db)
+        return make_state(p.schema, state.n, relations, functions, state.constants)
     raise ProgramError(f"unknown init kind {spec.kind!r}")
 
 

@@ -25,6 +25,7 @@ class Schema:
     constants: frozenset[str]
     roles: dict[str, Role]
     _key: tuple = field(init=False, repr=False, compare=False, default=None)
+    _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
         names = list(self.relations) + list(self.functions) + list(self.constants)
@@ -47,9 +48,10 @@ class Schema:
             tuple(sorted(self.constants)),
             tuple(sorted((n, r.value) for n, r in self.roles.items())),
         ))
+        object.__setattr__(self, "_hash", hash(self._key))
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __eq__(self, other):
         return isinstance(other, Schema) and self._key == other._key

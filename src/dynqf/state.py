@@ -1,7 +1,19 @@
-"""Finite program states, input modifications, restriction and isomorphism."""
+"""Finite program states, input modifications, restriction and isomorphism.
+
+A `State` is a layout plus a payload.  The layout is what every state of one
+shape shares: the schema, the domain 0..n-1, the constants, the built-in
+interpretations and the order of the payload's symbols.  Equal layouts are
+one object.  The payload is what modifications change: `rels`, the input
+and aux relations as frozensets, and `funs`, the aux functions as value
+vectors in mixed-radix argument order, both in layout order.  The compiled
+appliers read and return payloads directly.  `relations` and `functions`
+are dicts over every symbol, derived from the two; `functions` is built
+only when read.  `make_state` builds a state from dicts.
+"""
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -9,46 +21,105 @@ from .errors import DomainError, DynqfError, NotClosedError, SchemaError
 from .schema import Role, Schema
 
 
-@dataclass(frozen=True)
+def payload_order(schema: Schema) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The symbols of a payload: the relations that are not built-in, then
+    the aux functions, each sorted by name."""
+    return (tuple(name for name in sorted(schema.relations) if schema.role(name) is not Role.BUILTIN),
+            tuple(name for name in sorted(schema.functions) if schema.role(name) is Role.AUX))
+
+
+def flatten(table: Mapping[tuple, int], n: int, arity: int) -> tuple:
+    """A function table as its value vector, arguments in mixed-radix order."""
+    return tuple(table[args] for args in itertools.product(range(n), repeat=arity))
+
+
+def unflatten(vec: tuple, n: int, arity: int) -> dict:
+    return dict(zip(itertools.product(range(n), repeat=arity), vec))
+
+
+class Layout:
+    """What the states of one shape share.  Built by `layout_of` only."""
+
+    __slots__ = ("schema", "n", "domain", "constants", "builtin_rels", "builtin_funs",
+                 "rel_names", "fun_names", "rel_index", "_input", "__weakref__")
+
+    def __init__(self, schema: Schema, n: int, constants: Mapping[str, int],
+                 builtin_rels: Mapping[str, frozenset], builtin_funs: Mapping[str, dict]):
+        self.schema, self.n, self.domain = schema, n, tuple(range(n))
+        self.constants = dict(constants)
+        self.builtin_rels = dict(builtin_rels)
+        self.builtin_funs = dict(builtin_funs)
+        self.rel_names, self.fun_names = payload_order(schema)
+        self.rel_index = {name: i for i, name in enumerate(self.rel_names)}
+        self._input = None  # (layout of the input part, positions of its relations)
+
+    def input_state(self, rels: tuple) -> "State":
+        """The input part of the state of this layout whose relations are rels."""
+        if self._input is None:
+            sch = self.schema
+            self._input = (layout_of(sch.input_only(), self.n, self.constants, {}, {}),
+                           [i for i, name in enumerate(self.rel_names) if sch.role(name) is Role.INPUT])
+        lay, positions = self._input
+        return State(lay, tuple([rels[i] for i in positions]))
+
+
+_LAYOUTS: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+
+
+def layout_of(schema: Schema, n: int, constants: Mapping[str, int],
+              builtin_rels: Mapping[str, frozenset], builtin_funs: Mapping[str, dict]) -> Layout:
+    """The one layout with these parts; built-in functions are total tables."""
+    key = (schema, n, frozenset(constants.items()), frozenset(builtin_rels.items()),
+           frozenset((name, flatten(t, n, schema.arity(name))) for name, t in builtin_funs.items()))
+    lay = _LAYOUTS.get(key)
+    if lay is None:
+        lay = _LAYOUTS[key] = Layout(schema, n, constants, builtin_rels, builtin_funs)
+    return lay
+
+
+@dataclass(eq=False, slots=True)
 class State:
     """A structure: finite domain plus interpretations of every schema symbol.
 
     Domains are contiguous 0..n-1 so that deterministic search orders are
-    reproducible.  All interpretations are total; instances are immutable and
-    hash structurally.  The canonical sorted key behind hashing and equality
-    is built on first use, so a state that is only read costs no sorting.
+    reproducible.  All interpretations are total.  States are never changed
+    after construction; they compare and hash by layout and payload.
     """
 
-    schema: Schema
-    domain: tuple[int, ...]
-    relations: dict[str, frozenset[tuple[int, ...]]]
-    functions: dict[str, dict[tuple[int, ...], int]]
-    constants: dict[str, int]
-    _key: tuple | None = field(init=False, repr=False, compare=False)
+    layout: Layout
+    rels: tuple
+    funs: tuple = ()
+    schema: Schema = field(init=False, repr=False)
+    domain: tuple[int, ...] = field(init=False, repr=False)
+    constants: dict[str, int] = field(init=False, repr=False)
+    relations: dict[str, frozenset[tuple[int, ...]]] = field(init=False, repr=False)
+    _functions: dict | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_key", None)
-
-    def _canonical(self) -> tuple:
-        if self._key is None:
-            object.__setattr__(self, "_key", (
-                self.domain,
-                tuple(sorted((n, tuple(sorted(ts))) for n, ts in self.relations.items())),
-                tuple(sorted((n, tuple(sorted(m.items()))) for n, m in self.functions.items())),
-                tuple(sorted(self.constants.items())),
-            ))
-        return self._key
+        lay = self.layout
+        self.schema, self.domain, self.constants = lay.schema, lay.domain, lay.constants
+        self.relations = dict(zip(lay.rel_names, self.rels), **lay.builtin_rels)
+        self._functions = None
 
     def __hash__(self):
-        return hash(self._canonical())
+        return hash((self.layout, self.rels, self.funs))
 
     def __eq__(self, other):
-        return (isinstance(other, State) and self.schema == other.schema
-                and self._canonical() == other._canonical())
+        return (isinstance(other, State) and self.layout is other.layout
+                and self.rels == other.rels and self.funs == other.funs)
+
+    @property
+    def functions(self) -> dict[str, dict[tuple[int, ...], int]]:
+        if self._functions is None:
+            lay = self.layout
+            self._functions = {name: unflatten(vec, lay.n, self.schema.arity(name))
+                               for name, vec in zip(lay.fun_names, self.funs)}
+            self._functions.update(lay.builtin_funs)
+        return self._functions
 
     @property
     def n(self) -> int:
-        return len(self.domain)
+        return self.layout.n
 
     def rel(self, name: str) -> frozenset[tuple[int, ...]]:
         return self.relations[name]
@@ -68,42 +139,30 @@ class State:
 
     def input_part(self) -> "State":
         """The state restricted to input relations plus constants."""
-        sub = self.schema.input_only()
-        return State(
-            sub,
-            self.domain,
-            {n: self.relations[n] for n in sub.relations},
-            {},
-            dict(self.constants),
-        )
+        return self.layout.input_state(self.rels)
 
 
-def validate_state(s: State) -> None:
-    dom = set(s.domain)
-    if list(s.domain) != list(range(len(s.domain))):
-        raise DomainError("domain must be contiguous 0..n-1")
-    if set(s.relations) != set(s.schema.relations):
-        raise SchemaError("relation interpretations do not match schema")
-    if set(s.functions) != set(s.schema.functions):
-        raise SchemaError("function interpretations do not match schema")
-    if set(s.constants) != set(s.schema.constants):
+def _validate(schema: Schema, n: int, relations: Mapping[str, frozenset],
+              functions: Mapping[str, Mapping], constants: Mapping[str, int]) -> None:
+    dom = set(range(n))
+    if set(constants) != set(schema.constants):
         raise SchemaError("constant interpretations do not match schema")
-    for name, tuples in s.relations.items():
-        ar = s.schema.arity(name)
+    for name, tuples in relations.items():
+        ar = schema.arity(name)
         for t in tuples:
             if len(t) != ar:
                 raise SchemaError(f"tuple {t} has wrong arity for {name!r}")
             if any(e not in dom for e in t):
                 raise DomainError(f"tuple {t} of {name!r} leaves the domain")
-    for name, table in s.functions.items():
-        ar = s.schema.arity(name)
-        expect = len(s.domain) ** ar
+    for name, table in functions.items():
+        ar = schema.arity(name)
+        expect = n ** ar
         if len(table) != expect:
             raise SchemaError(f"function {name!r} is not total ({len(table)} of {expect} entries)")
         for args, val in table.items():
             if len(args) != ar or any(e not in dom for e in args) or val not in dom:
                 raise DomainError(f"function {name!r} entry {args}->{val} leaves the domain")
-    for name, val in s.constants.items():
+    for name, val in constants.items():
         if val not in dom:
             raise DomainError(f"constant {name!r} = {val} leaves the domain")
 
@@ -120,7 +179,7 @@ def make_state(
 
     Unnamed k-ary functions default to projection onto the first argument
     (0-ary ones to element 0), the same canonical choice empty initialization
-    uses.
+    uses.  Without `check`, the interpretations must already be valid.
     """
     rels = {name: frozenset(map(tuple, (relations or {}).get(name, ()))) for name in schema.relations}
     funs: dict[str, dict[tuple[int, ...], int]] = {}
@@ -133,10 +192,13 @@ def make_state(
     missing = set(schema.constants) - set(consts)
     if missing:
         raise SchemaError(f"missing constant interpretations: {sorted(missing)}")
-    s = State(schema, tuple(range(n)), rels, funs, consts)
     if check:
-        validate_state(s)
-    return s
+        _validate(schema, n, rels, funs, consts)
+    builtin = {name for name, role in schema.roles.items() if role is Role.BUILTIN}
+    lay = layout_of(schema, n, consts, {k: v for k, v in rels.items() if k in builtin},
+                    {k: v for k, v in funs.items() if k in builtin})
+    return State(lay, tuple(rels[name] for name in lay.rel_names),
+                 tuple(flatten(funs[name], n, schema.arity(name)) for name in lay.fun_names))
 
 
 def default_function(n: int, arity: int) -> dict[tuple[int, ...], int]:
@@ -202,11 +264,10 @@ def is_honest(s: State, m: Modification) -> bool:
 def apply_input_modification(s: State, m: Modification) -> State:
     """Apply one modification to the input relation; everything else unchanged."""
     check_modification(s.schema, s.n, m)
-    old = s.relations[m.relation]
+    i = s.layout.rel_index[m.relation]
+    old = s.rels[i]
     new = old | {m.tuple} if m.kind == INS else old - {m.tuple}
-    rels = dict(s.relations)
-    rels[m.relation] = new
-    return State(s.schema, s.domain, rels, s.functions, s.constants)
+    return State(s.layout, s.rels[:i] + (new,) + s.rels[i + 1:], s.funs)
 
 
 # -- restriction and isomorphism ----------------------------------------------
@@ -236,7 +297,7 @@ def restrict(s: State, subset: Iterable[int], relations_only: bool = False) -> S
         if sch.functions:
             sch = Schema(dict(sch.relations), {}, sch.constants,
                          {n: r for n, r in sch.roles.items() if n in sch.relations})
-        return State(sch, tuple(range(len(sub))), rels, {}, consts)
+        return make_state(sch, len(sub), rels, {}, consts, check=False)
     funs: dict[str, dict[tuple[int, ...], int]] = {}
     for name, table in s.functions.items():
         new_table = {}
@@ -246,7 +307,7 @@ def restrict(s: State, subset: Iterable[int], relations_only: bool = False) -> S
                 raise NotClosedError(f"{name}{args} = {val} escapes the subset")
             new_table[tuple(index[e] for e in args)] = index[val]
         funs[name] = new_table
-    return State(s.schema, tuple(range(len(sub))), rels, funs, consts)
+    return make_state(s.schema, len(sub), rels, funs, consts, check=False)
 
 
 def check_isomorphism(s: State, t: State, pi: Mapping[int, int]) -> bool:
@@ -284,4 +345,4 @@ def transport(s: State, pi: Mapping[int, int]) -> State:
     funs = {name: {tuple(pi[e] for e in args): pi[val] for args, val in table.items()}
             for name, table in s.functions.items()}
     consts = {name: pi[val] for name, val in s.constants.items()}
-    return State(s.schema, s.domain, rels, funs, consts)
+    return make_state(s.schema, s.n, rels, funs, consts, check=False)

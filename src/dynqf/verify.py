@@ -374,7 +374,8 @@ def neighborhood(s: State, a: Iterable[int], k: int) -> set[int]:
 
 def is_closed(s: State, a: Iterable[int]) -> bool:
     """A set is closed when its 1-neighborhood adds nothing."""
-    return neighborhood(s, a, 1) == set(a)
+    a = set(a)
+    return neighborhood(s, a, 1) == a
 
 
 def k_similar(s: State, a_tuple: Sequence[int], t: State, b_tuple: Sequence[int],

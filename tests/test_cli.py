@@ -4,6 +4,8 @@ import pytest
 
 from dynqf.cli import main
 from dynqf.corpus import corpus_source
+from dynqf.errors import ParseError
+from dynqf.parser import parse_program
 
 
 @pytest.fixture
@@ -280,3 +282,14 @@ def test_corpus_show_without_name(capsys):
 def test_verify_layered_guard_without_st_constants(nes_file, capsys, mode):
     assert main(["verify", nes_file, "--guard", "1-layered-st", "--domain", "3", *mode]) == 2
     assert_one_line_error(capsys, "needs constants s and t")
+
+
+def test_init_builtin_is_a_parse_error(tmp_path, capsys):
+    src = corpus_source("non_empty_set.dynp").replace("init    oracle", "init    builtin foo")
+    with pytest.raises(ParseError, match="expected one of: empty, oracle, table"):
+        parse_program(src)
+    f = tmp_path / "builtin_init.dynp"
+    f.write_text(src)
+    assert main(["verify", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1, err

@@ -271,6 +271,6 @@ def test_const_function_init_is_invariant():
 def test_oracle_init_of_list_program_is_not_invariant():
     # the replay order bakes element identities into the list
     p = nes()
-    assert not is_invariant_init(ProgramInit(p), toy_db(3, (0, 1)).__class__(
-        p.schema.input_only(), (0, 1, 2),
+    assert not is_invariant_init(ProgramInit(p), make_state(
+        p.schema.input_only(), 3,
         {"U": frozenset({(0,), (1,)})}, {}, {}), "all")

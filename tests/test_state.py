@@ -3,10 +3,16 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from dynqf.compiler import context_for_state
+from dynqf.corpus import builtin_program, corpus_names
 from dynqf.errors import DomainError, DynqfError, NotClosedError
+from dynqf.program import apply, empty_input_db, init_state
 from dynqf.schema import make_schema
+from dynqf.serialize import state_from_dict, state_to_dict
 from dynqf.state import (apply_input_modification, check_isomorphism, delete,
                          ins, is_honest, make_state, restrict, transport)
+from dynqf.transforms import relations_to_functions
+from dynqf.verify import _candidate_mods
 
 GRAPH = make_schema(input_relations={"E": 2}, constants=("s", "t"))
 SET = make_schema(input_relations={"U": 1})
@@ -135,3 +141,39 @@ def test_delete_after_insert_restores_any_database(n, data):
         return
     back = apply_input_modification(apply_input_modification(s, ins("U", e)), delete("U", e))
     assert back == s
+
+
+@pytest.mark.parametrize("transformed", [False, True])
+@pytest.mark.parametrize("name", corpus_names())
+def test_equal_states_are_equal_however_built(name, transformed):
+    p = builtin_program(name).program
+    if transformed:
+        p = relations_to_functions(p)
+    s0 = init_state(p, empty_input_db(p, 3))
+    ctx = context_for_state(p, s0)
+    mods = _candidate_mods(p, 3)
+    frontier = [s0]
+    for _ in range(2):
+        reached = []
+        for s in frontier:
+            for m in mods:
+                if not is_honest(s, m):
+                    continue
+                a = apply(p, s, m)
+                for b in (apply(p, s, m, compiled=False), state_from_dict(state_to_dict(a), p.schema),
+                          transport(a, {e: e for e in a.domain})):
+                    assert b == a and hash(b) == hash(a) and state_to_dict(b) == state_to_dict(a)
+                assert context_for_state(p, a) is ctx
+                reached.append(a)
+        frontier = reached[::7]
+
+
+def test_states_differing_in_a_constant_or_builtin_are_unequal():
+    sch = make_schema(input_relations={"E": 2}, builtin_relations={"L": 2},
+                      builtin_functions={"f": 1}, constants=("s",))
+    rels, f = {"E": {(0, 1)}, "L": {(0, 1)}}, {(0,): 1, (1,): 0, (2,): 2}
+    base = make_state(sch, 3, rels, {"f": f}, {"s": 0})
+    assert base == make_state(sch, 3, rels, {"f": dict(f)}, {"s": 0})
+    assert base != make_state(sch, 3, rels, {"f": f}, {"s": 1})
+    assert base != make_state(sch, 3, {"E": {(0, 1)}, "L": set()}, {"f": f}, {"s": 0})
+    assert base != make_state(sch, 3, rels, {"f": {**f, (2,): 0}}, {"s": 0})

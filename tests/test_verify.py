@@ -289,6 +289,7 @@ def test_closed_set_fixed_point():
     s = chain_state(4)
     assert is_closed(s, {0, 1, 2, 3})
     assert is_closed(s, {3})  # clamp makes the top element a fixed point
+    assert is_closed(s, iter([3]))  # an iterator is read once
     assert not is_closed(s, {0})
     closed = {3}
     for k in range(1, 4):
