@@ -36,6 +36,13 @@ def _load_program(path: str) -> DynamicProgram:
     return parse_program(Path(path).read_text(), path)
 
 
+def _catalogue(p: DynamicProgram):
+    """(oracle, oracle name, guard) of a corpus program, from the catalogue
+    rather than from a second parse of its shipped copy; None otherwise."""
+    spec = _SPECS.get(p.name.replace("_", "-"))
+    return None if spec is None else (spec[1], spec[2], GUARDS[spec[3]])
+
+
 def _require_at_least(args, **minimums: int) -> None:
     for name, least in minimums.items():
         value = getattr(args, name)
@@ -109,16 +116,15 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     _require_at_least(args, domain=1, maxlen=0, random=1)
     p = _load_program(args.program)
-    key = p.name.replace("_", "-")
     oracle_name = args.oracle
     guard = GUARDS.get(args.guard) if args.guard else None
     if args.guard and guard is None:
         raise DynqfError(f"unknown guard {args.guard!r}; have {sorted(GUARDS)}")
-    if key in _SPECS:
-        entry = builtin_program(key)
-        oracle_name = oracle_name or entry.oracle_name
+    spec = _catalogue(p)
+    if spec is not None:
+        oracle_name = oracle_name or spec[1]
         if guard is None and not args.no_guard:
-            guard = entry.instance_guard
+            guard = spec[2]
     if oracle_name is None:
         raise DynqfError("no oracle given and the program is not a corpus entry")
     oracle = _resolve_oracle(oracle_name)
@@ -194,12 +200,11 @@ def cmd_transform(args) -> int:
     else:
         print(text, end="")
     if args.check:
-        key = p.name.replace("_", "-")
-        if key in _SPECS:
-            entry = builtin_program(key)
-            oracle = entry.oracle
+        spec = _catalogue(p)
+        if spec is not None:
+            oracle, _, guard = spec
             cfg = CheckConfig(domain_size=args.domain, max_len=args.maxlen,
-                              honest_only=True, guard=entry.instance_guard)
+                              honest_only=True, guard=guard)
             v1 = check_maintenance(p, oracle, cfg)
             v2 = check_maintenance(out, oracle, cfg)
             agree = v1.status == v2.status == "ok"
@@ -262,8 +267,14 @@ def cmd_corpus(args) -> int:
 def cmd_replay(args) -> int:
     p = _load_program(args.program)
     cex = _load_counterexample(args.counterexample, p.schema.input_only())
-    oracle = _resolve_oracle(args.oracle) if args.oracle else builtin_program(
-        p.name.replace("_", "-")).oracle
+    spec = _catalogue(p)
+    if args.oracle:
+        oracle = _resolve_oracle(args.oracle)
+    elif spec is None:
+        raise DynqfError(f"unknown corpus program {p.name.replace('_', '-')!r}; "
+                         f"have {corpus_names()}")
+    else:
+        oracle = spec[0]
     ok = validate_counterexample(p, oracle, cex)
     print(f"replay: divergence at step {cex.step} "
           f"{'reproduced' if ok else 'DID NOT reproduce'}")

@@ -7,14 +7,26 @@ code names n, the constants and the built-ins (`_n`, `_C_s`, `_B_Le`, ...);
 a LeanContext executes it in an environment that binds them to those of one
 state layout (see state.py).  Each applier is planned like a delta query
 over the old state:
+  - simplify while interning: `t = t` folds to true, and true and false are
+    carried through Not, And, Or and Ite;
   - hoist: a compound subformula or term over the trigger parameters alone
     is computed once per call, in a local shared by all rules of the applier;
   - a relational rule body goes to DNF, its trigger-only parts and negations
-    opaque; in each disjunct, trigger-only literals guard, `x = t` binds x,
-    a positive aux atom generates, other variables scan the domain, and the
+    opaque, and a disjunct holding !(l1 & ... & lk) and every li is dropped;
+    in each disjunct, trigger-only literals guard, `x = t` binds x, a
+    positive aux atom generates, other variables scan the domain, and the
     remaining literals filter as soon as their variables are bound;
-  - frame: a disjunct R(x̄) for the target R makes the result R ∪ Δ, and an
-    unchanged relation stays the old frozenset object;
+  - frame: a disjunct R(x̄) for the target R, alone or under trigger-only
+    guards, makes the result R ∪ Δ while a guard holds; Δ is built only
+    when some other disjunct's trigger-only guard holds, and an unchanged
+    relation stays the old frozenset object;
+  - factor: a literal !G in every disjunct, where each disjunct of G binds
+    all of G's variables, is taken out of the disjuncts and applied once to
+    their union: G is planned like a delta query into a set of its tuples,
+    once per applier, and the set is subtracted (R − G), or, when G binds
+    only some target variables and each of its disjuncts tests more than it
+    binds, tested by membership in a pass that runs only while the set is
+    not empty.  Other filters stay in the loops;
   - past _DNF_CAP disjuncts, a scan of the domain tests the whole body.
 In the hot loops a state travels as its payload alone, the lean pair
 (rels, funs) that the appliers read and return; `to_lean` and `from_lean`
@@ -24,7 +36,7 @@ from __future__ import annotations
 
 import linecache
 import weakref
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import DynqfError
 from .formulas import (And, App, Const, Eq, FalseConst, Ite, Not, Or, RelAtom,
@@ -75,11 +87,6 @@ class LeanContext:
     def query(self, lean: LeanState) -> bool:
         return () in lean[0][self.query_index]
 
-    def is_honest(self, lean: LeanState, m: Modification) -> bool:
-        """Insertion of an absent tuple, or deletion of a present one."""
-        present = m.tuple in lean[0][self.rel_index[m.relation]]
-        return not present if m.kind == INS else present
-
 
 # -- code generation ----------------------------------------------------------------
 
@@ -88,6 +95,7 @@ _EMPTY_REL = frozenset()
 _DNF_CAP = 16  # disjuncts per relational rule; past it, the rule scans the domain
 _CODE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _LEAVES = (Var, Const, TrueConst, FalseConst)
+_BOOLS = (TrueConst, FalseConst)
 _HOIST = -1  # in _Planner.parents: hoist this node
 _OR, _AND, _NOT, _CMP, _ATOM = range(5)  # precedence of generated expressions
 
@@ -115,7 +123,7 @@ def _register_source(filename: str, src: str) -> str:
     return name
 
 
-def _tup(items: list[str]) -> str:
+def _tup(items: Sequence[str]) -> str:
     """A tuple display of the code items."""
     return "(" + items[0] + ",)" if len(items) == 1 else "(" + ", ".join(items) + ")"
 
@@ -155,6 +163,7 @@ class _Planner:
         self.alias: dict[str, str] = {}  # variable -> the name it is bound to, in one disjunct
         self.pre: list[str] = []        # the hoisted assignments
         self.lines: list[str] = []      # the rules
+        self.sets: dict[int, str] = {}  # node id -> the local holding its tuples
 
     # -- analysis and expressions ----------------------------------------------------
 
@@ -176,6 +185,24 @@ class _Planner:
             name = node.name
         elif kind is not TrueConst and kind is not FalseConst:
             raise DynqfError("cannot compile %r" % (node,))
+        return self._node(kind, name, kids)
+
+    def _node(self, kind, name=None, kids=()) -> _Node:
+        """The one node of this applier for (kind, name, kids), with `t = t`
+        folded to true and true and false carried through Not, And, Or, Ite."""
+        if kind is Eq and kids[0] is kids[1]:
+            return self._node(TrueConst)
+        if kind is Not and kids[0].kind in _BOOLS:
+            return self._node(FalseConst if kids[0].kind is TrueConst else TrueConst)
+        if kind is And or kind is Or:
+            unit = TrueConst if kind is And else FalseConst
+            for a, b in (kids, kids[::-1]):
+                if a.kind is unit:
+                    return b
+                if a.kind in _BOOLS:  # the other constant absorbs
+                    return a
+        if kind is Ite and kids[0].kind in _BOOLS:
+            return kids[1] if kids[0].kind is TrueConst else kids[2]
         key = (kind, name, *[k.id for k in kids])
         n = self.nodes.get(key)
         if n is None:
@@ -264,8 +291,18 @@ class _Planner:
         left, right = self._dnf(f.kids[0]), self._dnf(f.kids[1])
         if left is None or right is None:
             return None
-        out = left + right if kind is Or else [a + b for a in left for b in right]
+        out = left + right if kind is Or else [a + b for a in left for b in right
+                                               if not self._contradicts(a + b)]
         return out if len(out) <= _DNF_CAP else None
+
+    def _holds(self, f: _Node, lits: list[_Node]) -> bool:
+        """Is f one of the literals, or a conjunction of them?"""
+        return f in lits or (f.kind is And and all([self._holds(k, lits) for k in f.kids]))
+
+    def _contradicts(self, lits: list[_Node]) -> bool:
+        """Do the literals include some !(l1 & ... & lk) together with every
+        li?  Nodes are interned, so each test is one of identity."""
+        return any(lit.kind is Not and self._holds(lit.kids[0], lits) for lit in lits)
 
     def _drives(self, f: _Node) -> bool:
         """Could a disjunct of f bind or generate a variable?  A disjunction
@@ -278,13 +315,14 @@ class _Planner:
             return any(k.kind is Var and not k.trig for k in f.kids)
         return False
 
-    def _disjunct(self, lits: list[_Node], tvars: tuple[str, ...]) -> None:
-        """Add to `_s` the tuples satisfying a conjunction of literals: guard,
-        then bind, generate or scan until every variable is bound, filtering
-        as soon as a literal's variables are bound."""
+    def _disjunct(self, lits: list[_Node], tvars: tuple[str, ...], ind: str = "    ",
+                  out: str = "_s") -> None:
+        """Add to the set `out` the tuples satisfying a conjunction of literals:
+        guard, then bind, generate or scan until every variable is bound,
+        filtering as soon as a literal's variables are bound."""
         conds = [self._expr(lit, _AND) for lit in lits if lit.trig]  # for the next `if`
         rest = [lit for lit in lits if not lit.trig]
-        bound, free, ind, temps = set(self.mvars), list(tvars), "    ", 0
+        bound, free, temps = set(self.mvars), list(tvars), 0
         while True:
             waiting = []
             for lit in rest:
@@ -335,7 +373,7 @@ class _Planner:
                 self.lines.append(ind + "for " + _tup(targets) + " in _R_" + gen.name + ":")
             ind += "    "
         ind = self._if(ind, conds)
-        self.lines.append(ind + "_s.add(" + _tup([self.alias.get(v, v) for v in tvars]) + ")")
+        self.lines.append(ind + out + ".add(" + _tup([self.alias.get(v, v) for v in tvars]) + ")")
         self.alias = {}
 
     def _if(self, ind: str, conds: list[str]) -> str:
@@ -363,6 +401,56 @@ class _Planner:
 
     # -- rules -------------------------------------------------------------------------
 
+    def _binds(self, lits: list[_Node], names: set) -> bool:
+        """Do the equations among lits bind every variable of names, one after
+        another, starting from the trigger parameters?"""
+        bound, eqs = set(self.mvars), [lit for lit in lits if lit.kind is Eq]
+        while True:
+            found = [b[1] for b in [self._binding(lit, bound) for lit in eqs] if b]
+            if not found:
+                return names <= bound
+            bound.update(found)
+
+    def _negated_set(self, lit: _Node, tvars: tuple[str, ...]):
+        """For lit = !G where each disjunct of G binds all of G's variables:
+        those variables in target order.  None otherwise, and None when G
+        binds only some of tvars and a disjunct of G only binds, since then
+        G's set is never empty and a membership test costs what lit does."""
+        if lit.trig or lit.kind is not Not:
+            return None
+        names, dnf = self._free(lit.kids[0]), self._dnf(lit.kids[0])
+        if dnf is None or not all([self._binds(d, names) for d in dnf]):
+            return None
+        gvars = tuple(v for v in tvars if v in names)
+        if gvars != tvars and not all([any([k.trig or k.kind is not Eq for k in d]) for d in dnf]):
+            return None
+        return gvars
+
+    def _renamed(self, node: _Node, names: Mapping[str, str]) -> _Node:
+        if node.trig or not (node.kids or node.kind is Var):
+            return node
+        if node.kind is Var:
+            return self._node(Var, names[node.name])
+        return self._node(node.kind, node.name, tuple([self._renamed(k, names) for k in node.kids]))
+
+    def _set(self, gamma: _Node, gvars: tuple[str, ...]) -> str:
+        """The local holding the tuples over gvars that satisfy gamma, planned
+        like a delta query once per applier.  Its variables are renamed to
+        t0, t1, ... first, so that G(t0) and G(t1) share one set."""
+        canon = tuple("t%d" % i for i in range(len(gvars)))
+        gamma = self._renamed(gamma, dict(zip(gvars, canon)))
+        local = self.sets.get(gamma.id)
+        if local is None:
+            local = self.sets[gamma.id] = "_g%d" % len(self.sets)
+            self.lines.append("    %s = set()" % local)
+            for d in self._dnf(gamma):
+                self._disjunct(d, canon, out=local)
+        return local
+
+    def _guard(self, lits: list[_Node]) -> str:
+        """Code for the conjunction of the trigger-only literals; True if none."""
+        return " and ".join([self._expr(lit, _AND) for lit in lits if lit.trig]) or "True"
+
     def _relation(self, target: str, tvars: tuple[str, ...], body: _Node) -> None:
         new, old, lines = "_N_" + target, "_R_" + target, self.lines
         if not tvars:
@@ -371,18 +459,71 @@ class _Planner:
         disjuncts = self._dnf(body)
         if disjuncts is None:  # past the cap, the body is one literal: the domain is scanned
             disjuncts = [[body]]
-        frame = [d for d in disjuncts if len(d) == 1 and d[0].is_atom(target, tvars)]
-        delta = [d for d in disjuncts if d not in frame]
-        if frame and not delta:
-            lines.append("    %s = %s" % (new, old))
-            return
-        lines.append("    _s = set()")
-        for d in delta:
-            self._disjunct(d, tvars)
-        if frame:  # R ∪ Δ
-            lines.append("    %s = %s if _s <= %s else %s | _s" % (new, old, old, old))
+        # a negated condition in every disjunct that binds its variables is
+        # applied once, to their union, as a set; other filters stay in the
+        # loops, where they prune as soon as their variables are bound
+        sets = {lit: self._negated_set(lit, tvars) for lit in (disjuncts[0] if disjuncts else [])
+                if all([lit in d for d in disjuncts[1:]])}
+        common = {lit: gvars for lit, gvars in sets.items() if gvars}
+        # frame: R(x̄) under trigger-only guards keeps R when one of them holds
+        guards, delta = [], []
+        for d in [[lit for lit in d if lit not in common] for d in disjuncts]:
+            rest = [lit for lit in d if not lit.trig]
+            if len(rest) == 1 and rest[0].is_atom(target, tvars):
+                guards.append(self._guard(d))
+            else:
+                delta.append(d)
+        union = "%s if _s <= %s else %s | _s" % (old, old, old)
+        fresh = "%s if _s == %s else frozenset(_s)" % (old, old)
+        frame = "True" if "True" in guards else " or ".join(dict.fromkeys(guards))
+        if frame == "True":
+            with_s, without_s = union, old
+        elif frame:
+            with_s, without_s = "(%s) if %s else (%s)" % (union, frame, fresh), old + " if " + frame + " else _E_"
         else:
-            lines.append("    %s = %s if _s == %s else frozenset(_s)" % (new, old, old))
+            with_s, without_s = fresh, "_E_"
+        wakes = [self._guard(d) for d in delta]
+        wake = "" if "True" in wakes else " or ".join(dict.fromkeys(wakes))
+        ind = "    "
+        if delta:  # Δ is built only when some disjunct's trigger-only guard holds
+            if wake:
+                lines.append("    if %s:" % wake)
+                ind = "        "
+            lines.append(ind + "_s = set()")
+            for d in delta:
+                if wake and len(delta) == 1:  # its guard is the wake condition
+                    d = [lit for lit in d if not lit.trig]
+                self._disjunct(d, tvars, ind)
+            lines.append("%s%s = %s" % (ind, new, with_s))
+            if wake:
+                lines.append("    else:")
+        if not delta or wake:
+            lines.append("%s%s = %s" % (ind, new, without_s))
+        self._common(new, tvars, common)
+
+    def _common(self, new: str, tvars: tuple[str, ...], common: Mapping[_Node, tuple]) -> None:
+        """Apply the factored literals !G to the relation `new`.  The tuples
+        of G over its variables gvars are a set, subtracted when gvars are all
+        of tvars and otherwise tested by membership in one pass, which runs
+        only while some set is not empty."""
+        subtract, tested, filters, lines = [], {}, [], self.lines
+        for lit, gvars in common.items():
+            local = self._set(lit.kids[0], gvars)
+            if gvars == tvars:
+                subtract.append(local)
+            else:
+                tested[local] = None
+                filters.append(_tup(gvars) + " not in " + local)
+        if filters:
+            tup = _tup(tvars)
+            lines.extend(["    if %s:" % " or ".join(tested), "        _f = set()",
+                          "        for %s in %s:" % (tup, new),
+                          "            if %s:" % " and ".join(filters),
+                          "                _f.add(%s)" % tup,
+                          "        if len(_f) < len(%s):" % new, "            %s = frozenset(_f)" % new])
+        for local in subtract:
+            lines.append("    if %s and not %s.isdisjoint(%s):" % (local, new, local))
+            lines.append("        %s = %s - %s" % (new, new, local))
 
     def _function(self, target: str, tvars: tuple[str, ...], body: _Node) -> None:
         new, lines = "_NF_" + target, self.lines

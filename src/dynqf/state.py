@@ -340,9 +340,26 @@ def transport(s: State, pi: Mapping[int, int]) -> State:
     """The image of `s` under a permutation of its domain."""
     if sorted(pi) != list(s.domain) or sorted(pi.values()) != list(s.domain):
         raise DynqfError("pi is not a permutation of the domain")
-    rels = {name: frozenset(tuple(pi[e] for e in t) for t in tuples)
-            for name, tuples in s.relations.items()}
-    funs = {name: {tuple(pi[e] for e in args): pi[val] for args, val in table.items()}
-            for name, table in s.functions.items()}
-    consts = {name: pi[val] for name, val in s.constants.items()}
-    return make_state(s.schema, s.n, rels, funs, consts, check=False)
+    lay, p = s.layout, [pi[e] for e in s.domain]
+
+    def image(tuples):
+        return frozenset([tuple([p[e] for e in t]) for t in tuples])
+
+    def image_vector(vec, arity):
+        # entry i of the vector is f at the i-th argument tuple in mixed-radix
+        # order; its image belongs at the index of the permuted tuple
+        index = [0]
+        for _ in range(arity):
+            index = [j * lay.n + e for j in index for e in p]
+        out = [0] * len(vec)
+        for j, v in zip(index, vec):
+            out[j] = p[v]
+        return tuple(out)
+
+    sch = s.schema
+    image_lay = layout_of(sch, lay.n, {name: p[v] for name, v in lay.constants.items()},
+                          {name: image(r) for name, r in lay.builtin_rels.items()},
+                          {name: {tuple([p[e] for e in args]): p[v] for args, v in table.items()}
+                           for name, table in lay.builtin_funs.items()})
+    return State(image_lay, tuple([image(r) for r in s.rels]),
+                 tuple([image_vector(vec, sch.arity(name)) for name, vec in zip(lay.fun_names, s.funs)]))

@@ -210,10 +210,29 @@ def _setup(p: DynamicProgram, cfg: CheckConfig):
     return db, s0, ctx.to_lean(s0), ctx
 
 
+def _move_slots(mods: list[Modification], ctx: LeanContext, honest_only: bool) -> list[tuple]:
+    """One slot per (relation, tuple) of the moves, in move order: the
+    relation's payload index, the tuple, and the moves to take when the tuple
+    is present and when it is absent.  Honest moves are the deletion of a
+    present tuple and the insertion of an absent one; without `honest_only`
+    every move of the tuple is taken either way, in move order."""
+    slots: dict[tuple, list[Modification]] = {}
+    for m in mods:
+        slots.setdefault((m.relation, m.tuple), []).append(m)
+    table = []
+    for (rel, tup), ms in slots.items():
+        if honest_only:
+            table.append((ctx.rel_index[rel], tup, tuple(m for m in ms if m.kind == DEL),
+                          tuple(m for m in ms if m.kind == INS)))
+        else:
+            table.append((ctx.rel_index[rel], tup, tuple(ms), tuple(ms)))
+    return table
+
+
 def _bfs_check(p, oracle, cfg, bounds) -> Verdict:
     db, s0, lean0, ctx = _setup(p, cfg)
     lean_oracle = _lean_oracle(oracle, ctx)
-    mods = _moves(p, cfg, s0)[0]
+    slots = _move_slots(_moves(p, cfg, s0)[0], ctx, cfg.honest_only)
     states = steps = 0
 
     def diverged(lean) -> tuple[bool, bool] | None:
@@ -236,29 +255,29 @@ def _bfs_check(p, oracle, cfg, bounds) -> Verdict:
     for depth in range(1, cfg.max_len + 1):
         new_frontier = []
         for st in frontier:
-            for m in mods:
-                if cfg.honest_only and not ctx.is_honest(st, m):
-                    continue
-                succ = ctx.apply(st, m)
-                steps += 1
-                if succ in seen:
-                    continue
-                seen.add(succ)
-                parents[succ] = (st, m)
-                states += 1
-                if states > cfg.state_cap and not cfg.override_cap:
-                    return Verdict("resource", bounds, states, steps,
-                                   notes=[f"state cap {cfg.state_cap} reached at depth {depth}"])
-                d = diverged(succ)
-                if d:
-                    seq = []
-                    node = succ
-                    while parents[node] is not None:
-                        node, m2 = parents[node]
-                        seq.append(m2)
-                    seq.reverse()
-                    return cex(seq, depth, *d)
-                new_frontier.append(succ)
+            rels = st[0]
+            for i, tup, if_present, if_absent in slots:
+                for m in (if_present if tup in rels[i] else if_absent):
+                    succ = ctx.apply(st, m)
+                    steps += 1
+                    if succ in seen:
+                        continue
+                    seen.add(succ)
+                    parents[succ] = (st, m)
+                    states += 1
+                    if states > cfg.state_cap and not cfg.override_cap:
+                        return Verdict("resource", bounds, states, steps,
+                                       notes=[f"state cap {cfg.state_cap} reached at depth {depth}"])
+                    d = diverged(succ)
+                    if d:
+                        seq = []
+                        node = succ
+                        while parents[node] is not None:
+                            node, m2 = parents[node]
+                            seq.append(m2)
+                        seq.reverse()
+                        return cex(seq, depth, *d)
+                    new_frontier.append(succ)
         frontier = new_frontier
     return Verdict("ok", bounds, states, steps)
 
@@ -352,7 +371,7 @@ def _term_pairs(s: State, a_tuple: Sequence[int], t: State, b_tuple: Sequence[in
     for v, w in base:
         if pi.setdefault(v, w) != w:
             return None
-    tables = [(s.functions[f], t.functions[f], ar) for f, ar in s.schema.functions.items()]
+    tables = [(s.functions[f], t.functions[f], ar) for f, ar in s.schema.functions.items()] if k else []
     for _ in range(k):
         known = list(pi)
         for fs, ft, ar in tables:
@@ -388,14 +407,18 @@ def k_similar(s: State, a_tuple: Sequence[int], t: State, b_tuple: Sequence[int]
     if len(a_tuple) != len(b_tuple):
         raise DynqfError("tuples differ in length")
     pi = _term_pairs(s, a_tuple, t, b_tuple, k)
-    if pi is None or len(set(pi.values())) != len(pi):
+    if pi is None:
         return None
-    nb = sorted(pi)
-    for name, ar in s.schema.relations.items():
-        rs, rt = s.relations[name], t.relations[name]
-        for args in itertools.product(nb, repeat=ar):
-            if (args in rs) != (tuple(pi[x] for x in args) in rt):
-                return None
+    image = set(pi.values())
+    if len(image) != len(pi):
+        return None
+    # pi is a bijection between the neighborhoods, so it preserves a relation
+    # in both directions exactly when it maps the tuples inside its domain
+    # onto the tuples inside its image
+    for name in s.schema.relations:
+        inside = {tuple([pi[x] for x in r]) for r in s.relations[name] if all([x in pi for x in r])}
+        if inside != {r for r in t.relations[name] if all([y in image for y in r])}:
+            return None
     return pi
 
 
@@ -537,22 +560,7 @@ def _restriction_isomorphism(s: State, a_tup: Sequence[int], t: State,
                              b_tup: Sequence[int]) -> dict[int, int] | None:
     """The positional map a_i -> b_i extended by constants, if it is a
     well-defined isomorphism of the induced (relational) substructures."""
-    pi: dict[int, int] = {}
-    for x, y in zip(a_tup, b_tup):
-        if pi.setdefault(x, y) != y:
-            return None
-    for c in s.schema.constants:
-        x, y = s.constants[c], t.constants[c]
-        if pi.setdefault(x, y) != y:
-            return None
-    if len(set(pi.values())) != len(pi):
-        return None
-    for name, ar in s.schema.relations.items():
-        rs, rt = s.relations[name], t.relations[name]
-        for args in itertools.product(sorted(pi), repeat=ar):
-            if (args in rs) != (tuple(pi[e] for e in args) in rt):
-                return None
-    return pi
+    return k_similar(s, a_tup, t, b_tup, 0)
 
 
 # -- attack drivers --------------------------------------------------------------------------

@@ -293,3 +293,43 @@ def test_init_builtin_is_a_parse_error(tmp_path, capsys):
     assert main(["verify", str(f)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["verify", "transform", "replay"])
+def test_a_corpus_program_is_parsed_once_per_invocation(command, reach_file, nes_file, tmp_path,
+                                                        capsys, monkeypatch):
+    import dynqf.cli
+    import dynqf.corpus
+    from dynqf.corpus import builtin_program
+    from dynqf.program import empty_input_db
+    from dynqf.serialize import counterexample_to_dict
+    from dynqf.state import ins
+    from dynqf.verify import CheckConfig, Counterexample, check_maintenance
+    reach, nes = builtin_program("reach-1layer-qf"), builtin_program("non-empty-set")
+    if command == "verify":
+        argv = ["verify", reach_file, "--domain", "4", "--maxlen", "3", "--exhaustive"]
+        v = check_maintenance(reach.program, reach.oracle,
+                              CheckConfig(domain_size=4, max_len=3, guard=reach.instance_guard))
+        expected = (f"verdict: ok (oracle st-reach, seed None, {v.checked_states} states / "
+                    f"{v.checked_steps} steps)\n")
+    elif command == "transform":
+        argv = ["transform", nes_file, "--pass", "rel2fun", "-o", str(tmp_path / "out.dynp"), "--check"]
+        expected = f"wrote {tmp_path / 'out.dynp'}\ndifferential check: original ok, transformed ok\n"
+    else:
+        db = empty_input_db(nes.program, 3)
+        cex = Counterexample("non_empty_set", db, (ins("U", 0),), 1, False, True)
+        (tmp_path / "cex.json").write_text(json.dumps(counterexample_to_dict(cex)))
+        argv = ["replay", str(tmp_path / "cex.json"), nes_file]
+        expected = "replay: divergence at step 1 DID NOT reproduce\n"
+    parses = []
+
+    def counting_parse(*args, **kwargs):
+        parses.append(args[1:])
+        return parse_program(*args, **kwargs)
+
+    monkeypatch.setattr(dynqf.corpus, "_cache", {})
+    monkeypatch.setattr(dynqf.corpus, "parse_program", counting_parse)
+    monkeypatch.setattr(dynqf.cli, "parse_program", counting_parse)
+    code = main(argv)
+    assert (code, capsys.readouterr().out) == (1 if command == "replay" else 0, expected)
+    assert len(parses) == 1

@@ -2,6 +2,7 @@
 reuse, one code object per program, and readable generated sources."""
 import inspect
 import random
+import re
 import traceback
 
 import pytest
@@ -47,6 +48,19 @@ SHAPES = {
     "zero-ary": ("delete", "E(a,b)", "Q(): (Q() & !(A(a) & B(a,b))) | A(b)"),
     "function": ("insert", "U(a)", "f(x) := ite(A(x) & x != a, a, f(f(x)))"),
     "zero-ary-function": ("delete", "U(a)", "c() := ite(Q() | A(a), c(), f(a))"),
+    # the rewrites
+    "reflexive-equality": ("insert", "U(a)", "A(x): (A(x) & a = a) | (x = a & x = x & f(a) = f(a))"),
+    "contradictory-disjunct": ("insert", "E(a,b)", "B(x,y): B(x,y) | (A(x) & A(y) & !(A(x) & A(y)))"
+                                                   " | (x = a & A(y) & !A(y)) | (x = b & y = a)"
+                                                   " | (A(x) & !(A(x) & A(y)) & y = b)"),
+    "guarded-frame": ("insert", "E(a,b)", "A(x): (A(x) & !B(a,b)) | (A(x) & Q()) | (x = b & B(a,b))"),
+    "common-negation-binds": ("delete", "E(a,b)", "B(x,y): !((x = a & y = b) | (x = b & A(y) & y = f(a)))"
+                                                  " & (B(x,y) | (A(x) & y = b))"),
+    "common-negation-partial": ("delete", "U(a)", "B(x,y): !(x = a & A(x)) & !(y = f(a))"
+                                                  " & (B(x,y) | (A(x) & B(y,y)))"),
+    "common-negation-shared": ("delete", "U(a)", "B(x,y): !((x = a | x = f(a)) & A(x)) & !((y = a | y = f(a)) & A(y))"
+                                                 " & (B(x,y) | (A(x) & B(y,y)))"),
+    "common-negation-unbound": ("delete", "E(a,b)", "A(x): !(x = b | (A(x) & B(x,a))) & (A(x) | x = a | B(b,x))"),
 }
 
 
@@ -132,3 +146,58 @@ def test_generated_source_is_visible_to_inspect_and_tracebacks():
         fn(((), ()), (0,))
     frame = traceback.extract_tb(exc.value.__traceback__)[-1]
     assert frame.filename == "<applier frame_or:ins U>" and frame.line.endswith("= _state[0]")
+
+
+def _sources():
+    """Every applier of the corpus and strawman programs, by name."""
+    from dynqf.corpus import _STRAWMEN, corpus_names, strawman_program
+    programs = [builtin_program(name).program for name in corpus_names()]
+    programs += [strawman_program(name) for name in sorted(_STRAWMEN)]
+    for p in programs:
+        ctx = context_for_state(p, init_state(p, empty_input_db(p, 3)))
+        for (kind, trigger), fn in ctx._appliers.items():
+            yield p.name, kind, trigger, inspect.getsource(fn)
+
+
+def test_no_applier_compares_a_value_with_itself():
+    for name, kind, trigger, src in _sources():
+        assert not re.search(r"\b(m\d+|t\d+) == \1\b", src), (name, kind, trigger)
+
+
+def test_contradictory_disjuncts_are_dropped():
+    ternary = source(builtin_program("s-twopath-ternary").program, "ins", "E")
+    assert "for (t0,) in _R_In:" not in ternary and "for (t1,) in _R_In:" not in ternary
+    src = source(program("contradictory-disjunct"), "ins", "E")
+    assert src.count("for (t0,) in _R_A:") == 1  # A(x) & !(A(x) & A(y)) & y = b alone
+
+
+def test_a_guarded_frame_copies_nothing():
+    src = source(program("guarded-frame"), "ins", "E")
+    assert "for (t0,) in _R_A" not in src
+    assert "_N_A = _R_A if " in src and " else _E_" in src
+    # the deletion applier of st-twopath-binary keeps First, Last, In and Out
+    # without a loop over them, and tests GONE(x) for List in one loop
+    deletion = source(builtin_program("st-twopath-binary").program, "del", "E")
+    for name in ("First", "Last", "In", "Out"):
+        assert "for (t0,) in _R_%s:" % name not in deletion
+    assert deletion.count("for (t0, t1) in _N_List:") == 1
+
+
+def test_common_negations_are_subtracted_or_tested_by_membership():
+    binds = source(program("common-negation-binds"), "del", "E")
+    assert "_N_B = _N_B - _g0" in binds and "for (t0, t1) in _R_B" not in binds
+    # !(x = a & A(x)) becomes a set, tested in one pass; !(y = f(a)) only
+    # binds, so its set would never be empty, and it filters in the loops
+    partial = source(program("common-negation-partial"), "del", "U")
+    assert "    if _g1:\n        _f = set()\n        for (t0, t1) in _N_B:\n            if (t0,) not in _g1:" in partial
+    assert "for (t0, t1) in _R_B:\n        if t1 != _h0:" in partial
+    # a G with a disjunct that binds nothing filters in the loops
+    unbound = source(program("common-negation-unbound"), "del", "E")
+    assert "_N_A - _g" not in unbound and "for (t0,) in _N_A" not in unbound and "_dom" not in unbound
+    assert "for (t0,) in _R_A:\n        if not (t0 == m1 or (t0,) in _R_A and (t0, m0) in _R_B):" in unbound
+    # a filter that is not a negated set stays in the loops
+    lone = source(program("frame-and-not"), "del", "E")
+    assert "for (t0, t1) in _R_B:" in lone and "_f = set()" not in lone
+    # GONE(x) and GONE(y) of st-twopath-binary share one set
+    deletion = source(builtin_program("st-twopath-binary").program, "del", "E")
+    assert re.search(r"if \(t0,\) not in (_g\d+) and \(t1,\) not in \1:", deletion)

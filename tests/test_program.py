@@ -139,8 +139,37 @@ def test_compiled_and_reference_agree_on_random_programs():
         left, right = rand_formula(rng, vars, depth - 1), rand_formula(rng, vars, depth - 1)
         return And(left, right) if kind == "and" else Or(left, right)
 
+    def seeded(rng, target, params, tparams, body):
+        """Body reshaped into one of the forms the planner rewrites: t = t,
+        l & !l, R(y) & g with g over the trigger alone, and R(y) & !G with
+        G binding some target variables to the trigger."""
+        vars = list(params + tparams)
+        own = RelAtom(target, tuple(Var(v) for v in tparams))
+        form = rng.choice(["plain", "reflexive", "contradiction", "guarded-frame", "negation", "negations"])
+        if form == "reflexive":
+            t = rand_term(rng, vars, 1)
+            return And(Or(body, Eq(t, t)), Eq(t, t)) if rng.random() < 0.5 else Or(body, Not(Eq(t, t)))
+        if form == "contradiction":
+            lit = rand_formula(rng, vars, 1)
+            return Or(body, And(And(lit, rand_formula(rng, vars, 0)), Not(lit)))
+        if form == "guarded-frame":
+            return Or(And(own, rand_formula(rng, list(params), 1)), body)
+        if form == "negation":
+            gamma = And(Eq(Var(rng.choice(tparams)), Var(rng.choice(params))), rand_formula(rng, vars, 1))
+            for y in tparams:
+                if rng.random() < 0.5:
+                    gamma = And(gamma, Eq(rand_term(rng, list(params), 1), Var(y)))
+            return And(Not(gamma), Or(own, body) if rng.random() < 0.7 else body)
+        if form == "negations":  # one condition on each target variable
+            u, lit = Var(rng.choice(params)), rand_formula(rng, list(params), 0)
+            for y in tparams:
+                body = And(Not(And(Or(Eq(Var(y), u), Eq(Var(y), App("g", (u,)))),
+                                   And(RelAtom("A", (Var(y),)), lit))), body)
+            return Or(own, body) if rng.random() < 0.5 else body
+        return body
+
     rng = _random.Random(99)
-    for trial in range(6):
+    for trial in range(60):
         rules = {}
         for trigger, t_ar in (("E", 2), ("U", 1)):
             params = tuple(f"u{i}" for i in range(t_ar))
@@ -153,14 +182,17 @@ def test_compiled_and_reference_agree_on_random_programs():
                         body = rand_term(rng, vars, 2)
                     else:
                         body = rand_formula(rng, vars, 2)
+                        if tparams:
+                            body = seeded(rng, target, params, tparams, body)
                     rules[(target, kind, trigger)] = UpdateRule(
                         target, kind, trigger, params, tparams, body)
         p = DynamicProgram(f"rand{trial}", sch, rules, "Q", InitSpec("empty"))
         validate_program(p)
-        s = init_state(p, make_state(sch.input_only(), 3, {}, constants={"s": 0}))
-        for _ in range(8):
+        n = 3 + trial % 2
+        s = init_state(p, make_state(sch.input_only(), n, {}, constants={"s": trial % n}))
+        for _ in range(20):
             rel = rng.choice(("E", "U"))
-            tup = tuple(rng.randrange(3) for _ in range(sch.arity(rel)))
+            tup = tuple(rng.randrange(n) for _ in range(sch.arity(rel)))
             m = ins(rel, *tup) if rng.random() < 0.5 else delete(rel, *tup)
             fast = apply(p, s, m, compiled=True)
             slow = _reference_apply(p, s, m)

@@ -177,3 +177,37 @@ def test_states_differing_in_a_constant_or_builtin_are_unequal():
     assert base != make_state(sch, 3, rels, {"f": f}, {"s": 1})
     assert base != make_state(sch, 3, {"E": {(0, 1)}, "L": set()}, {"f": f}, {"s": 0})
     assert base != make_state(sch, 3, rels, {"f": {**f, (2,): 0}}, {"s": 0})
+
+
+def _transport_via_make_state(s, pi):
+    """The image of s built from its dicts, every interpretation permuted."""
+    rels = {name: {tuple(pi[e] for e in t) for t in tuples} for name, tuples in s.relations.items()}
+    funs = {name: {tuple(pi[e] for e in args): pi[val] for args, val in table.items()}
+            for name, table in s.functions.items()}
+    consts = {name: pi[val] for name, val in s.constants.items()}
+    return make_state(s.schema, s.n, rels, funs, consts)
+
+
+def test_transport_equals_the_make_state_image():
+    import random
+    rng = random.Random(41)
+    sch = make_schema(input_relations={"E": 2}, aux_relations={"Z": 0, "A": 1, "T": 3},
+                      aux_functions={"c": 0, "f": 1, "g": 2}, builtin_relations={"L": 2},
+                      builtin_functions={"h": 1, "k": 2}, constants=("s", "t"))
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        dom = range(n)
+        rels = {name: {tup for tup in itertools.product(dom, repeat=ar) if rng.random() < 0.3}
+                for name, ar in sch.relations.items()}
+        funs = {name: {args: rng.randrange(n) for args in itertools.product(dom, repeat=ar)}
+                for name, ar in sch.functions.items()}
+        s = make_state(sch, n, rels, funs, {"s": rng.randrange(n), "t": rng.randrange(n)})
+        perm = list(dom)
+        rng.shuffle(perm)
+        pi = dict(enumerate(perm))
+        image, expected = transport(s, pi), _transport_via_make_state(s, pi)
+        assert image == expected and hash(image) == hash(expected)
+        assert image.layout is expected.layout and state_to_dict(image) == state_to_dict(expected)
+        assert check_isomorphism(s, image, pi)
+    with pytest.raises(DynqfError):
+        transport(make_state(sch, 2, constants={"s": 0, "t": 1}), {0: 0, 1: 0})

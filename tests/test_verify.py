@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from dynqf.compiler import context_for_state
 from dynqf.corpus import GUARDS, builtin_program, corpus_source, strawman_program
 from dynqf.errors import GuardError, ResourceLimitError
 from dynqf.formulas import eval_term, terms_up_to_depth
@@ -140,6 +141,66 @@ def test_random_mode_matches_per_step_rebuild(name, guard, honest):
                 == verdict_to_dict(_reference_random_check(p, oracle, cfg)))
 
 
+def _reference_bfs_check(p, oracle, cfg):
+    """Exhaustive mode as a loop over the guarded moves that probes the
+    honesty of each one in every expanded state."""
+    db = empty_input_db(p, cfg.domain_size, cfg.constants)
+    s0 = init_state(p, db)
+    ctx = context_for_state(p, s0)
+    mods = [m for m in _candidate_mods(p, cfg.domain_size)
+            if cfg.guard is None or cfg.guard(m, cfg.domain_size, db.constants)]
+    bounds = {"domain_size": cfg.domain_size, "max_len": cfg.max_len, "mode": "exhaustive",
+              "honest_only": cfg.honest_only}
+
+    def divergence(lean, seq, states, steps):
+        exp, got = oracle(ctx.input_state(lean)), ctx.query(lean)
+        if exp == got:
+            return None
+        c = Counterexample(p.name, db, tuple(seq), len(seq), exp, got, None,
+                           trace_digest(run(p, s0, seq)))
+        return Verdict("counterexample", bounds, states, steps, c)
+
+    lean0 = ctx.to_lean(s0)
+    found = divergence(lean0, [], 0, 0)
+    if found:
+        return found
+    frontier, parents, states, steps = [lean0], {lean0: None}, 1, 0
+    for _ in range(cfg.max_len):
+        new_frontier = []
+        for st in frontier:
+            for m in mods:
+                present = m.tuple in st[0][ctx.rel_index[m.relation]]
+                if cfg.honest_only and present == (m.kind == "ins"):
+                    continue
+                succ = ctx.apply(st, m)
+                steps += 1
+                if succ in parents:
+                    continue
+                parents[succ] = (st, m)
+                states += 1
+                seq, node = [], succ
+                while parents[node] is not None:
+                    node, step = parents[node]
+                    seq.insert(0, step)
+                found = divergence(succ, seq, states, steps)
+                if found:
+                    return found
+                new_frontier.append(succ)
+        frontier = new_frontier
+    return Verdict("ok", bounds, states, steps)
+
+
+@pytest.mark.parametrize("name,guard", [(name, guard) for name in PROGRAMS for guard in TEST_GUARDS
+                                        if guard != "layered" or name in GRAPH_PROGRAMS])
+@pytest.mark.parametrize("honest", [True, False])
+def test_exhaustive_mode_matches_per_move_honesty_probes(name, guard, honest):
+    p, oracle = PROGRAMS[name]
+    for n, max_len in ((3, 4), (4, 2)):
+        cfg = CheckConfig(domain_size=n, max_len=max_len, honest_only=honest, guard=TEST_GUARDS[guard])
+        assert (verdict_to_dict(check_maintenance(p, oracle, cfg))
+                == verdict_to_dict(_reference_bfs_check(p, oracle, cfg)))
+
+
 @pytest.mark.parametrize("name,skipped", [("non-empty-set", 80), ("st-twopath-binary", 155),
                                           ("s-twopath-ternary", 136)])
 def test_substructure_suite_counts_are_pinned(name, skipped):
@@ -189,14 +250,14 @@ def test_ok_without_an_admissible_move_says_so(mode):
 @pytest.mark.parametrize("name", ["non-empty-set", "st-twopath-binary", "s-twopath-ternary",
                                   "reach-1layer-qf"])
 def test_input_state_equals_input_part_on_reachable_states(name):
-    from dynqf.compiler import context_for_state
     e = builtin_program(name)
     s = init_state(e.program, empty_input_db(e.program, 3))
     ctx = context_for_state(e.program, s)
     reached = {ctx.to_lean(s)}
     mods = _candidate_mods(e.program, 3)
     for _ in range(3):
-        reached |= {ctx.apply(lean, m) for lean in reached for m in mods if ctx.is_honest(lean, m)}
+        reached |= {ctx.apply(lean, m) for lean in reached for m in mods
+                    if is_honest(ctx.from_lean(lean), m)}
     for lean in reached:
         view, full = ctx.input_state(lean), ctx.from_lean(lean).input_part()
         assert view == full and hash(view) == hash(full)
@@ -434,6 +495,54 @@ def test_substructure_precondition_skips_asymmetric_pair():
     s = run(e.program, init_state(e.program, empty_input_db(e.program, 3)),
             [ins("U", 0), ins("U", 1)])[-1]
     assert _restriction_isomorphism(s, (0,), s, (1,)) is None
+
+
+def _restriction_isomorphism_by_probes(s, a_tup, t, b_tup):
+    """The positional map extended by constants, checked by probing every
+    argument tuple over its domain in both states."""
+    pi = {}
+    for x, y in [*zip(a_tup, b_tup), *[(s.constants[c], t.constants[c]) for c in s.schema.constants]]:
+        if pi.setdefault(x, y) != y:
+            return None
+    if len(set(pi.values())) != len(pi):
+        return None
+    for name, ar in s.schema.relations.items():
+        rs, rt = s.relations[name], t.relations[name]
+        for args in itertools.product(sorted(pi), repeat=ar):
+            if (args in rs) != (tuple(pi[e] for e in args) in rt):
+                return None
+    return pi
+
+
+def test_restriction_isomorphism_matches_probes():
+    from dynqf.verify import _restriction_isomorphism
+    rng = random.Random(77)
+    sch = make_schema(input_relations={"E": 2}, aux_relations={"Z": 0, "U": 1, "T": 3},
+                      constants=("s",))
+    outcomes = {"map": 0, "none": 0}
+    for _ in range(400):
+        n = rng.randint(2, 4)
+        rels = {name: {tup for tup in itertools.product(range(n), repeat=ar) if rng.random() < 0.3}
+                for name, ar in sch.relations.items()}
+        s = make_state(sch, n, rels, constants={"s": rng.randrange(n)})
+        a = tuple(rng.sample(range(n), rng.randint(1, n)))
+        if rng.random() < 0.5:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            t, b = transport(s, dict(enumerate(perm))), tuple(perm[x] for x in a)
+            if rng.random() < 0.5:  # disturb one relation of the image
+                name = rng.choice(sorted(sch.relations))
+                tup = tuple(rng.randrange(n) for _ in range(sch.arity(name)))
+                rels = {r: t.relations[r] ^ ({tup} if r == name else set()) for r in sch.relations}
+                t = make_state(sch, n, rels, constants=t.constants)
+        else:
+            t = make_state(sch, n, {name: {tup for tup in r if rng.random() < 0.9}
+                                    for name, r in rels.items()}, constants={"s": rng.randrange(n)})
+            b = tuple(rng.choice(range(n)) for _ in a)
+        expected = _restriction_isomorphism_by_probes(s, a, t, b)
+        assert _restriction_isomorphism(s, a, t, b) == expected == k_similar(s, a, t, b, 0)
+        outcomes["none" if expected is None else "map"] += 1
+    assert min(outcomes.values()) > 100
 
 
 def test_substructure_suite_on_function_encoded_program():
