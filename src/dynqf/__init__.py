@@ -25,9 +25,9 @@ from .program import (ConstFunctionInit, CopyInputInit, DynamicProgram,
                       ProgramInit, UpdateRule, apply, empty_input_db,
                       init_state, is_invariant_init, run)
 from .queries import (Layered, LayeredSpec, gen_layered, graph_state,
-                      oracle_k_clique, oracle_k_colorability,
+                      is_query, oracle_k_clique, oracle_k_colorability,
                       oracle_nonemptyset, oracle_s_twopath, oracle_st_reach,
-                      oracle_st_twopath, reduce_identify_st,
+                      oracle_st_twopath, query, reduce_identify_st,
                       reduce_tensor_clique)
 from .schema import Role, Schema, make_schema
 from .state import (Modification, State, apply_input_modification,

@@ -10,6 +10,7 @@ seed is echoed in the output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -83,9 +84,9 @@ def _resolve_oracle(name: str):
         except ValueError:
             raise DynqfError(f"oracle {name!r}: k must be an integer, got {arg!r}") from None
         if base == "k-clique":
-            return lambda g: oracle_k_clique(g, k)
+            return functools.partial(oracle_k_clique, k=k)
         if base == "k-colorability":
-            return lambda g: oracle_k_colorability(g, k)
+            return functools.partial(oracle_k_colorability, k=k)
     raise DynqfError(f"unknown oracle {name!r}; have {sorted(ORACLES)} "
                      f"plus k-clique=<k> and k-colorability=<k>")
 

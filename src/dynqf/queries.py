@@ -6,9 +6,10 @@ checker, not performance artifacts.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import DomainError, DynqfError, SchemaError
 from .schema import make_schema
@@ -41,6 +42,24 @@ def _edges(g: State) -> frozenset[tuple[int, int]]:
 
 # -- oracles ------------------------------------------------------------------
 
+def query(oracle: Callable) -> Callable:
+    """Mark an oracle as a query: its answer is invariant under every
+    isomorphism of input states that fixes the constants.  The exhaustive
+    checker reduces its search by symmetry only for queries.  The mark is an
+    attribute of the function, so wrappers made with `functools.wraps` keep it."""
+    oracle.is_query = True
+    return oracle
+
+
+def is_query(oracle: Callable) -> bool:
+    """Is the oracle a marked query, or a `functools.partial` of one (whose
+    bound arguments are parameters such as k, not elements)?"""
+    if isinstance(oracle, functools.partial):
+        oracle = oracle.func
+    return getattr(oracle, "is_query", False) is True
+
+
+@query
 def oracle_st_reach(g: State) -> bool:
     """Is t reachable from s?  Plain breadth-first search."""
     if "s" not in g.constants or "t" not in g.constants:
@@ -62,12 +81,14 @@ def oracle_st_reach(g: State) -> bool:
     return t in seen
 
 
+@query
 def oracle_nonemptyset(db: State) -> bool:
     if "U" not in db.relations:
         raise SchemaError("non-empty-set needs a unary relation U")
     return bool(db.relations["U"])
 
 
+@query
 def oracle_st_twopath(g: State) -> bool:
     """Is there x with E(s,x) and E(x,t)?  x ranges over the whole domain,
     so paths through loops at s or t count."""
@@ -76,6 +97,7 @@ def oracle_st_twopath(g: State) -> bool:
     return any((s, x) in E and (x, t) in E for x in g.domain)
 
 
+@query
 def oracle_s_twopath(g: State) -> bool:
     """Is there a path of length two starting at s?"""
     s = g.constants["s"]
@@ -83,6 +105,7 @@ def oracle_s_twopath(g: State) -> bool:
     return any((s, x) in E and (x, y) in E for x in g.domain for y in g.domain)
 
 
+@query
 def oracle_k_clique(g: State, k: int) -> bool:
     """Some k nodes pairwise connected by an edge in at least one direction.
 
@@ -98,6 +121,7 @@ def oracle_k_clique(g: State, k: int) -> bool:
     return False
 
 
+@query
 def oracle_k_colorability(g: State, k: int) -> bool:
     """Proper k-colorability of the underlying undirected graph; self-loops
     make a graph non-colorable.  Backtracking over nodes in id order."""

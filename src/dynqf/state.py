@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, DynqfError, NotClosedError, SchemaError
 from .schema import Role, Schema
@@ -336,6 +336,25 @@ def check_isomorphism(s: State, t: State, pi: Mapping[int, int]) -> bool:
     return True
 
 
+def remap_index(p: Sequence[int], arity: int) -> list[int]:
+    """Entry i is the mixed-radix index of the image under the permutation p
+    of 0..n-1 of the i-th argument tuple of that arity."""
+    n, index = len(p), [0]
+    for _ in range(arity):
+        index = [j * n + e for j in index for e in p]
+    return index
+
+
+def image_vector(vec: tuple, p: Sequence[int], arity: int) -> tuple:
+    """The value vector of a function's image under the permutation p of
+    0..n-1: the value at the i-th argument tuple, mapped by p, belongs at the
+    index of that tuple's image."""
+    out = [0] * len(vec)
+    for j, v in zip(remap_index(p, arity), vec):
+        out[j] = p[v]
+    return tuple(out)
+
+
 def transport(s: State, pi: Mapping[int, int]) -> State:
     """The image of `s` under a permutation of its domain."""
     if sorted(pi) != list(s.domain) or sorted(pi.values()) != list(s.domain):
@@ -345,21 +364,10 @@ def transport(s: State, pi: Mapping[int, int]) -> State:
     def image(tuples):
         return frozenset([tuple([p[e] for e in t]) for t in tuples])
 
-    def image_vector(vec, arity):
-        # entry i of the vector is f at the i-th argument tuple in mixed-radix
-        # order; its image belongs at the index of the permuted tuple
-        index = [0]
-        for _ in range(arity):
-            index = [j * lay.n + e for j in index for e in p]
-        out = [0] * len(vec)
-        for j, v in zip(index, vec):
-            out[j] = p[v]
-        return tuple(out)
-
     sch = s.schema
     image_lay = layout_of(sch, lay.n, {name: p[v] for name, v in lay.constants.items()},
                           {name: image(r) for name, r in lay.builtin_rels.items()},
                           {name: {tuple([p[e] for e in args]): p[v] for args, v in table.items()}
                            for name, table in lay.builtin_funs.items()})
     return State(image_lay, tuple([image(r) for r in s.rels]),
-                 tuple([image_vector(vec, sch.arity(name)) for name, vec in zip(lay.fun_names, s.funs)]))
+                 tuple([image_vector(vec, p, sch.arity(name)) for name, vec in zip(lay.fun_names, s.funs)]))

@@ -1,0 +1,148 @@
+"""Symmetry reduction of the exhaustive search, after Ip & Dill (1996) and
+Emerson & Sistla (1996) but without a canonical form: where every
+permutation of the free elements is a symmetry of the search
+(`interchangeable`), the seen set stays closed under those permutations and
+one state per orbit is checked and expanded (`orbit_bfs`).  `verify`
+imports this module on the first exhaustive check.
+"""
+from __future__ import annotations
+
+import itertools
+
+from . import state
+from .compiler import LeanContext
+from .queries import is_query
+from .schema import Role
+from .state import Modification, State, image_vector, remap_index
+
+
+def interchangeable(oracle, s0: State, moves: list[Modification]) -> tuple[int, ...]:
+    """The free elements (those no constant names) when every permutation of
+    them is a symmetry of the search, else ().
+
+    Quantifier-free updates commute with every isomorphism, so a permutation
+    of the free elements maps the states reached by a sequence of moves onto
+    those reached by its image, provided it fixes the initial state with its
+    built-ins, maps the admitted moves onto themselves (a permutation of the
+    candidates that maps this finite set into itself maps it onto itself)
+    and leaves the oracle's answer alone.  A transposition and a cycle of all
+    free elements generate their symmetric group, so it is enough to check
+    those two."""
+    free = tuple(e for e in s0.domain if e not in s0.constants.values())
+    if len(free) < 2 or not is_query(oracle):
+        return ()
+    admitted = {(m.relation, m.tuple, m.kind) for m in moves}
+    for cycle in (free[1:2] + free[:1] + free[2:], free[1:] + free[:1]):
+        pi = dict(zip(s0.domain, s0.domain))
+        pi.update(zip(free, cycle))
+        if any((rel, tuple([pi[e] for e in tup]), kind) not in admitted for rel, tup, kind in admitted):
+            return ()
+        # looked up on the module at each call, so that a tool that rebinds
+        # and later restores state.transport leaves no reference to its
+        # replacement here, in a module imported only when first used
+        if state.transport(s0, pi) != s0:
+            return ()
+    return free
+
+
+class _Orbits:
+    """Orbits of lean states under the permutations of the free elements.
+
+    A state reached from the initial one by moves that name, among the free
+    elements, only those of its *support* s1 < ... < sj is fixed by every
+    permutation of the other free elements.  The products
+    (s1 f1)(s2 f2)...(sj fj), with each fi a free element other than
+    s1, ..., s(i-1), are one permutation per coset of that stabilizer, so
+    the state's images under them are its orbit.  They are built from the
+    right, one transposition at a time.  A transposition maps tuples through
+    tables built on first use, whose values are shared tuple objects, and
+    equal aux relations of images are one object."""
+
+    def __init__(self, ctx: LeanContext, free: tuple[int, ...]):
+        lay = ctx.layout
+        sch = lay.schema
+        self.n, self.free = lay.n, free
+        self.rel_arities = [sch.arity(name) for name in lay.rel_names]
+        self.aux = [sch.role(name) is Role.AUX for name in lay.rel_names]
+        self.fun_arities = [sch.arity(name) for name in lay.fun_names]
+        self.tuples = {a: list(itertools.product(range(self.n), repeat=a))
+                       for a in set(self.rel_arities) if a}
+        self.swaps: dict[tuple[int, int], tuple] = {}  # (a, b) -> (permutation, tuple map per relation)
+        self.interned: dict[frozenset, frozenset] = {}
+
+    def _swap(self, a: int, b: int) -> tuple:
+        swap = self.swaps.get((a, b))
+        if swap is None:
+            p = list(range(self.n))
+            p[a], p[b] = b, a
+            maps = {k: dict(zip(tuples, map(tuples.__getitem__, remap_index(p, k)))).__getitem__
+                    for k, tuples in self.tuples.items()}
+            swap = self.swaps[(a, b)] = (p, [maps.get(k) for k in self.rel_arities])
+        return swap
+
+    def _image(self, lean, a: int, b: int):
+        """The image of lean under the transposition (a b)."""
+        p, maps = self._swap(a, b)
+        rels, funs = lean
+        interned, out = self.interned, []
+        for r, f, is_aux in zip(rels, maps, self.aux):
+            if f is not None and r:
+                r = frozenset(map(f, r))
+                if is_aux:
+                    r = interned.setdefault(r, r)
+            out.append(r)
+        if funs:
+            funs = tuple([image_vector(v, p, k) for v, k in zip(funs, self.fun_arities)])
+        return tuple(out), funs
+
+    def orbit(self, lean, support: frozenset) -> list:
+        """lean's images under one permutation per coset of its stabilizer;
+        an image may repeat when the stabilizer is larger."""
+        images, sup = [lean], sorted(support)
+        for i in reversed(range(len(sup))):
+            s, targets = sup[i], [f for f in self.free if f not in sup[:i]]
+            images = [x if f == s else self._image(x, s, f) for x in images for f in targets]
+        return images
+
+
+def orbit_bfs(ctx: LeanContext, lean_oracle, slots: list[tuple], free: tuple[int, ...], lean0,
+              cfg) -> tuple[int, int] | None:
+    """Breadth-first search over orbits, within the bounds of the CheckConfig
+    cfg: states and steps of the plain search when it would end `ok`, None
+    when it would not.
+
+    The set of seen states stays closed under the permutations of the free
+    elements: a successor not seen yet is the representative of a new orbit,
+    all its images are added, and only the representative is checked and
+    expanded.  Every state of an orbit lies at the same depth and admits as
+    many moves, so the plain step count is the orbit size times the moves
+    taken from the representative."""
+    if lean_oracle(lean0) != ctx.query(lean0):
+        return None
+    orbits = _Orbits(ctx, free)
+    named = [frozenset(tup).intersection(free) for _, tup, _, _ in slots]
+    seen = {lean0}
+    frontier = [(lean0, frozenset(), 1)]
+    steps = 0
+    for _ in range(cfg.max_len):
+        new_frontier = []
+        for st, support, size in frontier:
+            rels = st[0]
+            taken = 0
+            for (i, tup, if_present, if_absent), names in zip(slots, named):
+                for m in (if_present if tup in rels[i] else if_absent):
+                    succ = ctx.apply(st, m)
+                    taken += 1
+                    if succ in seen:
+                        continue
+                    sup = support | names
+                    before = len(seen)
+                    seen.update(orbits.orbit(succ, sup))
+                    if len(seen) > cfg.state_cap and not cfg.override_cap:
+                        return None
+                    if lean_oracle(succ) != ctx.query(succ):
+                        return None
+                    new_frontier.append((succ, sup, len(seen) - before))
+            steps += size * taken
+        frontier = new_frontier
+    return len(seen), steps

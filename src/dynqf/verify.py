@@ -8,6 +8,17 @@ alone, so visiting every reachable state once is equivalent to checking
 every admissible sequence.  Counterexamples are reported for the shortest,
 lexicographically least sequence and are self-validated by replay before
 they are returned.
+
+The search is reduced by symmetry (symmetry.py) when every permutation of
+the free elements, those that no constant names, is a symmetry of it: the
+permutations fix the initial state with its built-ins, the instance guard
+admits the image of every admitted move, and the oracle is a query, whose
+answer is invariant under isomorphisms of input states that fix the
+constants (`queries.is_query`; any other oracle gets the plain search).  One
+state per orbit is then checked and expanded.  `checked_states` and
+`checked_steps` still count every state and every step of the plain search,
+and a verdict other than `ok` comes from the plain search run again, so
+counts and counterexamples mean what they mean without the reduction.
 """
 from __future__ import annotations
 
@@ -184,8 +195,10 @@ def check_maintenance(p: DynamicProgram, oracle: Callable[[State], bool],
     elif cfg.mode != "exhaustive":
         raise DynqfError(f"unknown mode {cfg.mode!r}")
     else:
-        # quick pre-estimate so hopeless configurations fail fast
-        n_mods = sum(2 * cfg.domain_size ** p.schema.arity(r) for r in p.schema.input_relations)
+        # quick pre-estimate so hopeless configurations fail fast: a state
+        # admits one honest move per (relation, tuple), or two dishonest ones
+        per_tuple = 1 if cfg.honest_only else 2
+        n_mods = sum(per_tuple * cfg.domain_size ** p.schema.arity(r) for r in p.schema.input_relations)
         est = sum(n_mods ** d for d in range(1, min(cfg.max_len, 4) + 1))
         if est > cfg.state_cap * 10 and not cfg.override_cap:
             verdict = Verdict("resource", bounds,
@@ -230,9 +243,16 @@ def _move_slots(mods: list[Modification], ctx: LeanContext, honest_only: bool) -
 
 
 def _bfs_check(p, oracle, cfg, bounds) -> Verdict:
+    from .symmetry import interchangeable, orbit_bfs
     db, s0, lean0, ctx = _setup(p, cfg)
     lean_oracle = _lean_oracle(oracle, ctx)
-    slots = _move_slots(_moves(p, cfg, s0)[0], ctx, cfg.honest_only)
+    moves = _moves(p, cfg, s0)[0]
+    slots = _move_slots(moves, ctx, cfg.honest_only)
+    free = interchangeable(oracle, s0, moves)
+    if free:
+        counts = orbit_bfs(ctx, lean_oracle, slots, free, lean0, cfg)
+        if counts is not None:
+            return Verdict("ok", bounds, *counts)
     states = steps = 0
 
     def diverged(lean) -> tuple[bool, bool] | None:

@@ -1,11 +1,13 @@
+import functools
 import json
 
 import pytest
 
-from dynqf.cli import main
+from dynqf.cli import _resolve_oracle, main
 from dynqf.corpus import corpus_source
 from dynqf.errors import ParseError
 from dynqf.parser import parse_program
+from dynqf.queries import is_query
 
 
 @pytest.fixture
@@ -271,6 +273,13 @@ def test_out_of_range_bounds_are_rejected(nes_file, capsys, argv, flag):
 def test_verify_oracle_with_non_integer_k(nes_file, capsys, oracle):
     assert main(["verify", nes_file, "--oracle", oracle, "--domain", "3"]) == 2
     assert_one_line_error(capsys, "k must be an integer")
+
+
+@pytest.mark.parametrize("name,k", [("k-clique", 3), ("k-colorability", 2)])
+def test_parametrized_oracles_are_queries(name, k):
+    oracle = _resolve_oracle(f"{name}={k}")
+    assert isinstance(oracle, functools.partial) and oracle.keywords == {"k": k}
+    assert is_query(oracle)
 
 
 def test_corpus_show_without_name(capsys):

@@ -1,20 +1,22 @@
+import functools
 import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dynqf.compiler import context_for_state
+from dynqf.compiler import LeanContext, context_for_state
 from dynqf.corpus import GUARDS, builtin_program, corpus_source, strawman_program
 from dynqf.errors import GuardError, ResourceLimitError
 from dynqf.formulas import eval_term, terms_up_to_depth
 from dynqf.parser import parse_program
 from dynqf.program import apply, empty_input_db, init_state, run
-from dynqf.queries import oracle_nonemptyset, oracle_st_reach, oracle_st_twopath
+from dynqf.queries import (ORACLES, is_query, oracle_k_clique, oracle_nonemptyset,
+                           oracle_st_reach, oracle_st_twopath)
 from dynqf.schema import make_schema
 from dynqf.serialize import trace_digest, verdict_to_dict
 from dynqf.state import ins, is_honest, make_state, transport
-from dynqf.transforms import deletion_depth
+from dynqf.transforms import deletion_depth, eliminate_repeated_variables, relations_to_functions
 from dynqf.verify import (CheckConfig, Counterexample, Verdict, attack_star_deletion,
                           attack_subset_gadget, check_maintenance, cq_adversary,
                           diverse_saturation, embedding_positions, higman_pair,
@@ -199,6 +201,117 @@ def test_exhaustive_mode_matches_per_move_honesty_probes(name, guard, honest):
         cfg = CheckConfig(domain_size=n, max_len=max_len, honest_only=honest, guard=TEST_GUARDS[guard])
         assert (verdict_to_dict(check_maintenance(p, oracle, cfg))
                 == verdict_to_dict(_reference_bfs_check(p, oracle, cfg)))
+
+
+# -- symmetry reduction -------------------------------------------------------------
+
+# Wrapping an oracle in a lambda hides its query mark, so the wrapped call
+# takes the plain search: these tests compare the reduced search with it.
+VARIANTS = {
+    **PROGRAMS,
+    **{f"{name} rel2fun": (relations_to_functions(p), oracle) for name, (p, oracle) in PROGRAMS.items()},
+    **{f"{name} dedup-vars": (eliminate_repeated_variables(p), oracle)
+       for name, (p, oracle) in PROGRAMS.items() if name != "reach-1layer-qf"},
+}
+SYMMETRY_GUARDS = {
+    "none": None,
+    "layered": GUARDS["1-layered-st"],
+    "first-is-0": lambda m, n, consts: m.tuple[0] == 0,  # invariant only where 0 is a constant
+}
+
+
+def _plain(oracle):
+    return lambda g: oracle(g)
+
+
+@pytest.mark.parametrize("name,guard", [(name, guard) for name in VARIANTS for guard in SYMMETRY_GUARDS
+                                        if guard != "layered" or name.split()[0] in GRAPH_PROGRAMS])
+@pytest.mark.parametrize("honest", [True, False])
+def test_reduced_search_matches_plain_search(name, guard, honest):
+    p, oracle = VARIANTS[name]
+    layouts = [None]
+    if "t" in p.schema.constants:
+        layouts.append({"s": 0, "t": 1})  # c_top and c_bot of rel2fun are constants then
+    for n, max_len in ((3, 4), (4, 3)):
+        for constants in layouts:
+            cfg = CheckConfig(domain_size=n, max_len=max_len, honest_only=honest,
+                              guard=SYMMETRY_GUARDS[guard], constants=constants)
+            assert (verdict_to_dict(check_maintenance(p, oracle, cfg))
+                    == verdict_to_dict(check_maintenance(p, _plain(oracle), cfg)))
+
+
+@pytest.mark.parametrize("name", list(PROGRAMS))
+@pytest.mark.parametrize("honest", [True, False])
+def test_reduced_search_matches_plain_search_with_more_free_elements(name, honest):
+    # supports of two elements out of three or four free ones
+    p, oracle = PROGRAMS[name]
+    cfg = CheckConfig(domain_size=5, max_len=3, honest_only=honest)
+    assert (verdict_to_dict(check_maintenance(p, oracle, cfg))
+            == verdict_to_dict(check_maintenance(p, _plain(oracle), cfg)))
+
+
+@pytest.mark.parametrize("name", ["non-empty-set", "st-twopath-binary", "unary-twopath-naive"])
+def test_reduced_search_at_the_state_cap_matches_plain_search(name):
+    p, oracle = PROGRAMS[name]
+    total = check_maintenance(p, _plain(oracle), CheckConfig(domain_size=4, max_len=3)).checked_states
+    for cap in (1, total // 2, total - 1, total):
+        cfg = CheckConfig(domain_size=4, max_len=3, state_cap=cap)
+        verdict = check_maintenance(p, oracle, cfg)
+        assert verdict_to_dict(verdict) == verdict_to_dict(check_maintenance(p, _plain(oracle), cfg))
+        assert (verdict.status == "resource") == (cap < total)
+
+
+@pytest.fixture
+def apply_calls(monkeypatch):
+    calls = []
+    apply = LeanContext.apply
+
+    def counted(self, lean, m):
+        calls.append(m)
+        return apply(self, lean, m)
+
+    monkeypatch.setattr(LeanContext, "apply", counted)
+    return calls
+
+
+def test_reduction_expands_one_state_per_orbit(apply_calls):
+    # the shape of the exhaustive-twopath benchmark: 2,899 orbits
+    e = builtin_program("st-twopath-binary")
+    cfg = CheckConfig(domain_size=5, max_len=4, constants={"s": 0, "t": 1})
+    v = check_maintenance(e.program, e.oracle, cfg)
+    assert (v.status, v.checked_states, v.checked_steps) == ("ok", 15308, 65675)
+    assert len(apply_calls) == 13775
+    apply_calls.clear()
+    assert verdict_to_dict(check_maintenance(e.program, _plain(e.oracle), cfg)) == verdict_to_dict(v)
+    assert len(apply_calls) == 65675
+
+
+@pytest.mark.parametrize("name,n,guard,reduced", [
+    ("reach-1layer-qf", 5, "layered", False),  # Succ and Pred are not invariant
+    ("non-empty-set", 4, "first-is-0", False),  # the guard is not invariant: 0 is free
+    ("st-twopath-binary", 4, "first-is-0", True),  # it is with s = 0
+    ("st-twopath-binary", 3, "none", False),  # one free element
+])
+def test_reduction_runs_only_where_every_generator_is_a_symmetry(apply_calls, name, n, guard, reduced):
+    p, oracle = PROGRAMS[name]
+    v = check_maintenance(p, oracle, CheckConfig(domain_size=n, max_len=4, guard=SYMMETRY_GUARDS[guard]))
+    assert v.status == "ok" and v.checked_steps > 0
+    assert (len(apply_calls) < v.checked_steps) == reduced
+
+
+def test_n6_comes_into_reach():
+    # the pre-estimate counts one honest move per (relation, tuple), not two
+    e = builtin_program("st-twopath-binary")
+    v = check_maintenance(e.program, e.oracle, CheckConfig(domain_size=6, max_len=4))
+    assert (v.status, v.checked_states, v.checked_steps) == ("ok", 66760, 281088)
+
+
+def test_oracles_are_marked_as_queries():
+    assert all(is_query(oracle) for oracle in ORACLES.values())
+    assert is_query(functools.partial(oracle_k_clique, k=3))
+    assert is_query(functools.wraps(oracle_st_reach)(lambda g: oracle_st_reach(g)))
+    assert not is_query(_plain(oracle_st_reach))
+    assert not is_query(functools.partial(_plain(oracle_st_reach)))
 
 
 @pytest.mark.parametrize("name,skipped", [("non-empty-set", 80), ("st-twopath-binary", 155),
