@@ -56,6 +56,12 @@ def _load_counterexample(path: str, input_schema) -> Counterexample:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise DynqfError(f"{path}: invalid JSON: {e}") from None
+    if isinstance(doc, dict) and "status" in doc:  # a verdict, as `verify --json` writes it
+        if doc.get("counterexample") is None:
+            raise DynqfError(f"{path}: verdict {doc['status']!r} holds no counterexample")
+        doc = doc["counterexample"]
+    if not isinstance(doc, dict):
+        raise DynqfError(f"{path}: expected a JSON object")
     try:
         return counterexample_from_dict(doc, input_schema)
     except KeyError as e:
@@ -339,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("name", nargs="?")
     co.set_defaults(fn=cmd_corpus)
 
-    rp = sub.add_parser("replay", help="replay a serialized counterexample")
+    rp = sub.add_parser("replay", help="replay a serialized counterexample or the one in a verdict")
     rp.add_argument("counterexample")
     rp.add_argument("program")
     rp.add_argument("--oracle")

@@ -93,16 +93,6 @@ TRUE = TrueConst()
 FALSE = FalseConst()
 
 
-def conj(parts: Sequence[Formula]) -> Formula:
-    """Left-associated conjunction; TRUE for the empty list."""
-    if not parts:
-        return TRUE
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
 def atom(symbol: str, *args: Term | str) -> RelAtom:
     return RelAtom(symbol, tuple(Var(a) if isinstance(a, str) else a for a in args))
 
@@ -110,10 +100,6 @@ def atom(symbol: str, *args: Term | str) -> RelAtom:
 def eq(left: Term | str, right: Term | str) -> Eq:
     wrap = lambda t: Var(t) if isinstance(t, str) else t
     return Eq(wrap(left), wrap(right))
-
-
-def neq(left: Term | str, right: Term | str) -> Not:
-    return Not(eq(left, right))
 
 
 # -- evaluation (reference semantics) -------------------------------------------

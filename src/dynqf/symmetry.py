@@ -1,9 +1,10 @@
-"""Symmetry reduction of the exhaustive search, after Ip & Dill (1996) and
-Emerson & Sistla (1996) but without a canonical form: where every
-permutation of the free elements is a symmetry of the search
-(`interchangeable`), the seen set stays closed under those permutations and
-one state per orbit is checked and expanded (`orbit_bfs`).  `verify`
-imports this module on the first exhaustive check.
+"""Symmetry of the exhaustive search, after Ip & Dill (1996) and Emerson &
+Sistla (1996) but without a canonical form: `interchangeable` finds the free
+elements when every permutation of them is a symmetry of the search, and
+`Orbits` lists the images of a state under those permutations.  The search
+loop itself is `verify._orbit_bfs`; with no free element every orbit is the
+state alone and that loop is the plain search.  `verify` imports this module
+on the first exhaustive check.
 """
 from __future__ import annotations
 
@@ -45,8 +46,9 @@ def interchangeable(oracle, s0: State, moves: list[Modification]) -> tuple[int, 
     return free
 
 
-class _Orbits:
-    """Orbits of lean states under the permutations of the free elements.
+class Orbits:
+    """Orbits of lean states under the permutations of the free elements;
+    with none, each orbit is the state alone.
 
     A state reached from the initial one by moves that name, among the free
     elements, only those of its *support* s1 < ... < sj is fixed by every
@@ -98,51 +100,10 @@ class _Orbits:
     def orbit(self, lean, support: frozenset) -> list:
         """lean's images under one permutation per coset of its stabilizer;
         an image may repeat when the stabilizer is larger."""
+        if not support:  # always so with no free element: the plain search
+            return [lean]
         images, sup = [lean], sorted(support)
         for i in reversed(range(len(sup))):
             s, targets = sup[i], [f for f in self.free if f not in sup[:i]]
             images = [x if f == s else self._image(x, s, f) for x in images for f in targets]
         return images
-
-
-def orbit_bfs(ctx: LeanContext, lean_oracle, slots: list[tuple], free: tuple[int, ...], lean0,
-              cfg) -> tuple[int, int] | None:
-    """Breadth-first search over orbits, within the bounds of the CheckConfig
-    cfg: states and steps of the plain search when it would end `ok`, None
-    when it would not.
-
-    The set of seen states stays closed under the permutations of the free
-    elements: a successor not seen yet is the representative of a new orbit,
-    all its images are added, and only the representative is checked and
-    expanded.  Every state of an orbit lies at the same depth and admits as
-    many moves, so the plain step count is the orbit size times the moves
-    taken from the representative."""
-    if lean_oracle(lean0) != ctx.query(lean0):
-        return None
-    orbits = _Orbits(ctx, free)
-    named = [frozenset(tup).intersection(free) for _, tup, _, _ in slots]
-    seen = {lean0}
-    frontier = [(lean0, frozenset(), 1)]
-    steps = 0
-    for _ in range(cfg.max_len):
-        new_frontier = []
-        for st, support, size in frontier:
-            rels = st[0]
-            taken = 0
-            for (i, tup, if_present, if_absent), names in zip(slots, named):
-                for m in (if_present if tup in rels[i] else if_absent):
-                    succ = ctx.apply(st, m)
-                    taken += 1
-                    if succ in seen:
-                        continue
-                    sup = support | names
-                    before = len(seen)
-                    seen.update(orbits.orbit(succ, sup))
-                    if len(seen) > cfg.state_cap and not cfg.override_cap:
-                        return None
-                    if lean_oracle(succ) != ctx.query(succ):
-                        return None
-                    new_frontier.append((succ, sup, len(seen) - before))
-            steps += size * taken
-        frontier = new_frontier
-    return len(seen), steps

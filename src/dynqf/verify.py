@@ -9,16 +9,18 @@ every admissible sequence.  Counterexamples are reported for the shortest,
 lexicographically least sequence and are self-validated by replay before
 they are returned.
 
-The search is reduced by symmetry (symmetry.py) when every permutation of
-the free elements, those that no constant names, is a symmetry of it: the
-permutations fix the initial state with its built-ins, the instance guard
-admits the image of every admitted move, and the oracle is a query, whose
-answer is invariant under isomorphisms of input states that fix the
-constants (`queries.is_query`; any other oracle gets the plain search).  One
-state per orbit is then checked and expanded.  `checked_states` and
-`checked_steps` still count every state and every step of the plain search,
-and a verdict other than `ok` comes from the plain search run again, so
-counts and counterexamples mean what they mean without the reduction.
+There is one search loop, `_orbit_bfs`, which checks and expands one state
+per orbit of the free elements, those that no constant names.  It runs
+with all of them when every permutation of them is a symmetry of the search
+(symmetry.py): the permutations fix the initial state with its built-ins,
+the instance guard admits the image of every admitted move, and the oracle
+is a query, whose answer is invariant under isomorphisms of input states
+that fix the constants (`queries.is_query`).  Otherwise it runs with none,
+each orbit is a single state, and it is the plain search.  `checked_states`
+and `checked_steps` count every state and every step of the plain search.
+The reduced search finds the plain search's counterexample, but it stops
+with other counts, so a verdict other than `ok` runs the loop again without
+free elements, only to count as the plain search does.
 """
 from __future__ import annotations
 
@@ -243,63 +245,91 @@ def _move_slots(mods: list[Modification], ctx: LeanContext, honest_only: bool) -
 
 
 def _bfs_check(p, oracle, cfg, bounds) -> Verdict:
-    from .symmetry import interchangeable, orbit_bfs
+    from .symmetry import interchangeable
     db, s0, lean0, ctx = _setup(p, cfg)
-    lean_oracle = _lean_oracle(oracle, ctx)
     moves = _moves(p, cfg, s0)[0]
-    slots = _move_slots(moves, ctx, cfg.honest_only)
+    search = (p, db, ctx, lean0, _lean_oracle(oracle, ctx), _move_slots(moves, ctx, cfg.honest_only))
     free = interchangeable(oracle, s0, moves)
-    if free:
-        counts = orbit_bfs(ctx, lean_oracle, slots, free, lean0, cfg)
-        if counts is not None:
-            return Verdict("ok", bounds, *counts)
-    states = steps = 0
+    verdict = _orbit_bfs(*search, free, cfg, bounds)
+    if verdict.status != "ok" and free:
+        # the path is the plain search's already, the counts are not
+        verdict = _orbit_bfs(*search, (), cfg, bounds)
+    if verdict.counterexample:
+        _finish_counterexample(p, oracle, verdict.counterexample)
+    return verdict
 
-    def diverged(lean) -> tuple[bool, bool] | None:
-        exp = lean_oracle(lean)
-        got = ctx.query(lean)
-        return (exp, got) if exp != got else None
 
-    def cex(seq, step, exp, got) -> Verdict:
-        c = Counterexample(p.name, db, tuple(seq), step, exp, got)
-        _finish_counterexample(p, oracle, c)
-        return Verdict("counterexample", bounds, states, steps, c)
+def _orbit_bfs(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracle,
+               slots: list[tuple], free: tuple[int, ...], cfg: CheckConfig, bounds: dict) -> Verdict:
+    """Breadth-first search over the orbits of the free elements, within the
+    bounds of cfg; with no free element, the plain search.
 
-    d = diverged(lean0)
-    if d:
-        return cex((), 0, *d)
-    frontier = [lean0]
-    parents: dict = {lean0: None}
+    The set of seen states stays closed under the permutations of the free
+    elements: a successor not seen yet is the representative of a new orbit,
+    all its images are added, and only the representative is checked and
+    expanded.  Every state of an orbit lies at the same depth and admits as
+    many moves, so on `ok` the counts are those of the plain search: states
+    are `len(seen)`, and steps the orbit size times the moves taken from the
+    representative.  A counterexample or the state cap stops the search where
+    it stands, with counts of the states and steps so far, and returns a
+    counterexample without its trace digest.
+
+    The path to the first violating representative is the plain search's
+    counterexample.  The query and the oracle are invariant, so the violating
+    states form a union of orbits, and the plain search stops at the first
+    state it discovers of one.  By induction on the depth, the
+    representatives are the states that the plain search discovers first in
+    their orbits, in the same order and from the same parents.  Let the plain
+    search discover x from y by move m, where y = pi(r) and r is the
+    representative of y's orbit.  If y is not r, then r is expanded earlier,
+    and pi^-1(x), reached from r by pi^-1(m), is in x's orbit at x's depth,
+    so x is not the first of its orbit.  So the first state of each orbit is
+    found from a representative, and the plain search takes the
+    representatives' moves in the order this search takes them."""
+    from .symmetry import Orbits
+    orbits = Orbits(ctx, free)
+    slots = [(*slot, frozenset(slot[1]).intersection(free)) for slot in slots]
     seen = {lean0}
-    states = 1
+    # state -> (parent, move, support, orbit size): one tuple per found state
+    # and no other new object, since each object per state that the garbage
+    # collector tracks slows the whole search
+    parents = {lean0: (None, None, frozenset(), 1)}
+    exp, got = lean_oracle(lean0), ctx.query(lean0)
+    if exp != got:
+        return Verdict("counterexample", bounds, 1, 0, Counterexample(p.name, db, (), 0, exp, got))
+    frontier = [lean0]
+    steps = 0
     for depth in range(1, cfg.max_len + 1):
         new_frontier = []
         for st in frontier:
+            support, size = parents[st][2:]
             rels = st[0]
-            for i, tup, if_present, if_absent in slots:
+            taken = 0
+            for i, tup, if_present, if_absent, names in slots:
                 for m in (if_present if tup in rels[i] else if_absent):
                     succ = ctx.apply(st, m)
-                    steps += 1
+                    taken += 1
                     if succ in seen:
                         continue
-                    seen.add(succ)
-                    parents[succ] = (st, m)
-                    states += 1
-                    if states > cfg.state_cap and not cfg.override_cap:
-                        return Verdict("resource", bounds, states, steps,
+                    sup = support if names <= support else support | names
+                    before = len(seen)
+                    seen.update(orbits.orbit(succ, sup))
+                    parents[succ] = (st, m, sup, len(seen) - before)
+                    if len(seen) > cfg.state_cap and not cfg.override_cap:
+                        return Verdict("resource", bounds, len(seen), steps + size * taken,
                                        notes=[f"state cap {cfg.state_cap} reached at depth {depth}"])
-                    d = diverged(succ)
-                    if d:
-                        seq = []
-                        node = succ
-                        while parents[node] is not None:
-                            node, m2 = parents[node]
-                            seq.append(m2)
-                        seq.reverse()
-                        return cex(seq, depth, *d)
+                    exp, got = lean_oracle(succ), ctx.query(succ)
+                    if exp != got:
+                        seq, node = [], succ
+                        while parents[node][0] is not None:
+                            node, move = parents[node][:2]
+                            seq.append(move)
+                        return Verdict("counterexample", bounds, len(seen), steps + size * taken,
+                                       Counterexample(p.name, db, tuple(reversed(seq)), depth, exp, got))
                     new_frontier.append(succ)
+            steps += size * taken
         frontier = new_frontier
-    return Verdict("ok", bounds, states, steps)
+    return Verdict("ok", bounds, len(seen), steps)
 
 
 def _random_check(p, oracle, cfg, bounds) -> Verdict:

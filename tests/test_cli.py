@@ -134,9 +134,11 @@ def test_replay_counterexample_roundtrip(broken_file, tmp_path, capsys):
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     cex_path = tmp_path / "cex.json"
-    cex_path.write_text(json.dumps(doc["counterexample"]))
-    assert main(["replay", str(cex_path), broken_file, "--oracle", "non-empty-set"]) == 0
-    assert "reproduced" in capsys.readouterr().out
+    # replay takes the counterexample, or the whole verdict that holds it
+    for replayed in (doc["counterexample"], doc):
+        cex_path.write_text(json.dumps(replayed))
+        assert main(["replay", str(cex_path), broken_file, "--oracle", "non-empty-set"]) == 0
+        assert "reproduced" in capsys.readouterr().out
 
 
 def test_attack_star_witness_exit_one(tmp_path, capsys):
@@ -249,6 +251,22 @@ def test_replay_document_without_program(broken_file, tmp_path, capsys):
     f.write_text(json.dumps({"format": 1, "initial": {"domain": 3}, "sequence": []}))
     assert main(["replay", str(f), broken_file, "--oracle", "non-empty-set"]) == 2
     assert_one_line_error(capsys, "missing field 'program'")
+
+
+def test_replay_verdict_without_counterexample(nes_file, tmp_path, capsys):
+    f = tmp_path / "verdict.json"
+    assert main(["verify", nes_file, "--domain", "3", "--maxlen", "2", "--json"]) == 0
+    f.write_text(capsys.readouterr().out)
+    assert main(["replay", str(f), nes_file]) == 2
+    assert_one_line_error(capsys, "verdict 'ok' holds no counterexample")
+
+
+@pytest.mark.parametrize("doc", [[], "cex", {"status": "counterexample", "counterexample": [1]}])
+def test_replay_document_that_is_not_an_object(broken_file, tmp_path, capsys, doc):
+    f = tmp_path / "cex.json"
+    f.write_text(json.dumps(doc))
+    assert main(["replay", str(f), broken_file, "--oracle", "non-empty-set"]) == 2
+    assert_one_line_error(capsys, "expected a JSON object")
 
 
 def test_verify_missing_program_file(tmp_path, capsys):

@@ -3,9 +3,9 @@ from hypothesis import given, strategies as st
 
 from dynqf.errors import EvalError, ResourceLimitError
 from dynqf.formulas import (And, App, Const, Eq, FALSE, Ite, Not, Or, RelAtom,
-                            TRUE, Var, atom, classify_syntax, conj,
+                            TRUE, Var, atom, classify_syntax,
                             count_terms_up_to_depth, eq, equality_type_of,
-                            eval_formula, eval_term, neq, nesting_depth,
+                            eval_formula, eval_term, nesting_depth,
                             terms_up_to_depth)
 from dynqf.parser import parse_formula
 from dynqf.schema import make_schema
@@ -111,15 +111,15 @@ def test_classify_negated_conjunction():
 
 
 def test_classify_literals_allow_negated_atoms():
-    f = conj([atom("U", "x"), Not(atom("V", "y")), neq("x", "y"), TRUE])
+    f = And(And(And(atom("U", "x"), Not(atom("V", "y"))), Not(eq("x", "y"))), TRUE)
     assert classify_syntax(f).conjunctive
 
 
 def test_conjunctive_and_negation_free_iff_positive_chain():
-    positive = conj([atom("U", "x"), atom("V", "y"), eq("x", "y")])
+    positive = And(And(atom("U", "x"), atom("V", "y")), eq("x", "y"))
     flags = classify_syntax(positive)
     assert flags.conjunctive and flags.negation_free
-    with_neg = conj([atom("U", "x"), Not(atom("V", "y"))])
+    with_neg = And(atom("U", "x"), Not(atom("V", "y")))
     flags = classify_syntax(with_neg)
     assert flags.conjunctive and not flags.negation_free
     disjunctive = Or(atom("U", "x"), atom("V", "y"))

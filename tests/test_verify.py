@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 from dynqf.compiler import LeanContext, context_for_state
 from dynqf.corpus import GUARDS, builtin_program, corpus_source, strawman_program
 from dynqf.errors import GuardError, ResourceLimitError
-from dynqf.formulas import eval_term, terms_up_to_depth
+from dynqf.formulas import And, Not, Or, eval_term, terms_up_to_depth
 from dynqf.parser import parse_program
 from dynqf.program import apply, empty_input_db, init_state, run
 from dynqf.queries import (ORACLES, is_query, oracle_k_clique, oracle_nonemptyset,
@@ -16,6 +17,7 @@ from dynqf.queries import (ORACLES, is_query, oracle_k_clique, oracle_nonemptyse
 from dynqf.schema import make_schema
 from dynqf.serialize import trace_digest, verdict_to_dict
 from dynqf.state import ins, is_honest, make_state, transport
+from dynqf.symmetry import interchangeable
 from dynqf.transforms import deletion_depth, eliminate_repeated_variables, relations_to_functions
 from dynqf.verify import (CheckConfig, Counterexample, Verdict, attack_star_deletion,
                           attack_subset_gadget, check_maintenance, cq_adversary,
@@ -23,7 +25,7 @@ from dynqf.verify import (CheckConfig, Counterexample, Verdict, attack_star_dele
                           is_closed, k_similar, neighborhood,
                           neighborhood_vector, subsequence,
                           substructure_property, validate_counterexample)
-from dynqf.verify import _candidate_mods
+from dynqf.verify import _candidate_mods, _lean_oracle, _move_slots, _moves, _orbit_bfs, _setup
 
 BROKEN_SRC = """
 program broken
@@ -163,7 +165,7 @@ def _reference_bfs_check(p, oracle, cfg):
         return Verdict("counterexample", bounds, states, steps, c)
 
     lean0 = ctx.to_lean(s0)
-    found = divergence(lean0, [], 0, 0)
+    found = divergence(lean0, [], 1, 0)
     if found:
         return found
     frontier, parents, states, steps = [lean0], {lean0: None}, 1, 0
@@ -201,6 +203,27 @@ def test_exhaustive_mode_matches_per_move_honesty_probes(name, guard, honest):
         cfg = CheckConfig(domain_size=n, max_len=max_len, honest_only=honest, guard=TEST_GUARDS[guard])
         assert (verdict_to_dict(check_maintenance(p, oracle, cfg))
                 == verdict_to_dict(_reference_bfs_check(p, oracle, cfg)))
+
+
+INIT_TRUE_SRC = """
+program init_true
+input { U/1 }
+aux   { Q/0 }
+query Q
+init  table { Q = () }
+on insert U(a):
+  Q(): true
+on delete U(a):
+  Q(): false
+"""
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_counterexample_at_the_initial_state_counts_that_state(mode):
+    p = parse_program(INIT_TRUE_SRC)
+    v = check_maintenance(p, oracle_nonemptyset, CheckConfig(domain_size=3, max_len=3, mode=mode))
+    assert (v.status, v.checked_states, v.checked_steps) == ("counterexample", 1, 0)
+    assert (v.counterexample.step, v.counterexample.sequence) == (0, ())
 
 
 # -- symmetry reduction -------------------------------------------------------------
@@ -259,6 +282,53 @@ def test_reduced_search_at_the_state_cap_matches_plain_search(name):
         verdict = check_maintenance(p, oracle, cfg)
         assert verdict_to_dict(verdict) == verdict_to_dict(check_maintenance(p, _plain(oracle), cfg))
         assert (verdict.status == "resource") == (cap < total)
+
+
+def _swap_and_or(f):
+    if isinstance(f, (And, Or)):
+        return (Or if isinstance(f, And) else And)(_swap_and_or(f.left), _swap_and_or(f.right))
+    return Not(_swap_and_or(f.sub)) if isinstance(f, Not) else f
+
+
+def _one_rule_swaps(p):
+    """One mutant per rule with a connective: every And of its body becomes
+    an Or and every Or an And."""
+    for key, rule in p.rules.items():
+        body = _swap_and_or(rule.body)
+        if body != rule.body:
+            yield dataclasses.replace(p, rules={**p.rules, key: dataclasses.replace(rule, body=body)})
+
+
+def _search_cases():
+    """The strawmen at three bounds; one-rule And/Or swaps of two corpus
+    programs, most of which fail, at two."""
+    for name in ("unary-twopath-naive", "binary-reach2-naive", "cq-nonemptyset-naive"):
+        yield PROGRAMS[name], ((3, 4), (4, 3), (5, 3))
+    for name in ("non-empty-set", "st-twopath-binary"):
+        p, oracle = PROGRAMS[name]
+        for mutant in _one_rule_swaps(p):
+            yield (mutant, oracle), ((3, 4), (4, 3))
+
+
+def test_reduced_search_finds_the_plain_search_counterexample():
+    # the search loop itself, with the group of free elements and with none
+    reduced_cex = 0
+    for (p, oracle), sizes in _search_cases():
+        for (n, max_len), honest in itertools.product(sizes, (True, False)):
+            cfg = CheckConfig(domain_size=n, max_len=max_len, honest_only=honest)
+            db, s0, lean0, ctx = _setup(p, cfg)
+            moves = _moves(p, cfg, s0)[0]
+            free = interchangeable(oracle, s0, moves)
+            if not free:
+                continue  # both runs would be the plain search
+            search = (p, db, ctx, lean0, _lean_oracle(oracle, ctx), _move_slots(moves, ctx, honest))
+            reduced, plain = (_orbit_bfs(*search, group, cfg, {}) for group in (free, ()))
+            assert reduced.status == plain.status
+            if plain.counterexample:
+                a, b = reduced.counterexample, plain.counterexample
+                assert (a.sequence, a.step, a.expected, a.produced) == (b.sequence, b.step, b.expected, b.produced)
+                reduced_cex += 1
+    assert reduced_cex == 45
 
 
 @pytest.fixture
