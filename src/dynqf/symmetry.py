@@ -1,10 +1,11 @@
 """Symmetry of the exhaustive search, after Ip & Dill (1996) and Emerson &
 Sistla (1996) but without a canonical form: `interchangeable` finds the free
 elements when every permutation of them is a symmetry of the search, and
-`Orbits` lists the images of a state under those permutations.  The search
-loop itself is `verify._orbit_bfs`; with no free element every orbit is the
-state alone and that loop is the plain search.  `verify` imports this module
-on the first exhaustive check.
+`Orbits` lists the images of a state under those permutations, one relation
+at a time under all of them, with aux images memoized per support.  The
+search loop itself is `verify._orbit_bfs`; with no free element every orbit
+is the state alone and that loop is the plain search.  `verify` imports this
+module on the first exhaustive check.
 """
 from __future__ import annotations
 
@@ -55,55 +56,50 @@ class Orbits:
     permutation of the other free elements.  The products
     (s1 f1)(s2 f2)...(sj fj), with each fi a free element other than
     s1, ..., s(i-1), are one permutation per coset of that stabilizer, so
-    the state's images under them are its orbit.  They are built from the
-    right, one transposition at a time.  A transposition maps tuples through
-    tables built on first use, whose values are shared tuple objects, and
-    equal aux relations of images are one object."""
+    the state's images under them are its orbit.  Each support keeps those
+    other than the identity, their tuple maps per arity (whose values are
+    shared tuple objects) and a memo of aux images, keyed by the relation.
+    Images are built one relation at a time: an input relation's under all
+    the permutations at once, an aux relation's from the memo or else built
+    and interned, so equal aux relations of images are one object."""
 
     def __init__(self, ctx: LeanContext, free: tuple[int, ...]):
-        lay = ctx.layout
-        sch = lay.schema
+        lay, sch = ctx.layout, ctx.layout.schema
         self.n, self.free = lay.n, free
         self.rel_arities = [sch.arity(name) for name in lay.rel_names]
         self.aux = [sch.role(name) is Role.AUX for name in lay.rel_names]
         self.fun_arities = [sch.arity(name) for name in lay.fun_names]
-        self.tuples = {a: list(itertools.product(range(self.n), repeat=a))
-                       for a in set(self.rel_arities) if a}
-        self.swaps: dict[tuple[int, int], tuple] = {}  # (a, b) -> (permutation, tuple map per relation)
+        self.tuples = {a: list(itertools.product(range(self.n), repeat=a)) for a in set(self.rel_arities) if a}
+        self.cosets: dict[frozenset, tuple] = {}  # support -> (permutations, maps per relation, memo)
         self.interned: dict[frozenset, frozenset] = {}
 
-    def _swap(self, a: int, b: int) -> tuple:
-        swap = self.swaps.get((a, b))
-        if swap is None:
-            p = list(range(self.n))
-            p[a], p[b] = b, a
-            maps = {k: dict(zip(tuples, map(tuples.__getitem__, remap_index(p, k)))).__getitem__
-                    for k, tuples in self.tuples.items()}
-            swap = self.swaps[(a, b)] = (p, [maps.get(k) for k in self.rel_arities])
-        return swap
-
-    def _image(self, lean, a: int, b: int):
-        """The image of lean under the transposition (a b)."""
-        p, maps = self._swap(a, b)
-        rels, funs = lean
-        interned, out = self.interned, []
-        for r, f, is_aux in zip(rels, maps, self.aux):
-            if f is not None and r:
-                r = frozenset(map(f, r))
-                if is_aux:
-                    r = interned.setdefault(r, r)
-            out.append(r)
-        if funs:
-            funs = tuple([image_vector(v, p, k) for v, k in zip(funs, self.fun_arities)])
-        return tuple(out), funs
+    def _cosets(self, support: frozenset) -> tuple:
+        identity, sup = list(range(self.n)), sorted(support)
+        perms = [identity]
+        for i in reversed(range(len(sup))):  # each p, then (s f) for each target f
+            s, targets = sup[i], [f for f in self.free if f not in sup[:i]]
+            perms = [[f if v == s else s if v == f else v for v in p] for p in perms for f in targets]
+        perms.remove(identity)
+        maps = {k: [dict(zip(tuples, map(tuples.__getitem__, remap_index(p, k)))).__getitem__ for p in perms]
+                for k, tuples in self.tuples.items()}
+        self.cosets[support] = cosets = (perms, [maps.get(k) for k in self.rel_arities], {})
+        return cosets
 
     def orbit(self, lean, support: frozenset) -> list:
-        """lean's images under one permutation per coset of its stabilizer;
+        """lean and its images under the coset permutations of its stabilizer;
         an image may repeat when the stabilizer is larger."""
-        if not support:  # always so with no free element: the plain search
-            return [lean]
-        images, sup = [lean], sorted(support)
-        for i in reversed(range(len(sup))):
-            s, targets = sup[i], [f for f in self.free if f not in sup[:i]]
-            images = [x if f == s else self._image(x, s, f) for x in images for f in targets]
-        return images
+        perms, maps, memo = self.cosets.get(support) or self._cosets(support)
+        (rels, funs), interned, columns = lean, self.interned, []
+        for r, fs, is_aux in zip(rels, maps, self.aux):
+            if fs is None or not r:  # its own image
+                columns.append([r] * len(perms))
+            elif is_aux:
+                images = memo.get(r)
+                if images is None:
+                    images = memo[r] = [interned.setdefault(x, x) for x in [frozenset(map(f, r)) for f in fs]]
+                columns.append(images)
+            else:
+                columns.append([frozenset(map(f, r)) for f in fs])
+        fun_images = (zip(*[[image_vector(v, p, k) for p in perms] for v, k in zip(funs, self.fun_arities)])
+                      if funs else [funs] * len(perms))
+        return [lean, *zip(zip(*columns), fun_images)]

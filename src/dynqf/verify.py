@@ -287,7 +287,7 @@ def _orbit_bfs(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracl
     found from a representative, and the plain search takes the
     representatives' moves in the order this search takes them."""
     from .symmetry import Orbits
-    orbits = Orbits(ctx, free)
+    orbit = Orbits(ctx, free).orbit
     slots = [(*slot, frozenset(slot[1]).intersection(free)) for slot in slots]
     seen = {lean0}
     # state -> (parent, move, support, orbit size): one tuple per found state
@@ -312,9 +312,13 @@ def _orbit_bfs(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracl
                     if succ in seen:
                         continue
                     sup = support if names <= support else support | names
-                    before = len(seen)
-                    seen.update(orbits.orbit(succ, sup))
-                    parents[succ] = (st, m, sup, len(seen) - before)
+                    if sup:
+                        before = len(seen)
+                        seen.update(orbit(succ, sup))
+                        parents[succ] = (st, m, sup, len(seen) - before)
+                    else:  # fixed by every permutation: always so in the plain search
+                        seen.add(succ)
+                        parents[succ] = (st, m, sup, 1)
                     if len(seen) > cfg.state_cap and not cfg.override_cap:
                         return Verdict("resource", bounds, len(seen), steps + size * taken,
                                        notes=[f"state cap {cfg.state_cap} reached at depth {depth}"])

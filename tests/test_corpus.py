@@ -122,6 +122,15 @@ def test_deep_regression_beyond_acceptance_bounds(name, n, maxlen):
     assert verdict.status == "ok", verdict.counterexample
 
 
+def test_deep_exhaustive_ternary_regression():
+    # criterion 03 checks s-twopath-ternary by random walks only, and the
+    # deep regression above stops at n=3: the whole space at n=4, len <= 5
+    entry = builtin_program("s-twopath-ternary")
+    cfg = CheckConfig(domain_size=4, max_len=5, honest_only=True)
+    verdict = check_maintenance(entry.program, entry.oracle, cfg)
+    assert (verdict.status, verdict.checked_states, verdict.checked_steps) == ("ok", 28777, 97168)
+
+
 def test_engine_survives_dishonest_modifications():
     # no correctness claim without honesty, but evaluation must stay total
     entry = builtin_program("non-empty-set")

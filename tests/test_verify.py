@@ -14,10 +14,10 @@ from dynqf.parser import parse_program
 from dynqf.program import apply, empty_input_db, init_state, run
 from dynqf.queries import (ORACLES, is_query, oracle_k_clique, oracle_nonemptyset,
                            oracle_st_reach, oracle_st_twopath)
-from dynqf.schema import make_schema
+from dynqf.schema import Role, make_schema
 from dynqf.serialize import trace_digest, verdict_to_dict
 from dynqf.state import ins, is_honest, make_state, transport
-from dynqf.symmetry import interchangeable
+from dynqf.symmetry import Orbits, interchangeable
 from dynqf.transforms import deletion_depth, eliminate_repeated_variables, relations_to_functions
 from dynqf.verify import (CheckConfig, Counterexample, Verdict, attack_star_deletion,
                           attack_subset_gadget, check_maintenance, cq_adversary,
@@ -329,6 +329,38 @@ def test_reduced_search_finds_the_plain_search_counterexample():
                 assert (a.sequence, a.step, a.expected, a.produced) == (b.sequence, b.step, b.expected, b.produced)
                 reduced_cex += 1
     assert reduced_cex == 45
+
+
+@pytest.mark.parametrize("name,n,n_free", [
+    ("st-twopath-binary", 5, 3),
+    ("s-twopath-ternary", 4, 3),
+    ("st-twopath-binary rel2fun", 4, 2),  # function vectors
+])
+def test_orbit_is_the_image_set_under_every_permutation(name, n, n_free):
+    p, oracle = VARIANTS[name]
+    cfg = CheckConfig(domain_size=n, max_len=6, constants={"s": 0, "t": 1} if "t" in p.schema.constants else None)
+    db, s0, lean0, ctx = _setup(p, cfg)
+    moves = _moves(p, cfg, s0)[0]
+    free = interchangeable(oracle, s0, moves)
+    assert len(free) == n_free
+    orbits, slots, rng = Orbits(ctx, free), _move_slots(moves, ctx, True), random.Random(12)
+    aux = [i for i, rel in enumerate(ctx.layout.rel_names)
+           if p.schema.role(rel) is Role.AUX and p.schema.arity(rel)]
+    objects = {}
+    for _ in range(40):
+        lean, support = lean0, set()
+        for _ in range(rng.randrange(7)):
+            i, tup, if_present, if_absent = rng.choice(slots)
+            lean = ctx.apply(lean, (if_present if tup in lean[0][i] else if_absent)[0])
+            support.update(set(tup).intersection(free))
+        orbit = orbits.orbit(lean, frozenset(support))
+        s = ctx.from_lean(lean)
+        brute = {ctx.to_lean(transport(s, {**{e: e for e in s.domain}, **dict(zip(free, perm))}))
+                 for perm in itertools.permutations(free)}
+        assert orbit[0] is lean and set(orbit) == brute
+        for rels, _ in orbit[1:]:
+            for r in filter(None, [rels[i] for i in aux]):
+                assert objects.setdefault(r, r) is r  # equal ones are one object
 
 
 @pytest.fixture
