@@ -2,10 +2,10 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError, DynqfError
+from .records import Frozen
 from .state import State
 
 # A type term is a placeholder ("v", i) for position i of the tuple, or a
@@ -19,8 +19,7 @@ def _terms_for(arity: int, state: State) -> list[TypeTerm]:
     return terms
 
 
-@dataclass(frozen=True)
-class AtomicType:
+class AtomicType(Frozen):
     """The set of atomic facts a tuple satisfies in a structure.
 
     Relation atoms range over placeholders x1..xk and constant symbols.
@@ -29,9 +28,11 @@ class AtomicType:
     closed under symmetry of equality up to that normal form.
     """
 
-    arity: int
-    rel_atoms: frozenset[tuple[str, tuple[TypeTerm, ...]]]
-    eq_atoms: frozenset[tuple[TypeTerm, TypeTerm]]
+    __slots__ = ("arity", "rel_atoms", "eq_atoms")
+
+    def __init__(self, arity: int, rel_atoms: frozenset[tuple[str, tuple[TypeTerm, ...]]],
+                 eq_atoms: frozenset[tuple[TypeTerm, TypeTerm]]):
+        self._set_fields(arity, rel_atoms, eq_atoms)
 
     def holds_eq(self, a: TypeTerm, b: TypeTerm) -> bool:
         return a == b or (a, b) in self.eq_atoms or (b, a) in self.eq_atoms

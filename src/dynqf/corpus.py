@@ -2,8 +2,7 @@
 guards, class tags, and documented per-state invariants."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 from typing import Callable, Mapping
 
 from .errors import DynqfError, SchemaError
@@ -12,6 +11,7 @@ from .parser import parse_program
 from .program import DynamicProgram, register_base
 from .queries import (oracle_nonemptyset, oracle_s_twopath, oracle_st_reach,
                       oracle_st_twopath)
+from .records import Frozen
 from .schema import Role, Schema
 from .state import Modification, State
 
@@ -68,23 +68,23 @@ register_base("st_base", _st_base)
 register_base("s_twopath_base", _s_twopath_base)
 
 
-@dataclass(frozen=True)
-class ClassTags:
-    classes: tuple[str, ...]  # e.g. ("DynProp",) or ("DynQF*",)
-    arity: int
-    negation_free: bool
-    conjunctive: bool
+class ClassTags(Frozen):
+    """The classes a program is in, e.g. ("DynProp",) or ("DynQF*",), its
+    aux arity and its syntax flags."""
+
+    __slots__ = ("classes", "arity", "negation_free", "conjunctive")
+
+    def __init__(self, classes: tuple[str, ...], arity: int, negation_free: bool, conjunctive: bool):
+        self._set_fields(classes, arity, negation_free, conjunctive)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    program: DynamicProgram
-    oracle: Callable[[State], bool]
-    oracle_name: str
-    class_tags: ClassTags
-    guard_name: str
-    state_invariant: Callable[["CorpusEntry", State], list[str]] | None = None
+class CorpusEntry(Frozen):
+    __slots__ = ("name", "program", "oracle", "oracle_name", "class_tags", "guard_name", "state_invariant")
+
+    def __init__(self, name: str, program: DynamicProgram, oracle: Callable[[State], bool],
+                 oracle_name: str, class_tags: ClassTags, guard_name: str,
+                 state_invariant: Callable[["CorpusEntry", State], list[str]] | None = None):
+        self._set_fields(name, program, oracle, oracle_name, class_tags, guard_name, state_invariant)
 
     @property
     def instance_guard(self) -> InstanceGuard:
@@ -168,7 +168,10 @@ _cache: dict[str, CorpusEntry] = {}
 
 
 def corpus_source(filename: str) -> str:
-    return (resources.files("dynqf") / "corpus_data" / filename).read_text()
+    # the package ships as files (see pyproject.toml); importlib.resources
+    # would cost every process its imports, and from Python 3.12 on it
+    # loads inspect, ast and dis
+    return (Path(__file__).parent / "corpus_data" / filename).read_text()
 
 
 def corpus_names() -> list[str]:

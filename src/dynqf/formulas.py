@@ -9,84 +9,100 @@ instead, without listing the terms).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .errors import EvalError, ResourceLimitError, SchemaError
+from .records import Frozen, setfield
 from .schema import Schema
 from .state import State
 
 
 # -- AST -----------------------------------------------------------------------
 
-class Term:
+class Term(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Const(Term):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True)
 class App(Term):
-    symbol: str
-    args: tuple[Term, ...]
+    __slots__ = ("symbol", "args")
+
+    def __init__(self, symbol: str, args: tuple[Term, ...]):
+        setfield(self, "symbol", symbol)
+        setfield(self, "args", args)
 
 
-@dataclass(frozen=True)
 class Ite(Term):
-    cond: "Formula"
-    then: Term
-    other: Term
+    __slots__ = ("cond", "then", "other")
+
+    def __init__(self, cond: "Formula", then: Term, other: Term):
+        setfield(self, "cond", cond)
+        setfield(self, "then", then)
+        setfield(self, "other", other)
 
 
-class Formula:
+class Formula(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TrueConst(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FalseConst(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class RelAtom(Formula):
-    symbol: str
-    args: tuple[Term, ...]
+    __slots__ = ("symbol", "args")
+
+    def __init__(self, symbol: str, args: tuple[Term, ...]):
+        setfield(self, "symbol", symbol)
+        setfield(self, "args", args)
 
 
-@dataclass(frozen=True)
 class Eq(Formula):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
+    __slots__ = ("sub",)
+
+    def __init__(self, sub: Formula):
+        setfield(self, "sub", sub)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
 TRUE = TrueConst()
@@ -243,11 +259,11 @@ def nesting_depth(node) -> int:
     raise EvalError(f"no nesting depth for {node!r}")
 
 
-@dataclass(frozen=True)
-class SyntaxFlags:
-    negation_free: bool
-    conjunctive: bool
-    repeated_vars_in_atom: bool
+class SyntaxFlags(Frozen):
+    __slots__ = ("negation_free", "conjunctive", "repeated_vars_in_atom")
+
+    def __init__(self, negation_free: bool, conjunctive: bool, repeated_vars_in_atom: bool):
+        self._set_fields(negation_free, conjunctive, repeated_vars_in_atom)
 
 
 def _is_literal(f: Formula) -> bool:
@@ -275,17 +291,15 @@ def classify_syntax(f: Formula) -> SyntaxFlags:
 
 # -- equality types ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EqualityType:
+class EqualityType(Frozen):
     """A partition of positions 0..n-1; blocks sorted, ordered by least member."""
 
-    size: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("size", "blocks")
 
-    def __post_init__(self):
-        seen = sorted(p for b in self.blocks for p in b)
-        if seen != list(range(self.size)):
+    def __init__(self, size: int, blocks: tuple[tuple[int, ...], ...]):
+        if sorted(p for b in blocks for p in b) != list(range(size)):
             raise EvalError("blocks do not partition the positions")
+        self._set_fields(size, blocks)
 
     @staticmethod
     def from_key(items: Sequence) -> "EqualityType":

@@ -6,13 +6,12 @@ line and column.  Identifiers are [A-Za-z][A-Za-z0-9_]*, comments run from
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ParseError
 from .formulas import (And, App, Const, Eq, Formula, Ite, Not, Or, RelAtom,
                        Term, TRUE, FALSE, Var)
 from .program import (DynamicProgram, InitSpec, UpdateRule, encode_table,
                       frame_rule, validate_program)
+from .records import Record
 from .schema import Role, Schema, make_schema
 from .state import DEL, INS, Modification
 
@@ -20,12 +19,13 @@ _PUNCT2 = (":=", "!=", "->")
 _PUNCT1 = "{}(),/=!&|:;"
 
 
-@dataclass
-class Token:
-    kind: str  # "ident" | "int" | "punct" | "eof"
-    value: str
-    line: int
-    col: int
+class Token(Record):
+    """A token of kind "ident", "int", "punct" or "eof", and where it starts."""
+
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        self.kind, self.value, self.line, self.col = kind, value, line, col
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
@@ -441,12 +441,14 @@ def _resolve_table(ts: TokenStream, init: InitSpec, schema: Schema) -> InitSpec:
 
 # -- modification scripts -----------------------------------------------------------
 
-@dataclass
-class Script:
-    domain: int
-    relations: dict[str, set[tuple[int, ...]]] = field(default_factory=dict)
-    constants: dict[str, int] = field(default_factory=dict)
-    modifications: list[Modification] = field(default_factory=list)
+class Script(Record):
+    __slots__ = ("domain", "relations", "constants", "modifications")
+
+    def __init__(self, domain: int, relations: dict[str, set[tuple[int, ...]]] | None = None,
+                 constants: dict[str, int] | None = None, modifications: list[Modification] | None = None):
+        self._set_fields(domain, {} if relations is None else relations,
+                         {} if constants is None else constants,
+                         [] if modifications is None else modifications)
 
 
 def parse_script(text: str, schema: Schema, filename: str = "<script>") -> Script:

@@ -5,53 +5,53 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .compiler import context_for_state
 from .errors import ProgramError, RejectedSequenceError, SchemaError
 from .formulas import (App, Formula, RelAtom, Term, Var, eval_formula, eval_term,
                        free_vars, nesting_depth, symbols_used)
+from .records import Frozen
 from .schema import Role, Schema
 from .state import (DEL, INS, Modification, State, check_modification,
                     default_function, is_honest, make_state, transport)
 
 
-@dataclass(frozen=True)
-class UpdateRule:
-    """One update rule: how `target` is recomputed after `kind` on `trigger`.
+class UpdateRule(Frozen):
+    """One update rule: how `target` is recomputed after `kind` (INS or DEL)
+    on `trigger`.
 
     `params` name the modified tuple, `target_params` the updated tuple; the
     body is a Formula for relation targets and a Term for function targets,
     quantifier-free either way, reading only the pre-modification state.
     """
 
-    target: str
-    kind: str  # INS | DEL
-    trigger: str
-    params: tuple[str, ...]
-    target_params: tuple[str, ...]
-    body: Formula | Term
+    __slots__ = ("target", "kind", "trigger", "params", "target_params", "body")
+
+    def __init__(self, target: str, kind: str, trigger: str, params: tuple[str, ...],
+                 target_params: tuple[str, ...], body: Formula | Term):
+        self._set_fields(target, kind, trigger, params, target_params, body)
 
     @property
     def key(self) -> tuple[str, str, str]:
         return (self.target, self.kind, self.trigger)
 
 
-@dataclass(frozen=True)
-class InitSpec:
+class InitSpec(Frozen):
     """Aux/builtin initialization model.
 
     kind 'empty'  : aux relations empty, aux functions projection-on-first-arg
                     (base overrides applied on top);
     kind 'oracle' : replay all input tuples, in sorted order, through the
                     program's own insertion rules starting from the base state;
-    kind 'table'  : explicit interpretations.
+    kind 'table'  : explicit interpretations, `table` in the canonical
+                    encoding of `encode_table`.
     """
 
-    kind: str
-    base: str | None = None
-    table: tuple | None = None  # canonical encoding, see table_from/table_items
+    __slots__ = ("kind", "base", "table")
+
+    def __init__(self, kind: str, base: str | None = None, table: tuple | None = None):
+        self._set_fields(kind, base, table)
 
 
 def encode_table(relations: Mapping[str, Iterable[tuple]] | None = None,
@@ -67,13 +67,12 @@ def decode_table(table: tuple) -> tuple[dict, dict]:
             {n: dict(entries) for n, entries in fun_part})
 
 
-@dataclass(frozen=True, eq=True)
-class DynamicProgram:
-    name: str
-    schema: Schema
-    rules: dict[tuple[str, str, str], UpdateRule]
-    query_symbol: str
-    init: InitSpec
+class DynamicProgram(Frozen):
+    __slots__ = ("name", "schema", "rules", "query_symbol", "init", "__weakref__")
+
+    def __init__(self, name: str, schema: Schema, rules: dict[tuple[str, str, str], UpdateRule],
+                 query_symbol: str, init: InitSpec):
+        self._set_fields(name, schema, rules, query_symbol, init)
 
     def __hash__(self):  # programs are compared structurally but hashed loosely
         return hash((self.name, self.schema, self.query_symbol))

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import DomainError, DynqfError, SchemaError
+from .records import Frozen
 from .schema import make_schema
 from .state import State, make_state
 
@@ -160,26 +160,28 @@ ORACLES = {
 
 # -- layered graphs ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LayeredSpec:
-    sizes: tuple[int, ...]  # per-layer node counts, k >= 1 layers
-    with_st: bool = True
+class LayeredSpec(Frozen):
+    """The node count of each of k >= 1 layers, and whether s and t are added."""
 
-    def __post_init__(self):
-        if len(self.sizes) < 1 or any(sz < 1 for sz in self.sizes):
+    __slots__ = ("sizes", "with_st")
+
+    def __init__(self, sizes: tuple[int, ...], with_st: bool = True):
+        if len(sizes) < 1 or any(sz < 1 for sz in sizes):
             raise DynqfError("layer sizes must be positive and k >= 1")
+        self._set_fields(sizes, with_st)
 
 
-@dataclass(frozen=True)
-class Layered:
+class Layered(Frozen):
     """A layered s-t-graph plus its layer assignment.
 
     Node ids are deterministic: s = 0, then layer 1, layer 2, ..., then t
     (when with_st).  Without s and t only the layers are materialized.
     """
 
-    state: State
-    layers: tuple[tuple[int, ...], ...]
+    __slots__ = ("state", "layers")
+
+    def __init__(self, state: State, layers: tuple[tuple[int, ...], ...]):
+        self._set_fields(state, layers)
 
     @property
     def s(self) -> int:

@@ -7,9 +7,9 @@ and are never modified.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from .errors import SchemaError
+from .records import Frozen, setfield
 
 
 class Role(enum.Enum):
@@ -18,16 +18,15 @@ class Role(enum.Enum):
     BUILTIN = "builtin"
 
 
-@dataclass(frozen=True)
-class Schema:
-    relations: dict[str, int]
-    functions: dict[str, int]
-    constants: frozenset[str]
-    roles: dict[str, Role]
-    _key: tuple = field(init=False, repr=False, compare=False, default=None)
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
+class Schema(Frozen):
+    """Symbols with arities and roles; compared and hashed as sorted items,
+    so the order of the dicts does not matter."""
 
-    def __post_init__(self):
+    __slots__ = ("relations", "functions", "constants", "roles", "_key", "_hash")
+
+    def __init__(self, relations: dict[str, int], functions: dict[str, int],
+                 constants: frozenset[str], roles: dict[str, Role]):
+        self._set_fields(relations, functions, constants, roles)
         names = list(self.relations) + list(self.functions) + list(self.constants)
         if len(set(names)) != len(names):
             raise SchemaError("symbol names must be unique across relations, functions and constants")
@@ -42,13 +41,13 @@ class Schema:
         for name, ar in list(self.relations.items()) + list(self.functions.items()):
             if ar < 0:
                 raise SchemaError(f"negative arity for {name!r}")
-        object.__setattr__(self, "_key", (
+        setfield(self, "_key", (
             tuple(sorted(self.relations.items())),
             tuple(sorted(self.functions.items())),
             tuple(sorted(self.constants)),
             tuple(sorted((n, r.value) for n, r in self.roles.items())),
         ))
-        object.__setattr__(self, "_hash", hash(self._key))
+        setfield(self, "_hash", hash(self._key))
 
     def __hash__(self):
         return self._hash

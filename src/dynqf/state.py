@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, DynqfError, NotClosedError, SchemaError
+from .records import Frozen, Record, setfield
 from .schema import Role, Schema
 
 
@@ -77,8 +77,7 @@ def layout_of(schema: Schema, n: int, constants: Mapping[str, int],
     return lay
 
 
-@dataclass(eq=False, slots=True)
-class State:
+class State(Record):
     """A structure: finite domain plus interpretations of every schema symbol.
 
     Domains are contiguous 0..n-1 so that deterministic search orders are
@@ -86,16 +85,16 @@ class State:
     after construction; they compare and hash by layout and payload.
     """
 
-    layout: Layout
-    rels: tuple
-    funs: tuple = ()
-    schema: Schema = field(init=False, repr=False)
-    domain: tuple[int, ...] = field(init=False, repr=False)
-    constants: dict[str, int] = field(init=False, repr=False)
-    relations: dict[str, frozenset[tuple[int, ...]]] = field(init=False, repr=False)
-    _functions: dict | None = field(init=False, repr=False)
+    __slots__ = ("layout", "rels", "funs", "schema", "domain", "constants", "relations", "_functions")
+    _fields = ("layout", "rels", "funs")
+
+    def __init__(self, layout: Layout, rels: tuple, funs: tuple = ()):
+        self.layout, self.rels, self.funs = layout, rels, funs
+        self.__post_init__()
 
     def __post_init__(self):
+        """The fields derived from the layout; a method of its own, which
+        tools may wrap to count and time state construction."""
         lay = self.layout
         self.schema, self.domain, self.constants = lay.schema, lay.domain, lay.constants
         self.relations = dict(zip(lay.rel_names, self.rels), **lay.builtin_rels)
@@ -214,22 +213,47 @@ INS = "ins"
 DEL = "del"
 
 
-@dataclass(frozen=True, order=True)
-class Modification:
+class Modification(Frozen):
     """Insert or delete one concrete tuple of an input relation.
 
     Field order gives the canonical ordering used for deterministic
     enumeration and lexicographic tie-breaks: by relation, then tuple,
-    then kind ("del" before "ins", plain string order).
+    then kind ("del" before "ins", plain string order).  Random walks look
+    modifications up in dicts and searches sort them, so the comparisons are
+    written out.
     """
 
-    relation: str
-    tuple: tuple[int, ...]
-    kind: str  # INS | DEL
+    __slots__ = ("relation", "tuple", "kind")
 
-    def __post_init__(self):
-        if self.kind not in (INS, DEL):
-            raise DynqfError(f"bad modification kind {self.kind!r}")
+    def __init__(self, relation: str, tuple: tuple[int, ...], kind: str):  # INS | DEL
+        if kind not in (INS, DEL):
+            raise DynqfError(f"bad modification kind {kind!r}")
+        setfield(self, "relation", relation)
+        setfield(self, "tuple", tuple)
+        setfield(self, "kind", kind)
+
+    def _values(self) -> tuple:
+        return (self.relation, self.tuple, self.kind)
+
+    def __hash__(self):
+        return hash((self.relation, self.tuple, self.kind))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.relation, self.tuple, self.kind) == (other.relation, other.tuple, other.kind)
+        return NotImplemented
+
+    def __lt__(self, other):
+        return self._values() < other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self._values() <= other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self._values() > other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self._values() >= other._values() if other.__class__ is self.__class__ else NotImplemented
 
     def __str__(self):
         args = ",".join(map(str, self.tuple))

@@ -9,13 +9,11 @@ module on the first exhaustive check.
 """
 from __future__ import annotations
 
-import itertools
-
 from . import state
 from .compiler import LeanContext
 from .queries import is_query
 from .schema import Role
-from .state import Modification, State, image_vector, remap_index
+from .state import Modification, State, image_vector
 
 
 def interchangeable(oracle, s0: State, moves: list[Modification]) -> tuple[int, ...]:
@@ -47,6 +45,28 @@ def interchangeable(oracle, s0: State, moves: list[Modification]) -> tuple[int, 
     return free
 
 
+def _then_swap(p: list[int], s: int, f: int) -> list[int]:
+    """The permutation p followed by the transposition (s f)."""
+    q = p[:]
+    q[p.index(s)], q[p.index(f)] = f, s
+    return q
+
+
+class _Image(dict):
+    """Tuple -> its image under the permutation p, built on first lookup;
+    equal images under the maps that share `tuples` are one object."""
+
+    __slots__ = ("p", "tuples")
+
+    def __init__(self, p: list[int], tuples: dict):
+        self.p, self.tuples = p, tuples
+
+    def __missing__(self, t: tuple) -> tuple:
+        image = tuple([self.p[e] for e in t])
+        image = self[t] = self.tuples.setdefault(image, image)
+        return image
+
+
 class Orbits:
     """Orbits of lean states under the permutations of the free elements;
     with none, each orbit is the state alone.
@@ -57,8 +77,9 @@ class Orbits:
     (s1 f1)(s2 f2)...(sj fj), with each fi a free element other than
     s1, ..., s(i-1), are one permutation per coset of that stabilizer, so
     the state's images under them are its orbit.  Each support keeps those
-    other than the identity, their tuple maps per arity (whose values are
-    shared tuple objects) and a memo of aux images, keyed by the relation.
+    other than the identity, their tuple maps (filled on first lookup, so a
+    large sparse domain costs only the tuples that occur; equal image tuples
+    are one object) and a memo of aux images, keyed by the relation.
     Images are built one relation at a time: an input relation's under all
     the permutations at once, an aux relation's from the memo or else built
     and interned, so equal aux relations of images are one object."""
@@ -69,20 +90,19 @@ class Orbits:
         self.rel_arities = [sch.arity(name) for name in lay.rel_names]
         self.aux = [sch.role(name) is Role.AUX for name in lay.rel_names]
         self.fun_arities = [sch.arity(name) for name in lay.fun_names]
-        self.tuples = {a: list(itertools.product(range(self.n), repeat=a)) for a in set(self.rel_arities) if a}
         self.cosets: dict[frozenset, tuple] = {}  # support -> (permutations, maps per relation, memo)
         self.interned: dict[frozenset, frozenset] = {}
+        self.tuples: dict[tuple, tuple] = {}  # the one object of each image tuple
 
     def _cosets(self, support: frozenset) -> tuple:
         identity, sup = list(range(self.n)), sorted(support)
         perms = [identity]
         for i in reversed(range(len(sup))):  # each p, then (s f) for each target f
             s, targets = sup[i], [f for f in self.free if f not in sup[:i]]
-            perms = [[f if v == s else s if v == f else v for v in p] for p in perms for f in targets]
+            perms = [_then_swap(p, s, f) for p in perms for f in targets]
         perms.remove(identity)
-        maps = {k: [dict(zip(tuples, map(tuples.__getitem__, remap_index(p, k)))).__getitem__ for p in perms]
-                for k, tuples in self.tuples.items()}
-        self.cosets[support] = cosets = (perms, [maps.get(k) for k in self.rel_arities], {})
+        maps = [_Image(p, self.tuples).__getitem__ for p in perms]
+        self.cosets[support] = cosets = (perms, [maps if k else None for k in self.rel_arities], {})
         return cosets
 
     def orbit(self, lean, support: frozenset) -> list:

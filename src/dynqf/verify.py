@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .atoms import atomic_type, diverse_tuples, find_homogeneous_subset
@@ -36,6 +35,7 @@ from .errors import DynqfError, GuardError, ResourceLimitError
 from .formulas import classify_syntax, eval_term, terms_up_to_depth, equality_type_of, EqualityType
 from .program import DynamicProgram, apply, empty_input_db, init_state, run
 from .queries import oracle_nonemptyset, oracle_st_reach
+from .records import Record
 from .schema import Role
 from .state import DEL, INS, Modification, State, is_honest, transport
 from .transforms import deletion_depth, eliminate_repeated_variables
@@ -43,22 +43,22 @@ from .transforms import deletion_depth, eliminate_repeated_variables
 
 # -- configuration and outcomes ----------------------------------------------------
 
-@dataclass
-class CheckConfig:
-    domain_size: int
-    max_len: int
-    mode: str = "exhaustive"  # "exhaustive" | "random"
-    samples: int = 1000
-    seed: int = 0
-    honest_only: bool = True
-    guard: InstanceGuard | None = None
-    constants: dict[str, int] | None = None
-    state_cap: int = 2_000_000
-    override_cap: bool = False
+class CheckConfig(Record):
+    """The bounds and options of `check_maintenance`; `mode` is "exhaustive"
+    or "random"."""
+
+    __slots__ = ("domain_size", "max_len", "mode", "samples", "seed", "honest_only", "guard",
+                 "constants", "state_cap", "override_cap")
+
+    def __init__(self, domain_size: int, max_len: int, mode: str = "exhaustive", samples: int = 1000,
+                 seed: int = 0, honest_only: bool = True, guard: InstanceGuard | None = None,
+                 constants: dict[str, int] | None = None, state_cap: int = 2_000_000,
+                 override_cap: bool = False):
+        self._set_fields(domain_size, max_len, mode, samples, seed, honest_only, guard, constants,
+                         state_cap, override_cap)
 
 
-@dataclass
-class Counterexample:
+class Counterexample(Record):
     """A replayable maintenance failure.
 
     The sequence starts from the recorded initial input database; at
@@ -66,25 +66,25 @@ class Counterexample:
     value `produced` differs from the oracle's `expected`.
     """
 
-    program_name: str
-    initial: State
-    sequence: tuple[Modification, ...]
-    step: int
-    expected: bool
-    produced: bool
-    seed: int | None = None
-    trace_digest: str = ""
+    __slots__ = ("program_name", "initial", "sequence", "step", "expected", "produced", "seed",
+                 "trace_digest")
+
+    def __init__(self, program_name: str, initial: State, sequence: tuple[Modification, ...], step: int,
+                 expected: bool, produced: bool, seed: int | None = None, trace_digest: str = ""):
+        self._set_fields(program_name, initial, sequence, step, expected, produced, seed, trace_digest)
 
 
-@dataclass
-class Verdict:
-    status: str  # "ok" | "counterexample" | "inconclusive" | "resource"
-    bounds: dict
-    checked_states: int = 0
-    checked_steps: int = 0
-    counterexample: Counterexample | None = None
-    seed: int | None = None
-    notes: list[str] = field(default_factory=list)
+class Verdict(Record):
+    """The outcome of a check; `status` is "ok", "counterexample",
+    "inconclusive" or "resource"."""
+
+    __slots__ = ("status", "bounds", "checked_states", "checked_steps", "counterexample", "seed", "notes")
+
+    def __init__(self, status: str, bounds: dict, checked_states: int = 0, checked_steps: int = 0,
+                 counterexample: Counterexample | None = None, seed: int | None = None,
+                 notes: list[str] | None = None):
+        self._set_fields(status, bounds, checked_states, checked_steps, counterexample, seed,
+                         [] if notes is None else notes)
 
     @property
     def exit_code(self) -> int:
@@ -500,13 +500,14 @@ def neighborhood_vector(s: State, tup: Sequence[int], k: int,
 
 # -- substructure property suites ---------------------------------------------------------
 
-@dataclass
-class PropertyReport:
-    status: str  # "ok" | "violation" | "inconclusive"
-    samples: int
-    skipped: int
-    seed: int
-    witness: dict | None = None
+class PropertyReport(Record):
+    """The outcome of a property suite; `status` is "ok", "violation" or
+    "inconclusive"."""
+
+    __slots__ = ("status", "samples", "skipped", "seed", "witness")
+
+    def __init__(self, status: str, samples: int, skipped: int, seed: int, witness: dict | None = None):
+        self._set_fields(status, samples, skipped, seed, witness)
 
 
 def _mods_on(p: DynamicProgram, subset: Sequence[int], rng: random.Random,
