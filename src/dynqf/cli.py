@@ -33,8 +33,15 @@ from .verify import (CheckConfig, Counterexample, attack_star_deletion,
                      validate_counterexample)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DynqfError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 def _load_program(path: str) -> DynamicProgram:
-    return parse_program(Path(path).read_text(), path)
+    return parse_program(_read_text(path), path)
 
 
 def _catalogue(p: DynamicProgram):
@@ -53,7 +60,7 @@ def _require_at_least(args, **minimums: int) -> None:
 
 def _load_counterexample(path: str, input_schema) -> Counterexample:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise DynqfError(f"{path}: invalid JSON: {e}") from None
     if isinstance(doc, dict) and "status" in doc:  # a verdict, as `verify --json` writes it
@@ -99,7 +106,7 @@ def _resolve_oracle(name: str):
 
 def cmd_run(args) -> int:
     p = _load_program(args.program)
-    script = parse_script(Path(args.script).read_text(), p.schema, args.script)
+    script = parse_script(_read_text(args.script), p.schema, args.script)
     db = _script_state(p, script)
     trace = run(p, init_state(p, db), script.modifications, honest_only=args.honest)
     if args.json:
@@ -135,16 +142,11 @@ def cmd_verify(args) -> int:
     if oracle_name is None:
         raise DynqfError("no oracle given and the program is not a corpus entry")
     oracle = _resolve_oracle(oracle_name)
-    cfg = CheckConfig(
-        domain_size=args.domain,
-        max_len=args.maxlen,
-        mode="exhaustive" if args.exhaustive or not args.random else "random",
-        samples=args.random or 1000,
-        seed=args.seed,
-        honest_only=args.honest,
-        guard=guard,
-        override_cap=args.override_cap,
-    )
+    cfg = CheckConfig(domain_size=args.domain, max_len=args.maxlen,
+                      mode="exhaustive" if args.exhaustive or not args.random else "random",
+                      samples=args.random or 1000, seed=args.seed, honest_only=args.honest, guard=guard)
+    if args.override_cap:
+        cfg.state_cap = None
     verdict = check_maintenance(p, oracle, cfg)
     if args.json:
         print(json.dumps(verdict_to_dict(verdict), indent=2, sort_keys=True))
@@ -312,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--dishonest", dest="honest", action="store_false")
     ver.add_argument("--guard")
     ver.add_argument("--no-guard", action="store_true")
-    ver.add_argument("--override-cap", action="store_true")
+    ver.add_argument("--override-cap", action="store_true",
+                     help="search with no state cap and no pre-estimate")
     ver.add_argument("--json", action="store_true")
     ver.set_defaults(fn=cmd_verify)
 

@@ -227,10 +227,8 @@ def subst(node, mapping: Mapping[str, Term]):
         return Eq(subst(node.left, mapping), subst(node.right, mapping))
     if isinstance(node, Not):
         return Not(subst(node.sub, mapping))
-    if isinstance(node, And):
-        return And(subst(node.left, mapping), subst(node.right, mapping))
-    if isinstance(node, Or):
-        return Or(subst(node.left, mapping), subst(node.right, mapping))
+    if isinstance(node, (And, Or)):
+        return type(node)(subst(node.left, mapping), subst(node.right, mapping))
     raise EvalError(f"cannot substitute in {node!r}")
 
 

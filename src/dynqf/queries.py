@@ -92,7 +92,10 @@ def oracle_nonemptyset(db: State) -> bool:
 def oracle_st_twopath(g: State) -> bool:
     """Is there x with E(s,x) and E(x,t)?  x ranges over the whole domain,
     so paths through loops at s or t count."""
-    s, t = g.constants["s"], g.constants["t"]
+    try:
+        s, t = g.constants["s"], g.constants["t"]
+    except KeyError:
+        raise SchemaError("st-twopath needs constants s and t") from None
     E = _edges(g)
     return any((s, x) in E and (x, t) in E for x in g.domain)
 
@@ -100,7 +103,10 @@ def oracle_st_twopath(g: State) -> bool:
 @query
 def oracle_s_twopath(g: State) -> bool:
     """Is there a path of length two starting at s?"""
-    s = g.constants["s"]
+    try:
+        s = g.constants["s"]
+    except KeyError:
+        raise SchemaError("s-twopath needs a constant s") from None
     E = _edges(g)
     return any((s, x) in E and (x, y) in E for x in g.domain for y in g.domain)
 

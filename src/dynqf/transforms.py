@@ -4,11 +4,10 @@ depths."""
 from __future__ import annotations
 
 import itertools
-from typing import Mapping
 
 from .errors import TransformError
 from .formulas import (And, App, Const, Eq, EqualityType, Formula, Ite, Not,
-                       Or, RelAtom, Term, Var, symbols_used)
+                       Or, RelAtom, Var, subst, symbols_used)
 from .program import (BASE_REGISTRY, DynamicProgram, InitSpec, UpdateRule,
                       decode_table, encode_table, register_base, validate_program)
 from .schema import Role, Schema
@@ -23,6 +22,17 @@ def _bell(n: int) -> int:
             new.append(new[-1] + v)
         row = new
     return row[0]
+
+
+def _map_atoms(f: Formula, fn) -> Formula:
+    """f with each relational atom a outside terms replaced by fn(a)."""
+    if isinstance(f, RelAtom):
+        return fn(f)
+    if isinstance(f, Not):
+        return Not(_map_atoms(f.sub, fn))
+    if isinstance(f, (And, Or)):
+        return type(f)(_map_atoms(f.left, fn), _map_atoms(f.right, fn))
+    return f
 
 
 def _uses_function_symbols(p: DynamicProgram) -> bool:
@@ -98,30 +108,15 @@ def eliminate_repeated_variables(p: DynamicProgram) -> DynamicProgram:
             reps = tuple(tparams[b[0]] for b in rho.blocks)
             unify = {tparams[pos]: Var(tparams[rho.representative(pos)])
                      for pos in range(len(tparams))}
-            body = _subst_formula(src.body, unify)
+            body = subst(src.body, unify)
             rules[(name, kind, trigger)] = UpdateRule(name, kind, trigger, src.params, reps, body)
         return name
 
-    def _subst_formula(f: Formula, mapping: Mapping[str, Term]) -> Formula:
-        from .formulas import subst
-        return subst(f, mapping)
-
     def rewrite_atom(a: RelAtom) -> RelAtom:
+        if not _has_repeated_var(a):
+            return a
         rho = _atom_partition(a)
-        name = derived_name(a.symbol, rho)
-        args = tuple(a.args[b[0]] for b in rho.blocks)
-        return RelAtom(name, args)
-
-    def rewrite(f: Formula) -> Formula:
-        if isinstance(f, RelAtom):
-            return rewrite_atom(f) if _has_repeated_var(f) else f
-        if isinstance(f, Not):
-            return Not(rewrite(f.sub))
-        if isinstance(f, And):
-            return And(rewrite(f.left), rewrite(f.right))
-        if isinstance(f, Or):
-            return Or(rewrite(f.left), rewrite(f.right))
-        return f
+        return RelAtom(derived_name(a.symbol, rho), tuple(a.args[b[0]] for b in rho.blocks))
 
     changed = True
     rounds = 0
@@ -131,7 +126,7 @@ def eliminate_repeated_variables(p: DynamicProgram) -> DynamicProgram:
             raise TransformError("repeated-variable elimination did not stabilize")
         changed = False
         for key, rule in sorted(rules.items()):
-            new_body = rewrite(rule.body)
+            new_body = _map_atoms(rule.body, rewrite_atom)
             if new_body != rule.body:
                 rules[key] = UpdateRule(rule.target, rule.kind, rule.trigger,
                                         rule.params, rule.target_params, new_body)
@@ -201,22 +196,14 @@ def relations_to_functions(p: DynamicProgram) -> DynamicProgram:
     roles[C_BOT] = Role.AUX
     schema = Schema(relations, functions, p.schema.constants, roles)
 
-    def rewrite(f: Formula) -> Formula:
-        if isinstance(f, RelAtom):
-            if f.symbol in fun_names:
-                return Eq(App(fun_names[f.symbol], f.args), App(C_TOP, ()))
-            return f
-        if isinstance(f, Not):
-            return Not(rewrite(f.sub))
-        if isinstance(f, And):
-            return And(rewrite(f.left), rewrite(f.right))
-        if isinstance(f, Or):
-            return Or(rewrite(f.left), rewrite(f.right))
-        return f
+    def encode(a: RelAtom) -> Formula:
+        if a.symbol in fun_names:
+            return Eq(App(fun_names[a.symbol], a.args), App(C_TOP, ()))
+        return a
 
     rules: dict[tuple[str, str, str], UpdateRule] = {}
     for (target, kind, trigger), rule in p.rules.items():
-        body = rewrite(rule.body)
+        body = _map_atoms(rule.body, encode)
         if target in fun_names:
             term = Ite(body, App(C_TOP, ()), App(C_BOT, ()))
             rules[(fun_names[target], kind, trigger)] = UpdateRule(

@@ -16,11 +16,9 @@ with all of them when every permutation of them is a symmetry of the search
 the instance guard admits the image of every admitted move, and the oracle
 is a query, whose answer is invariant under isomorphisms of input states
 that fix the constants (`queries.is_query`).  Otherwise it runs with none,
-each orbit is a single state, and it is the plain search.  `checked_states`
-and `checked_steps` count every state and every step of the plain search.
-The reduced search finds the plain search's counterexample, but it stops
-with other counts, so a verdict other than `ok` runs the loop again without
-free elements, only to count as the plain search does.
+each orbit is a single state, and it is the plain search.  Either way it
+finds the plain search's counterexample, and its counts are those of
+`Verdict`.
 """
 from __future__ import annotations
 
@@ -45,17 +43,17 @@ from .transforms import deletion_depth, eliminate_repeated_variables
 
 class CheckConfig(Record):
     """The bounds and options of `check_maintenance`; `mode` is "exhaustive"
-    or "random"."""
+    or "random".  `state_cap` bounds the states an exhaustive search covers
+    (see `Verdict`); None means no cap and no pre-estimate."""
 
     __slots__ = ("domain_size", "max_len", "mode", "samples", "seed", "honest_only", "guard",
-                 "constants", "state_cap", "override_cap")
+                 "constants", "state_cap")
 
     def __init__(self, domain_size: int, max_len: int, mode: str = "exhaustive", samples: int = 1000,
                  seed: int = 0, honest_only: bool = True, guard: InstanceGuard | None = None,
-                 constants: dict[str, int] | None = None, state_cap: int = 2_000_000,
-                 override_cap: bool = False):
+                 constants: dict[str, int] | None = None, state_cap: int | None = 2_000_000):
         self._set_fields(domain_size, max_len, mode, samples, seed, honest_only, guard, constants,
-                         state_cap, override_cap)
+                         state_cap)
 
 
 class Counterexample(Record):
@@ -76,7 +74,17 @@ class Counterexample(Record):
 
 class Verdict(Record):
     """The outcome of a check; `status` is "ok", "counterexample",
-    "inconclusive" or "resource"."""
+    "inconclusive" or "resource".
+
+    An exhaustive check counts what its search covered, whatever the status.
+    `checked_states` counts each state checked against the oracle (and the
+    one that crossed the state cap), plus every image of such a state under
+    the permutations of the free elements; the state cap bounds it.
+    `checked_steps` counts the moves taken from covered states: per orbit,
+    its size times the moves taken from its representative.  With no free
+    element these are the plain search's counts, and so they are on every
+    `ok`, since all states of an orbit lie at one depth and admit as many
+    moves."""
 
     __slots__ = ("status", "bounds", "checked_states", "checked_steps", "counterexample", "seed", "notes")
 
@@ -202,10 +210,10 @@ def check_maintenance(p: DynamicProgram, oracle: Callable[[State], bool],
         per_tuple = 1 if cfg.honest_only else 2
         n_mods = sum(per_tuple * cfg.domain_size ** p.schema.arity(r) for r in p.schema.input_relations)
         est = sum(n_mods ** d for d in range(1, min(cfg.max_len, 4) + 1))
-        if est > cfg.state_cap * 10 and not cfg.override_cap:
+        if cfg.state_cap is not None and est > cfg.state_cap * 10:
             verdict = Verdict("resource", bounds,
                               notes=[f"estimated {est} sequence prefixes exceeds the state cap "
-                                     f"{cfg.state_cap}; pass override to force the search"])
+                                     f"{cfg.state_cap}; pass --override-cap to force the search"])
         else:
             verdict = _bfs_check(p, oracle, cfg, bounds)
     if (verdict.status == "ok" and verdict.checked_steps == 0 and cfg.max_len >= 1
@@ -248,12 +256,9 @@ def _bfs_check(p, oracle, cfg, bounds) -> Verdict:
     from .symmetry import interchangeable
     db, s0, lean0, ctx = _setup(p, cfg)
     moves = _moves(p, cfg, s0)[0]
-    search = (p, db, ctx, lean0, _lean_oracle(oracle, ctx), _move_slots(moves, ctx, cfg.honest_only))
-    free = interchangeable(oracle, s0, moves)
-    verdict = _orbit_bfs(*search, free, cfg, bounds)
-    if verdict.status != "ok" and free:
-        # the path is the plain search's already, the counts are not
-        verdict = _orbit_bfs(*search, (), cfg, bounds)
+    verdict = _orbit_bfs(p, db, ctx, lean0, _lean_oracle(oracle, ctx),
+                         _move_slots(moves, ctx, cfg.honest_only), interchangeable(oracle, s0, moves),
+                         cfg, bounds)
     if verdict.counterexample:
         _finish_counterexample(p, oracle, verdict.counterexample)
     return verdict
@@ -267,12 +272,10 @@ def _orbit_bfs(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracl
     The set of seen states stays closed under the permutations of the free
     elements: a successor not seen yet is the representative of a new orbit,
     all its images are added, and only the representative is checked and
-    expanded.  Every state of an orbit lies at the same depth and admits as
-    many moves, so on `ok` the counts are those of the plain search: states
-    are `len(seen)`, and steps the orbit size times the moves taken from the
-    representative.  A counterexample or the state cap stops the search where
-    it stands, with counts of the states and steps so far, and returns a
-    counterexample without its trace digest.
+    expanded.  The counts are those of `Verdict`: states are `len(seen)`,
+    steps the orbit size times the moves taken from the representative.  A
+    counterexample or the state cap stops the search where it stands, with
+    the counts so far, and returns a counterexample without its trace digest.
 
     The path to the first violating representative is the plain search's
     counterexample.  The query and the oracle are invariant, so the violating
@@ -289,6 +292,7 @@ def _orbit_bfs(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracl
     from .symmetry import Orbits
     orbit = Orbits(ctx, free).orbit
     slots = [(*slot, frozenset(slot[1]).intersection(free)) for slot in slots]
+    cap = float("inf") if cfg.state_cap is None else cfg.state_cap
     seen = {lean0}
     # state -> (parent, move, support, orbit size): one tuple per found state
     # and no other new object, since each object per state that the garbage
@@ -319,7 +323,7 @@ def _orbit_bfs(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracl
                     else:  # fixed by every permutation: always so in the plain search
                         seen.add(succ)
                         parents[succ] = (st, m, sup, 1)
-                    if len(seen) > cfg.state_cap and not cfg.override_cap:
+                    if len(seen) > cap:
                         return Verdict("resource", bounds, len(seen), steps + size * taken,
                                        notes=[f"state cap {cfg.state_cap} reached at depth {depth}"])
                     exp, got = lean_oracle(succ), ctx.query(succ)

@@ -1,5 +1,6 @@
 import functools
 import json
+import random
 
 import pytest
 
@@ -121,6 +122,39 @@ def test_verify_resource_exit_two(tmp_path, capsys):
     f = tmp_path / "p.dynp"
     f.write_text(corpus_source("st_twopath_binary.dynp"))
     assert main(["verify", str(f), "--domain", "50", "--maxlen", "5", "--exhaustive"]) == 2
+
+
+def test_override_cap_skips_the_pre_estimate(tmp_path, capsys):
+    # the estimate counts every candidate edge, the 1-layered guard admits 14
+    f = tmp_path / "p.dynp"
+    f.write_text(corpus_source("st_twopath_binary.dynp"))
+    args = ["verify", str(f), "--domain", "9", "--maxlen", "4", "--guard", "1-layered-st"]
+    assert main(args) == 2
+    assert "pass --override-cap to force the search" in capsys.readouterr().out
+    assert main(args + ["--override-cap"]) == 0
+    assert "verdict: ok" in capsys.readouterr().out
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    return err
+
+
+@pytest.mark.parametrize("oracle", ["st-twopath", "s-twopath"])
+def test_oracle_without_its_constants_is_an_input_error(nes_file, capsys, oracle):
+    assert main(["verify", nes_file, "--oracle", oracle, "--domain", "3", "--maxlen", "2"]) == 2
+    assert "needs" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["verify", "run", "replay"])
+def test_input_that_is_not_utf8_is_an_input_error(nes_file, tmp_path, capsys, command):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff" + random.Random(0).randbytes(299))
+    args = {"verify": ["verify", str(bad)], "run": ["run", nes_file, str(bad)],
+            "replay": ["replay", str(bad), nes_file]}[command]
+    assert main(args) == 2
+    assert "bad.bin: not UTF-8 text" in _one_error_line(capsys)
 
 
 def test_verify_unknown_oracle(nes_file, capsys):

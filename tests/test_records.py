@@ -106,7 +106,7 @@ GOLDEN = {
     "Script": ("Script(domain=3, relations={'E': {(0, 1)}}, constants={'s': 0}, "
                "modifications=[Modification(relation='E', tuple=(0, 1), kind='ins')])"),
     "CheckConfig": ("CheckConfig(domain_size=3, max_len=2, mode='exhaustive', samples=1000, seed=0, "
-                    "honest_only=True, guard=None, constants=None, state_cap=2000000, override_cap=False)"),
+                    "honest_only=True, guard=None, constants=None, state_cap=2000000)"),
     "Counterexample": _CEX,
     "Verdict": (f"Verdict(status='counterexample', bounds={{'domain_size': 2}}, checked_states=3, "
                 f"checked_steps=2, counterexample={_CEX}, seed=None, notes=['a note'])"),

@@ -73,6 +73,15 @@ def test_check_maintenance_resource_guard():
     assert v.status == "resource" and v.exit_code == 2
 
 
+def test_no_state_cap_skips_the_pre_estimate():
+    e = builtin_program("non-empty-set")  # 84 estimated sequence prefixes, 41 states
+    v = check_maintenance(e.program, e.oracle, CheckConfig(domain_size=4, max_len=3, state_cap=5))
+    assert (v.status, v.checked_states, v.checked_steps) == ("resource", 0, 0)
+    assert "pass --override-cap to force the search" in v.notes[0]
+    v = check_maintenance(e.program, e.oracle, CheckConfig(domain_size=4, max_len=3, state_cap=None))
+    assert (v.status, v.checked_states, v.checked_steps) == ("ok", 41, 68)
+
+
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
 def test_wrapped_oracle_matches_registered_oracle(mode):
     # an oracle the checker cannot recognize by identity takes the same path
@@ -147,51 +156,75 @@ def test_random_mode_matches_per_step_rebuild(name, guard, honest):
 
 def _reference_bfs_check(p, oracle, cfg):
     """Exhaustive mode as a loop over the guarded moves that probes the
-    honesty of each one in every expanded state."""
+    honesty of each one in every expanded state and expands every state.
+
+    It counts what the search covers (see `Verdict`): a discovered state
+    that no earlier one covers adds all its images under the permutations of
+    the free elements that `interchangeable` returns, each built by
+    `transport`; and the first state of each such orbit adds the orbit size
+    times the moves taken from it.  With no free element these are the
+    states and steps of the plain search."""
     db = empty_input_db(p, cfg.domain_size, cfg.constants)
     s0 = init_state(p, db)
     ctx = context_for_state(p, s0)
     mods = [m for m in _candidate_mods(p, cfg.domain_size)
             if cfg.guard is None or cfg.guard(m, cfg.domain_size, db.constants)]
+    free = interchangeable(oracle, s0, mods)
+    group = [{**{e: e for e in s0.domain}, **dict(zip(free, image))}
+             for image in itertools.permutations(free)][1:]  # all but the identity
     bounds = {"domain_size": cfg.domain_size, "max_len": cfg.max_len, "mode": "exhaustive",
               "honest_only": cfg.honest_only}
+    covered, first = set(), {}  # first state of an orbit -> the orbit size
 
-    def divergence(lean, seq, states, steps):
+    def cover(lean):
+        if lean not in covered:
+            s = ctx.from_lean(lean)
+            orbit = {lean, *(ctx.to_lean(transport(s, pi)) for pi in group)}
+            covered.update(orbit)
+            first[lean] = len(orbit)
+
+    def divergence(lean, seq, steps):
         exp, got = oracle(ctx.input_state(lean)), ctx.query(lean)
         if exp == got:
             return None
         c = Counterexample(p.name, db, tuple(seq), len(seq), exp, got, None,
                            trace_digest(run(p, s0, seq)))
-        return Verdict("counterexample", bounds, states, steps, c)
+        return Verdict("counterexample", bounds, len(covered), steps, c)
 
     lean0 = ctx.to_lean(s0)
-    found = divergence(lean0, [], 1, 0)
+    cover(lean0)
+    found = divergence(lean0, [], 0)
     if found:
         return found
-    frontier, parents, states, steps = [lean0], {lean0: None}, 1, 0
-    for _ in range(cfg.max_len):
+    frontier, parents, steps = [lean0], {lean0: None}, 0
+    for depth in range(1, cfg.max_len + 1):
         new_frontier = []
         for st in frontier:
+            taken = 0
             for m in mods:
                 present = m.tuple in st[0][ctx.rel_index[m.relation]]
                 if cfg.honest_only and present == (m.kind == "ins"):
                     continue
                 succ = ctx.apply(st, m)
-                steps += 1
+                taken += 1
                 if succ in parents:
                     continue
                 parents[succ] = (st, m)
-                states += 1
+                cover(succ)
+                if cfg.state_cap is not None and len(covered) > cfg.state_cap:
+                    return Verdict("resource", bounds, len(covered), steps + first.get(st, 0) * taken,
+                                   notes=[f"state cap {cfg.state_cap} reached at depth {depth}"])
                 seq, node = [], succ
                 while parents[node] is not None:
                     node, step = parents[node]
                     seq.insert(0, step)
-                found = divergence(succ, seq, states, steps)
+                found = divergence(succ, seq, steps + first.get(st, 0) * taken)
                 if found:
                     return found
                 new_frontier.append(succ)
+            steps += first.get(st, 0) * taken
         frontier = new_frontier
-    return Verdict("ok", bounds, states, steps)
+    return Verdict("ok", bounds, len(covered), steps)
 
 
 @pytest.mark.parametrize("name,guard", [(name, guard) for name in PROGRAMS for guard in TEST_GUARDS
@@ -230,6 +263,8 @@ def test_counterexample_at_the_initial_state_counts_that_state(mode):
 
 # Wrapping an oracle in a lambda hides its query mark, so the wrapped call
 # takes the plain search: these tests compare the reduced search with it.
+# The two agree on everything but the counts of a verdict other than `ok`,
+# which are those of the covered states and match `_reference_bfs_check`.
 VARIANTS = {
     **PROGRAMS,
     **{f"{name} rel2fun": (relations_to_functions(p), oracle) for name, (p, oracle) in PROGRAMS.items()},
@@ -247,6 +282,16 @@ def _plain(oracle):
     return lambda g: oracle(g)
 
 
+def _assert_matches_plain_search(p, oracle, cfg):
+    reduced = verdict_to_dict(check_maintenance(p, oracle, cfg))
+    plain = verdict_to_dict(check_maintenance(p, _plain(oracle), cfg))
+    if plain["checked_states"] and plain["status"] != "ok":  # a search, not the pre-estimate
+        assert reduced == verdict_to_dict(_reference_bfs_check(p, oracle, cfg))
+        for key in ("checked_states", "checked_steps"):
+            del reduced[key], plain[key]
+    assert reduced == plain
+
+
 @pytest.mark.parametrize("name,guard", [(name, guard) for name in VARIANTS for guard in SYMMETRY_GUARDS
                                         if guard != "layered" or name.split()[0] in GRAPH_PROGRAMS])
 @pytest.mark.parametrize("honest", [True, False])
@@ -259,8 +304,7 @@ def test_reduced_search_matches_plain_search(name, guard, honest):
         for constants in layouts:
             cfg = CheckConfig(domain_size=n, max_len=max_len, honest_only=honest,
                               guard=SYMMETRY_GUARDS[guard], constants=constants)
-            assert (verdict_to_dict(check_maintenance(p, oracle, cfg))
-                    == verdict_to_dict(check_maintenance(p, _plain(oracle), cfg)))
+            _assert_matches_plain_search(p, oracle, cfg)
 
 
 @pytest.mark.parametrize("name", list(PROGRAMS))
@@ -268,9 +312,7 @@ def test_reduced_search_matches_plain_search(name, guard, honest):
 def test_reduced_search_matches_plain_search_with_more_free_elements(name, honest):
     # supports of two elements out of three or four free ones
     p, oracle = PROGRAMS[name]
-    cfg = CheckConfig(domain_size=5, max_len=3, honest_only=honest)
-    assert (verdict_to_dict(check_maintenance(p, oracle, cfg))
-            == verdict_to_dict(check_maintenance(p, _plain(oracle), cfg)))
+    _assert_matches_plain_search(p, oracle, CheckConfig(domain_size=5, max_len=3, honest_only=honest))
 
 
 @pytest.mark.parametrize("name", ["non-empty-set", "st-twopath-binary", "unary-twopath-naive"])
@@ -279,9 +321,8 @@ def test_reduced_search_at_the_state_cap_matches_plain_search(name):
     total = check_maintenance(p, _plain(oracle), CheckConfig(domain_size=4, max_len=3)).checked_states
     for cap in (1, total // 2, total - 1, total):
         cfg = CheckConfig(domain_size=4, max_len=3, state_cap=cap)
-        verdict = check_maintenance(p, oracle, cfg)
-        assert verdict_to_dict(verdict) == verdict_to_dict(check_maintenance(p, _plain(oracle), cfg))
-        assert (verdict.status == "resource") == (cap < total)
+        _assert_matches_plain_search(p, oracle, cfg)
+        assert (check_maintenance(p, oracle, cfg).status == "resource") == (cap < total)
 
 
 def _swap_and_or(f):
@@ -330,6 +371,20 @@ def test_reduced_search_finds_the_plain_search_counterexample():
                 assert (a.sequence, a.step, a.expected, a.produced) == (b.sequence, b.step, b.expected, b.produced)
                 reduced_cex += 1
     assert reduced_cex == 45
+
+
+def test_a_symmetric_counterexample_takes_one_search(monkeypatch):
+    import dynqf.verify as verify
+    calls = []
+
+    def counted(*args):
+        calls.append(args[6])  # the free elements
+        return _orbit_bfs(*args)
+
+    monkeypatch.setattr(verify, "_orbit_bfs", counted)
+    v = check_maintenance(*PROGRAMS["unary-twopath-naive"], CheckConfig(domain_size=4, max_len=4))
+    assert v.status == "counterexample"
+    assert calls == [(1, 2)]  # one search, with s = 0 and t = 3 fixed
 
 
 def _free_permutations(free, used):
