@@ -20,7 +20,7 @@ from .errors import DynqfError, ParseError
 from .formulas import classify_syntax
 from .parser import parse_program, parse_script
 from .printer import print_program
-from .program import DynamicProgram, init_state, run
+from .program import DynamicProgram, empty_input_db, init_state, run
 from .queries import ORACLES, oracle_k_clique, oracle_k_colorability
 from .schema import Role
 from .serialize import (counterexample_from_dict, counterexample_to_dict,
@@ -73,18 +73,15 @@ def _load_counterexample(path: str, input_schema) -> Counterexample:
         return counterexample_from_dict(doc, input_schema)
     except KeyError as e:
         raise DynqfError(f"{path}: malformed counterexample: missing field {e}") from None
-    except (AttributeError, TypeError, ValueError) as e:
+    except (AttributeError, TypeError, ValueError, DynqfError) as e:
         raise DynqfError(f"{path}: malformed counterexample: {e}") from None
 
 
 def _script_state(p: DynamicProgram, script) -> State:
-    schema = p.schema.input_only()
-    consts = dict(script.constants)
-    for name in sorted(schema.constants):
-        if name not in consts:
-            consts[name] = 0 if name == "s" else (script.domain - 1 if name == "t" else 0)
-    rels = {name: script.relations.get(name, set()) for name in schema.relations}
-    return make_state(schema, script.domain, rels, {}, consts)
+    """The script's input database, with the default layout of the constants it leaves out."""
+    db = empty_input_db(p, script.domain, script.constants)
+    rels = {name: script.relations.get(name, set()) for name in db.schema.relations}
+    return make_state(db.schema, db.n, rels, {}, db.constants)
 
 
 def _resolve_oracle(name: str):

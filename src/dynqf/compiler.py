@@ -38,9 +38,8 @@ import linecache
 import weakref
 from typing import Mapping, Sequence
 
-from .errors import DynqfError
 from .formulas import (And, App, Const, Eq, FalseConst, Ite, Not, Or, RelAtom,
-                       TrueConst, Var)
+                       TrueConst, Var, children)
 from .schema import Role
 from .state import DEL, INS, Layout, Modification, State, flatten, layout_of, payload_order
 
@@ -169,23 +168,11 @@ class _Planner:
 
     def _intern(self, node, rename: Mapping[str, str]) -> _Node:
         """The one node of this applier equal to node, its variables renamed."""
-        kind, name, kids = type(node), None, ()
-        if kind is And or kind is Or or kind is Eq:
-            kids = (self._intern(node.left, rename), self._intern(node.right, rename))
-        elif kind is Not:
-            kids = (self._intern(node.sub, rename),)
-        elif kind is RelAtom or kind is App:
-            name, kids = node.symbol, tuple([self._intern(a, rename) for a in node.args])
-        elif kind is Ite:
-            kids = (self._intern(node.cond, rename), self._intern(node.then, rename),
-                    self._intern(node.other, rename))
-        elif kind is Var:
-            name = rename[node.name]
-        elif kind is Const:
-            name = node.name
-        elif kind is not TrueConst and kind is not FalseConst:
-            raise DynqfError("cannot compile %r" % (node,))
-        return self._node(kind, name, kids)
+        kind = type(node)
+        if kind is Var:
+            return self._node(kind, rename[node.name])
+        kids = tuple([self._intern(k, rename) for k in children(node)])
+        return self._node(kind, node._label and getattr(node, node._label), kids)
 
     def _node(self, kind, name=None, kids=()) -> _Node:
         """The one node of this applier for (kind, name, kids), with `t = t`

@@ -93,7 +93,6 @@ class CorpusEntry(Frozen):
 
 def computed_tags(p: DynamicProgram) -> ClassTags:
     """Class tags derived from the program text itself."""
-    from .formulas import symbols_used
     sch = p.schema
     arity = sch.max_aux_arity()
     flags = [classify_syntax(r.body) for r in p.rules.values() if r.target in sch.relations]
@@ -101,10 +100,7 @@ def computed_tags(p: DynamicProgram) -> ClassTags:
     conjunctive = all(f.conjunctive for f in flags)
     # function symbols (auxiliary or built-in, declared or used in bodies)
     # put a program in the QF class; purely relational ones are propositional
-    has_aux_funs = any(sch.role(n) is Role.AUX for n in sch.functions)
-    uses_functions = has_aux_funs or any(
-        sym in sch.functions for r in p.rules.values() for sym in symbols_used(r.body))
-    base = "DynQF" if uses_functions else "DynProp"
+    base = "DynQF" if p.uses_functions() else "DynProp"
     if any(r is Role.BUILTIN for r in sch.roles.values()):
         base += "*"
     return ClassTags((base,), arity, negation_free, conjunctive)

@@ -9,6 +9,7 @@ instead, without listing the terms).
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter, is_
 from typing import Iterator, Mapping, Sequence
 
 from .errors import EvalError, ResourceLimitError, SchemaError
@@ -19,7 +20,34 @@ from .state import State
 
 # -- AST -----------------------------------------------------------------------
 
-class Term(Frozen):
+_LABELS = ("name", "symbol")  # fields that name a node rather than hold a part of it
+
+
+class Node(Frozen):
+    """A term or formula.  Its parts are in the fields other than `name` and
+    `symbol`: one part per field, or, in a class whose only such field is
+    `args` (after `symbol`), the tuple of parts there.  `children` and
+    `rebuild` read them, so a walk over rule bodies needs no case per class."""
+
+    __slots__ = ()
+    _label: str | None = None  # the field that names the node, if any
+    _args = False              # the parts are the tuple `args`
+    _parts = staticmethod(lambda node: ())  # node -> its parts, as a tuple
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._label = next((name for name in cls._fields if name in _LABELS), None)
+        fields = [name for name in cls._fields if name not in _LABELS]
+        cls._args = fields == ["args"]
+        if cls._args:
+            cls._parts = staticmethod(attrgetter("args"))
+        elif len(fields) == 1:
+            cls._parts = staticmethod(lambda node, get=attrgetter(fields[0]): (get(node),))
+        elif fields:
+            cls._parts = staticmethod(attrgetter(*fields))
+
+
+class Term(Node):
     __slots__ = ()
 
 
@@ -54,7 +82,7 @@ class Ite(Term):
         setfield(self, "other", other)
 
 
-class Formula(Frozen):
+class Formula(Node):
     __slots__ = ()
 
 
@@ -168,29 +196,32 @@ def eval_formula(f: Formula, s: State, asg: Mapping[str, int]) -> bool:
 
 # -- walks ----------------------------------------------------------------------
 
-def children(node) -> Iterator:
-    if isinstance(node, (And, Or)):
-        yield node.left
-        yield node.right
-    elif isinstance(node, Not):
-        yield node.sub
-    elif isinstance(node, RelAtom):
-        yield from node.args
-    elif isinstance(node, Eq):
-        yield node.left
-        yield node.right
-    elif isinstance(node, App):
-        yield from node.args
-    elif isinstance(node, Ite):
-        yield node.cond
-        yield node.then
-        yield node.other
+def children(node) -> tuple:
+    """The direct parts of node, in field order."""
+    if not isinstance(node, Node):
+        raise EvalError(f"not a term or formula: {node!r}")
+    return node._parts(node)
+
+
+def rebuild(node, fn):
+    """node with each direct part k replaced by fn(k); node itself when each
+    fn(k) is k, as for a leaf."""
+    old = children(node)
+    new = [fn(k) for k in old]
+    if all(map(is_, new, old)):
+        return node
+    if node._args:
+        return node.__class__(node.symbol, tuple(new))
+    return node.__class__(*new)
 
 
 def walk(node) -> Iterator:
-    yield node
-    for c in children(node):
-        yield from walk(c)
+    """node and its parts, theirs and so on, depth first in field order."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(reversed(children(n)))
 
 
 def free_vars(node) -> set[str]:
@@ -202,59 +233,37 @@ def rel_atoms(node) -> list[RelAtom]:
 
 
 def symbols_used(node) -> set[str]:
-    out = set()
-    for n in walk(node):
-        if isinstance(n, RelAtom):
-            out.add(n.symbol)
-        elif isinstance(n, App):
-            out.add(n.symbol)
-    return out
+    return {n.symbol for n in walk(node) if isinstance(n, (RelAtom, App))}
 
 
 def subst(node, mapping: Mapping[str, Term]):
     """Replace free variables by terms, structurally."""
     if isinstance(node, Var):
         return mapping.get(node.name, node)
-    if isinstance(node, (Const, TrueConst, FalseConst)):
-        return node
-    if isinstance(node, App):
-        return App(node.symbol, tuple(subst(a, mapping) for a in node.args))
-    if isinstance(node, Ite):
-        return Ite(subst(node.cond, mapping), subst(node.then, mapping), subst(node.other, mapping))
-    if isinstance(node, RelAtom):
-        return RelAtom(node.symbol, tuple(subst(a, mapping) for a in node.args))
-    if isinstance(node, Eq):
-        return Eq(subst(node.left, mapping), subst(node.right, mapping))
-    if isinstance(node, Not):
-        return Not(subst(node.sub, mapping))
-    if isinstance(node, (And, Or)):
-        return type(node)(subst(node.left, mapping), subst(node.right, mapping))
-    raise EvalError(f"cannot substitute in {node!r}")
+    return rebuild(node, lambda k: subst(k, mapping))
+
+
+def map_atoms(node, fn):
+    """node with each relational atom a replaced by fn(a), inside terms too
+    (an ite condition holds atoms); an atom's arguments are mapped first."""
+    out = rebuild(node, lambda k: map_atoms(k, fn))
+    return fn(out) if isinstance(out, RelAtom) else out
 
 
 # -- measures and classifiers ----------------------------------------------------
 
 def nesting_depth(node) -> int:
     """Function-application nesting: variables and constants are 0, an
-    application is one more than its deepest argument, an ite is the max of
-    its condition and branches, and a formula is the max over its terms."""
-    if isinstance(node, (Var, Const)):
-        return 0
-    if isinstance(node, App):
-        return 1 + max((nesting_depth(a) for a in node.args), default=0)
-    if isinstance(node, Ite):
-        return max(nesting_depth(node.cond), nesting_depth(node.then), nesting_depth(node.other))
-    if isinstance(node, (TrueConst, FalseConst)):
-        return 0
-    if isinstance(node, RelAtom):
-        return max((nesting_depth(a) for a in node.args), default=0)
-    if isinstance(node, Eq):
-        return max(nesting_depth(node.left), nesting_depth(node.right))
-    if isinstance(node, Not):
-        return nesting_depth(node.sub)
-    if isinstance(node, (And, Or)):
-        return max(nesting_depth(node.left), nesting_depth(node.right))
-    raise EvalError(f"no nesting depth for {node!r}")
+    application is one more than its deepest argument, and any other node
+    is its deepest part."""
+    depth = max([nesting_depth(k) for k in children(node)], default=0)
+    return depth + 1 if isinstance(node, App) else depth
+
+
+def repeats_var(a: RelAtom) -> bool:
+    """Does some variable occur twice among the atom's arguments?"""
+    names = [t.name for t in a.args if isinstance(t, Var)]
+    return len(names) != len(set(names))
 
 
 class SyntaxFlags(Frozen):
@@ -278,12 +287,7 @@ def _is_conjunctive(f: Formula) -> bool:
 
 def classify_syntax(f: Formula) -> SyntaxFlags:
     negation_free = not any(isinstance(n, Not) for n in walk(f))
-    repeated = False
-    for a in rel_atoms(f):
-        names = [t.name for t in a.args if isinstance(t, Var)]
-        if len(names) != len(set(names)):
-            repeated = True
-            break
+    repeated = any(repeats_var(a) for a in rel_atoms(f))
     return SyntaxFlags(negation_free, _is_conjunctive(f), repeated)
 
 

@@ -86,6 +86,12 @@ class DynamicProgram(Frozen):
     def nesting_depth(self) -> int:
         return max((nesting_depth(r.body) for r in self.rules.values()), default=0)
 
+    def uses_functions(self) -> bool:
+        """Does the program declare an aux function or use a function symbol?"""
+        sch = self.schema
+        return (any(sch.role(f) is Role.AUX for f in sch.functions)
+                or any(sym in sch.functions for r in self.rules.values() for sym in symbols_used(r.body)))
+
     def aux_relations(self) -> list[str]:
         return self.schema.symbols(Role.AUX, "rel")
 

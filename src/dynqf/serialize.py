@@ -46,7 +46,10 @@ def modification_to_list(m: Modification) -> list:
 
 def modification_from_list(entry: Sequence) -> Modification:
     kind, relation, tup = entry
-    return Modification(relation, tuple(tup), kind)
+    tup = tuple(tup)
+    if not all([type(x) is int for x in tup]):
+        raise DynqfError(f"tuple elements must be integers, got {list(tup)!r}")
+    return Modification(relation, tup, kind)
 
 
 def trace_to_dict(trace: Sequence[State]) -> dict:
@@ -78,16 +81,16 @@ def counterexample_to_dict(c: Counterexample) -> dict:
 def counterexample_from_dict(d: dict, input_schema: Schema) -> Counterexample:
     if d.get("format") != FORMAT:
         raise DynqfError(f"unsupported counterexample format {d.get('format')!r}")
-    return Counterexample(
-        d["program"],
-        state_from_dict(d["initial"], input_schema),
-        tuple(modification_from_list(e) for e in d["sequence"]),
-        d["step"],
-        d["expected"],
-        d["produced"],
-        d.get("seed"),
-        d.get("trace_digest", ""),
-    )
+    program, initial = d["program"], state_from_dict(d["initial"], input_schema)
+    sequence = tuple(modification_from_list(e) for e in d["sequence"])
+    step = d["step"]
+    if type(step) is not int or not 0 <= step <= len(sequence):
+        raise DynqfError(f"step must be an integer in 0..{len(sequence)}, got {step!r}")
+    for name in ("expected", "produced"):
+        if type(d[name]) is not bool:
+            raise DynqfError(f"{name} must be true or false, got {d[name]!r}")
+    return Counterexample(program, initial, sequence, step, d["expected"], d["produced"],
+                          d.get("seed"), d.get("trace_digest", ""))
 
 
 def verdict_to_dict(v: Verdict) -> dict:

@@ -6,8 +6,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import TransformError
-from .formulas import (And, App, Const, Eq, EqualityType, Formula, Ite, Not,
-                       Or, RelAtom, Var, subst, symbols_used)
+from .formulas import (App, Const, Eq, EqualityType, Formula, Ite, RelAtom, Var,
+                       map_atoms, repeats_var, subst, symbols_used)
 from .program import (BASE_REGISTRY, DynamicProgram, InitSpec, UpdateRule,
                       decode_table, encode_table, register_base, validate_program)
 from .schema import Role, Schema
@@ -24,43 +24,14 @@ def _bell(n: int) -> int:
     return row[0]
 
 
-def _map_atoms(f: Formula, fn) -> Formula:
-    """f with each relational atom a outside terms replaced by fn(a)."""
-    if isinstance(f, RelAtom):
-        return fn(f)
-    if isinstance(f, Not):
-        return Not(_map_atoms(f.sub, fn))
-    if isinstance(f, (And, Or)):
-        return type(f)(_map_atoms(f.left, fn), _map_atoms(f.right, fn))
-    return f
-
-
-def _uses_function_symbols(p: DynamicProgram) -> bool:
-    if any(p.schema.role(f) is Role.AUX for f in p.schema.functions):
-        return True
-    return any(sym in p.schema.functions for r in p.rules.values()
-               for sym in symbols_used(r.body))
-
-
 # -- repeated-variable elimination ---------------------------------------------------
 
 
 def _atom_partition(a: RelAtom) -> EqualityType:
     """Positions grouped by syntactic equality of the argument terms."""
-    keys = []
-    for t in a.args:
-        if isinstance(t, Var):
-            keys.append(("v", t.name))
-        elif isinstance(t, Const):
-            keys.append(("c", t.name))
-        else:
-            raise TransformError("repeated-variable elimination needs flat atoms")
-    return EqualityType.from_key(keys)
-
-
-def _has_repeated_var(a: RelAtom) -> bool:
-    names = [t.name for t in a.args if isinstance(t, Var)]
-    return len(names) != len(set(names))
+    if not all([isinstance(t, (Var, Const)) for t in a.args]):
+        raise TransformError("repeated-variable elimination needs flat atoms")
+    return EqualityType.from_key(a.args)
 
 
 def eliminate_repeated_variables(p: DynamicProgram) -> DynamicProgram:
@@ -73,7 +44,7 @@ def eliminate_repeated_variables(p: DynamicProgram) -> DynamicProgram:
     new repeats), which exists because each relation has finitely many
     position partitions.
     """
-    if _uses_function_symbols(p):
+    if p.uses_functions():
         raise TransformError("repeated-variable elimination applies to relational programs only")
 
     relations = dict(p.schema.relations)
@@ -113,7 +84,7 @@ def eliminate_repeated_variables(p: DynamicProgram) -> DynamicProgram:
         return name
 
     def rewrite_atom(a: RelAtom) -> RelAtom:
-        if not _has_repeated_var(a):
+        if not repeats_var(a):
             return a
         rho = _atom_partition(a)
         return RelAtom(derived_name(a.symbol, rho), tuple(a.args[b[0]] for b in rho.blocks))
@@ -126,7 +97,7 @@ def eliminate_repeated_variables(p: DynamicProgram) -> DynamicProgram:
             raise TransformError("repeated-variable elimination did not stabilize")
         changed = False
         for key, rule in sorted(rules.items()):
-            new_body = _map_atoms(rule.body, rewrite_atom)
+            new_body = map_atoms(rule.body, rewrite_atom)
             if new_body != rule.body:
                 rules[key] = UpdateRule(rule.target, rule.kind, rule.trigger,
                                         rule.params, rule.target_params, new_body)
@@ -203,7 +174,7 @@ def relations_to_functions(p: DynamicProgram) -> DynamicProgram:
 
     rules: dict[tuple[str, str, str], UpdateRule] = {}
     for (target, kind, trigger), rule in p.rules.items():
-        body = _map_atoms(rule.body, encode)
+        body = map_atoms(rule.body, encode)
         if target in fun_names:
             term = Ite(body, App(C_TOP, ()), App(C_BOT, ()))
             rules[(fun_names[target], kind, trigger)] = UpdateRule(

@@ -99,22 +99,28 @@ class Verdict(Record):
         return {"ok": 0, "counterexample": 1}.get(self.status, 2)
 
 
+def _replay(p: DynamicProgram, oracle: Callable[[State], bool],
+            cex: Counterexample) -> tuple[list[State], bool]:
+    """The trace of the recorded sequence up to the divergence, and whether
+    its last state shows the recorded divergence."""
+    trace = run(p, init_state(p, cex.initial), cex.sequence[:cex.step])
+    produced = trace[-1].query_value(p.query_symbol)
+    expected = oracle(trace[-1].input_part())
+    return trace, produced == cex.produced and expected == cex.expected and produced != expected
+
+
 def validate_counterexample(p: DynamicProgram, oracle: Callable[[State], bool],
                             cex: Counterexample) -> bool:
     """Replay the recorded sequence; the recorded divergence must reproduce."""
-    s = init_state(p, cex.initial)
-    trace = run(p, s, cex.sequence[:cex.step])
-    final = trace[-1]
-    produced = final.query_value(p.query_symbol)
-    expected = oracle(final.input_part())
-    return produced == cex.produced and expected == cex.expected and produced != expected
+    return _replay(p, oracle, cex)[1]
 
 
 def _finish_counterexample(p: DynamicProgram, oracle, cex: Counterexample) -> Counterexample:
+    """Record the trace digest of the counterexample and validate it, from one replay."""
     from .serialize import trace_digest
-    s = init_state(p, cex.initial)
-    cex.trace_digest = trace_digest(run(p, s, cex.sequence[:cex.step]))
-    if not validate_counterexample(p, oracle, cex):
+    trace, reproduced = _replay(p, oracle, cex)
+    cex.trace_digest = trace_digest(trace)
+    if not reproduced:
         raise DynqfError("internal error: counterexample failed self-validation")
     return cex
 

@@ -61,6 +61,30 @@ def test_run_json_trace(nes_file, tmp_path, capsys):
     assert len(doc["states"]) == 3
 
 
+def test_run_lays_out_constants_as_verify_does(tmp_path, capsys):
+    # s = 0, and u, which the script leaves out, takes empty_input_db's place
+    # for it, as in verify: 1 on a domain of 3
+    f = tmp_path / "two_consts.dynp"
+    f.write_text("""
+program two_consts
+input { U/1 }
+aux   { Q/0 }
+const s, u
+query Q
+init  empty
+on insert U(a):
+  Q(): a = u
+on delete U(a):
+  Q(): false
+""")
+    script = tmp_path / "s.txt"
+    script.write_text("domain 3\nins U(1)\n")
+    assert main(["run", str(f), str(script), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["states"][0]["constants"] == {"s": 0, "u": 1}
+    assert doc["query"] == [False, True]
+
+
 def test_run_honesty_violation(nes_file, tmp_path, capsys):
     script = tmp_path / "s.txt"
     script.write_text("domain 3\nins U(0)\nins U(0)\n")
@@ -301,6 +325,27 @@ def test_replay_document_that_is_not_an_object(broken_file, tmp_path, capsys, do
     f.write_text(json.dumps(doc))
     assert main(["replay", str(f), broken_file, "--oracle", "non-empty-set"]) == 2
     assert_one_line_error(capsys, "expected a JSON object")
+
+
+@pytest.mark.parametrize("field, value, fragment", [
+    ("step", "x", "step must be an integer in 0..2, got 'x'"),
+    ("step", 1.5, "step must be an integer in 0..2, got 1.5"),
+    ("step", -1, "step must be an integer in 0..2, got -1"),
+    ("step", 3, "step must be an integer in 0..2, got 3"),
+    ("step", True, "step must be an integer in 0..2, got True"),
+    ("expected", "yes", "expected must be true or false, got 'yes'"),
+    ("produced", 1, "produced must be true or false, got 1"),
+    ("sequence", [["ins", "U", ["a"]], ["del", "U", [0]]], "tuple elements must be integers, got ['a']"),
+])
+def test_replay_document_with_a_malformed_field(broken_file, tmp_path, capsys, field, value, fragment):
+    assert main(["verify", broken_file, "--oracle", "non-empty-set",
+                 "--domain", "3", "--maxlen", "4", "--exhaustive", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)["counterexample"]
+    doc[field] = value
+    f = tmp_path / "cex.json"
+    f.write_text(json.dumps(doc))
+    assert main(["replay", str(f), broken_file, "--oracle", "non-empty-set"]) == 2
+    assert_one_line_error(capsys, "cex.json: malformed counterexample: " + fragment)
 
 
 def test_verify_missing_program_file(tmp_path, capsys):

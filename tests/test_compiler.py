@@ -1,5 +1,6 @@
 """The rule planner: each plan shape against the reference evaluator, frame
 reuse, one code object per program, and readable generated sources."""
+import hashlib
 import inspect
 import random
 import re
@@ -7,11 +8,12 @@ import traceback
 
 import pytest
 
-from dynqf.compiler import context_for_state, lean_context
+from dynqf.compiler import _Planner, context_for_state, lean_context
 from dynqf.corpus import builtin_program
+from dynqf.errors import TransformError
 from dynqf.parser import parse_program
 from dynqf.program import _reference_apply, apply, empty_input_db, init_state
-from dynqf.state import delete, ins
+from dynqf.state import DEL, INS, delete, ins
 
 HEADER = """
 input   { E/2, U/1 }
@@ -157,6 +159,37 @@ def _sources():
         ctx = context_for_state(p, init_state(p, empty_input_db(p, 3)))
         for (kind, trigger), fn in ctx._appliers.items():
             yield p.name, kind, trigger, inspect.getsource(fn)
+
+
+def _shipped_with_transforms():
+    """The corpus and strawman programs, each followed by its rel2fun and
+    dedup-vars transforms where they apply."""
+    from dynqf.corpus import _STRAWMEN, corpus_names, strawman_program
+    from dynqf.transforms import eliminate_repeated_variables, relations_to_functions
+    programs = [builtin_program(name).program for name in corpus_names()]
+    programs += [strawman_program(name) for name in sorted(_STRAWMEN)]
+    for p in programs:
+        yield p
+        for transform in (relations_to_functions, eliminate_repeated_variables):
+            try:
+                yield transform(p)
+            except TransformError:  # dedup-vars of a program with function symbols
+                pass
+
+
+# sha256 over the sources of those programs' appliers, in order; a planner
+# change that alters the generated code updates it and says why
+APPLIER_SOURCES_SHA256 = "1bc2ae6c25cfe21187e010defcbbbece9f29b05b3f3e91c34f77dc5a089dbd95"
+
+
+def test_applier_sources_are_pinned():
+    digest, count = hashlib.sha256(), 0
+    for p in _shipped_with_transforms():
+        for trigger in sorted(p.schema.input_relations):
+            for kind in (INS, DEL):
+                digest.update(_Planner(p, kind, trigger).source().encode())
+                count += 1
+    assert (count, digest.hexdigest()) == (40, APPLIER_SOURCES_SHA256)
 
 
 def test_no_applier_compares_a_value_with_itself():

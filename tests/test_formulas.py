@@ -3,10 +3,10 @@ from hypothesis import given, strategies as st
 
 from dynqf.errors import EvalError, ResourceLimitError
 from dynqf.formulas import (And, App, Const, Eq, FALSE, Ite, Not, Or, RelAtom,
-                            TRUE, Var, atom, classify_syntax,
+                            TRUE, Var, atom, children, classify_syntax,
                             count_terms_up_to_depth, eq, equality_type_of,
-                            eval_formula, eval_term, nesting_depth,
-                            terms_up_to_depth)
+                            eval_formula, eval_term, map_atoms, nesting_depth,
+                            rebuild, rel_atoms, subst, terms_up_to_depth)
 from dynqf.parser import parse_formula
 from dynqf.schema import make_schema
 from dynqf.state import make_state, transport
@@ -89,6 +89,53 @@ def test_nesting_depth_unary_application_increments(k):
     for _ in range(k):
         t = App("f", (t,))
     assert nesting_depth(App("f", (t,))) == k + 1
+
+
+def test_children_and_rebuild_follow_field_order():
+    t = Ite(atom("R", "x"), Var("y"), App("f", (Var("z"), Const("s"))))
+    assert children(t) == (atom("R", "x"), Var("y"), App("f", (Var("z"), Const("s"))))
+    assert children(t.other) == (Var("z"), Const("s"))
+    assert children(Var("x")) == () and children(TRUE) == ()
+    seen = []
+    assert rebuild(t, lambda k: seen.append(k) or k) == t
+    assert seen == list(children(t))
+    leaf = Const("s")
+    assert rebuild(leaf, lambda k: 1 / 0) is leaf
+
+
+@pytest.mark.parametrize("walk", [children, lambda n: rebuild(n, id)])
+def test_children_and_rebuild_reject_a_non_node(walk):
+    with pytest.raises(EvalError, match="not a term or formula: 'x'"):
+        walk("x")
+
+
+@pytest.mark.parametrize("walk", [nesting_depth, lambda n: subst(n, {}), lambda n: map_atoms(n, id)])
+def test_walks_reject_a_part_that_is_not_a_node(walk):
+    with pytest.raises(EvalError, match="not a term or formula: 'x'"):
+        walk(And(TRUE, "x"))
+
+
+def test_subst_reaches_variables_inside_ite():
+    f = Eq(Ite(atom("R", "x"), Var("x"), Var("y")), Var("x"))
+    out = subst(f, {"x": Const("s")})
+    assert out == Eq(Ite(RelAtom("R", (Const("s"),)), Const("s"), Var("y")), Const("s"))
+
+
+def test_map_atoms_reaches_atoms_inside_ite_conditions():
+    f = Eq(Ite(atom("R", "x"), Var("x"), Var("y")),
+           App("f", (Ite(Not(atom("S", "y")), Var("y"), Var("x")),)))
+    out = map_atoms(f, lambda a: RelAtom(a.symbol + "2", a.args))
+    assert rel_atoms(out) == [atom("R2", "x"), atom("S2", "y")]
+    # an atom's arguments are mapped before the atom itself
+    order = []
+    map_atoms(RelAtom("R", (Ite(atom("S", "x"), Var("x"), Var("y")),)),
+              lambda a: order.append(a.symbol) or a)
+    assert order == ["S", "R"]
+
+
+def test_classify_sees_a_repeat_inside_an_ite_condition():
+    f = Eq(Ite(atom("R", "x", "x"), Var("x"), Var("y")), Var("y"))
+    assert classify_syntax(f).repeated_vars_in_atom
 
 
 def test_classify_conjunctive_with_repeat():

@@ -57,6 +57,33 @@ def test_check_maintenance_finds_forced_counterexample():
     assert c.trace_digest
 
 
+def test_finishing_a_counterexample_replays_it_once(monkeypatch):
+    import dynqf.verify as verify
+    p = parse_program(BROKEN_SRC)
+    c = check_maintenance(p, oracle_nonemptyset, CheckConfig(domain_size=3, max_len=4)).counterexample
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "run", counted)
+    digest, c.trace_digest = c.trace_digest, ""
+    assert verify._finish_counterexample(p, oracle_nonemptyset, c) is c
+    assert calls == [c.sequence[:c.step]] and c.trace_digest == digest
+
+
+def test_a_counterexample_that_does_not_reproduce_fails_self_validation():
+    from dynqf.errors import DynqfError
+    from dynqf.verify import _finish_counterexample
+    p = parse_program(BROKEN_SRC)
+    c = check_maintenance(p, oracle_nonemptyset, CheckConfig(domain_size=3, max_len=4)).counterexample
+    c.produced = not c.produced
+    assert not validate_counterexample(p, oracle_nonemptyset, c)
+    with pytest.raises(DynqfError, match="internal error: counterexample failed self-validation"):
+        _finish_counterexample(p, oracle_nonemptyset, c)
+
+
 def test_check_maintenance_random_mode_finds_it_too():
     p = parse_program(BROKEN_SRC)
     v = check_maintenance(p, oracle_nonemptyset,
