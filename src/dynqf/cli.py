@@ -4,14 +4,17 @@ drive lower-bound attacks, transform and analyze programs, browse the corpus.
 Exit codes for verify/attack: 0 = consistent up to the bounds, 1 = a
 counterexample was found, 2 = inconclusive or resource-limited.  Bad input
 (a missing file, a malformed document, an out-of-range bound) gets a
-one-line error on stderr and exit code 2.  All randomness is seeded; the
-seed is echoed in the output.
+one-line error on stderr and exit code 2.  A closed output pipe (say, into
+`head`) ends the command quietly with exit code 141, 128 + SIGPIPE, as a
+shell reports a process that the signal ended.  All randomness is seeded;
+the seed is echoed in the output.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -357,7 +360,14 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # interpreter's own flush at exit reports nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

@@ -531,6 +531,14 @@ def _mods_on(p: DynamicProgram, subset: Sequence[int], rng: random.Random,
     return out
 
 
+def _fold(ctx: LeanContext, lean, seq: Iterable[Modification]):
+    """The payload of run(p, s, seq)[-1], where lean is the payload of s in
+    ctx; the steps are not checked against the schema."""
+    for m in seq:
+        lean = ctx.apply(lean, m)
+    return lean
+
+
 def _pi_of_mods(mods: Sequence[Modification], pi: Mapping[int, int]) -> list[Modification]:
     return [Modification(m.relation, tuple(pi[e] for e in m.tuple), m.kind) for m in mods]
 
@@ -547,12 +555,18 @@ def substructure_property(p: DynamicProgram, cfg: CheckConfig,
     inside a single reachable state (admissible when the restrictions happen
     to be isomorphic).  A violation means the evaluator itself is broken,
     so any failure is fatal for the build.
+
+    The walks and the alpha and beta runs step on lean payloads and build a
+    `State` only at their ends.  Their steps skip `check_modification`:
+    every move is in-schema and in-domain by construction, as the walk's
+    come from `_candidate_mods`, alpha's from `_mods_on` over the input
+    relations and elements of `a_tup`, and beta is pi(alpha).
     """
     rng = random.Random(cfg.seed)
     if with_functions and similarity_depth is None:
         # one similarity level per potentially consumed nesting step, plus one
         similarity_depth = cfg.max_len * max(p.nesting_depth(), 1) + max(p.nesting_depth(), 1)
-    s0 = init_state(p, empty_input_db(p, cfg.domain_size, cfg.constants))
+    _, s0, lean0, ctx = _setup(p, cfg)
     _, start, flip = _moves(p, cfg, s0)
     done = skipped = 0
     attempts = 0
@@ -560,9 +574,8 @@ def substructure_property(p: DynamicProgram, cfg: CheckConfig,
         attempts += 1
         if attempts > cfg.samples * 20:
             return PropertyReport("inconclusive", done, skipped, cfg.seed)
-        s = s0  # a random reachable state
-        for m in _walk(start, flip, rng, rng.randint(0, cfg.max_len * 2)):
-            s = apply(p, s, m)
+        lean = _fold(ctx, lean0, _walk(start, flip, rng, rng.randint(0, cfg.max_len * 2)))
+        s = ctx.from_lean(lean)  # a random reachable state
         n = s.n
         cap = max_tuple if max_tuple is not None else (n - 1)
         strategy = rng.choice(("transport", "same-state"))
@@ -599,8 +612,9 @@ def substructure_property(p: DynamicProgram, cfg: CheckConfig,
                 continue
         alpha = _mods_on(p, a_tup, rng, rng.randint(1, cfg.max_len))
         beta = _pi_of_mods(alpha, pi)
-        s_end = run(p, s, alpha)[-1]
-        t_end = run(p, t, beta)[-1]
+        s_end = ctx.from_lean(_fold(ctx, lean, alpha))
+        ctx_t = context_for_state(p, t)  # a transport may move the constants
+        t_end = ctx_t.from_lean(_fold(ctx_t, ctx_t.to_lean(t), beta))
         if with_functions:
             ok = k_similar(s_end, a_tup, t_end, b_tup, 0) is not None
         else:

@@ -1,6 +1,10 @@
 import functools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -271,6 +275,22 @@ on delete U(u):
 def test_analyze_dot_output(reach_file, capsys):
     assert main(["analyze", reach_file, "--dot"]) == 0
     assert "digraph deletion_deps" in capsys.readouterr().out
+
+
+def test_a_closed_output_pipe_exits_141_quietly(tmp_path):
+    # the reader closes the pipe before the interpreter has started, so the
+    # first write, or the flush after the command, meets a broken pipe
+    program = tmp_path / "st_twopath_binary.dynp"
+    program.write_text(corpus_source("st_twopath_binary.dynp"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "dynqf.cli", "analyze", str(program), "--dot"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_corpus_list_and_show(capsys):

@@ -131,6 +131,15 @@ def test_deep_exhaustive_ternary_regression():
     assert (verdict.status, verdict.checked_states, verdict.checked_steps) == ("ok", 28777, 97168)
 
 
+def test_deep_exhaustive_ternary_regression_n5():
+    # the next row: the whole space at n=5, len <= 4, which also runs the
+    # s-twopath oracle over every covered state
+    entry = builtin_program("s-twopath-ternary")
+    cfg = CheckConfig(domain_size=5, max_len=4, honest_only=True)
+    verdict = check_maintenance(entry.program, entry.oracle, cfg)
+    assert (verdict.status, verdict.checked_states, verdict.checked_steps) == ("ok", 33531, 98650)
+
+
 def test_engine_survives_dishonest_modifications():
     # no correctness claim without honesty, but evaluation must stay total
     entry = builtin_program("non-empty-set")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -45,6 +47,34 @@ def test_twopath_oracles():
 def test_twopath_counts_loops():
     g = st_graph(2, {(0, 0), (0, 1)})
     assert oracle_st_twopath(g)  # s -> s -> t
+
+
+def _s_twopath_by_definition(g):
+    E = g.rel("E")
+    s = g.constants["s"]
+    return any((s, x) in E and (x, y) in E for x in g.domain for y in g.domain)
+
+
+def test_s_twopath_matches_its_quadratic_definition():
+    pairs = [(u, v) for u in range(3) for v in range(3)]
+    for bits in range(2 ** len(pairs)):
+        edges = {e for i, e in enumerate(pairs) if bits & (1 << i)}
+        for s in range(3):
+            g = graph_state(3, edges, s=s)
+            assert oracle_s_twopath(g) == _s_twopath_by_definition(g), (edges, s)
+    rng = random.Random(5)
+    pairs = [(u, v) for u in range(5) for v in range(5)]
+    for _ in range(500):
+        density = rng.choice((0.05, 0.1, 0.2))
+        edges = {e for e in pairs if rng.random() < density}
+        g = graph_state(5, edges, s=rng.randrange(5))
+        assert oracle_s_twopath(g) == _s_twopath_by_definition(g), (edges, g.constants)
+
+
+def test_s_twopath_counts_loops():
+    assert oracle_s_twopath(graph_state(2, {(0, 0)}, s=0))  # s -> s -> s
+    assert oracle_s_twopath(graph_state(2, {(0, 1), (1, 1)}, s=0))  # s -> x -> x
+    assert not oracle_s_twopath(graph_state(2, {(1, 1), (1, 0)}, s=0))
 
 
 def test_clique_oracle_directed_convention():

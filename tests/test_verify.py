@@ -25,7 +25,8 @@ from dynqf.verify import (CheckConfig, Counterexample, Verdict, attack_star_dele
                           is_closed, k_similar, neighborhood,
                           neighborhood_vector, subsequence,
                           substructure_property, validate_counterexample)
-from dynqf.verify import _candidate_mods, _lean_oracle, _move_slots, _moves, _orbit_bfs, _setup
+from dynqf.verify import (_candidate_mods, _fold, _lean_oracle, _mods_on, _move_slots, _moves,
+                          _orbit_bfs, _setup, _walk)
 
 BROKEN_SRC = """
 program broken
@@ -864,6 +865,64 @@ def test_restriction_isomorphism_matches_probes():
         assert _restriction_isomorphism(s, a, t, b) == expected == k_similar(s, a, t, b, 0)
         outcomes["none" if expected is None else "map"] += 1
     assert min(outcomes.values()) > 100
+
+
+FOLD_PROGRAMS = {
+    **{name: builtin_program(name) for name in ("non-empty-set", "st-twopath-binary",
+                                                "s-twopath-ternary", "reach-1layer-qf")},
+    "non-empty-set rel2fun": relations_to_functions(builtin_program("non-empty-set").program),
+}
+
+
+def _fold_to_state(p, s, seq):
+    """The suites' lean fold from s, checked against run, compiled and not."""
+    ctx = context_for_state(p, s)
+    end = ctx.from_lean(_fold(ctx, ctx.to_lean(s), seq))
+    reference = run(p, s, seq, compiled=False)[-1]
+    assert end == run(p, s, seq)[-1] == reference
+    assert end.functions == reference.functions
+    return end
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_PROGRAMS))
+def test_lean_folds_agree_with_run(name):
+    # seeded walks from the empty start, then _mods_on sequences from the
+    # state reached and from its image under a permutation of the domain
+    entry = FOLD_PROGRAMS[name]
+    p = getattr(entry, "program", entry)
+    guard = entry.instance_guard if name == "reach-1layer-qf" else None
+    cfg = CheckConfig(domain_size=5, max_len=4, honest_only=True, guard=guard)
+    _, s0, _, _ = _setup(p, cfg)
+    _, start, flip = _moves(p, cfg, s0)
+    rng = random.Random(29)
+    moved = 0
+    for _ in range(15):
+        s = _fold_to_state(p, s0, list(_walk(start, flip, rng, rng.randint(0, 8))))
+        perm = list(range(s.n))
+        rng.shuffle(perm)
+        t = transport(s, dict(enumerate(perm)))
+        if t.constants != s.constants:
+            moved += 1
+            assert t.layout is not s.layout
+        subset = rng.sample(range(s.n), rng.randint(1, s.n))
+        for u in (s, t):
+            _fold_to_state(p, u, _mods_on(p, subset, rng, rng.randint(1, 6)))
+    assert moved > 0 if p.schema.constants else moved == 0
+
+
+def test_substructure_suites_step_without_apply_or_run(monkeypatch):
+    import dynqf.verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the suite stepped through a full-State path")
+
+    monkeypatch.setattr(dynqf.verify, "apply", refuse)
+    monkeypatch.setattr(dynqf.verify, "run", refuse)
+    cfg = CheckConfig(domain_size=5, max_len=3, seed=3, samples=20)
+    assert substructure_property(builtin_program("st-twopath-binary").program, cfg).status == "ok"
+    e = builtin_program("reach-1layer-qf")
+    cfg = CheckConfig(domain_size=6, max_len=3, seed=3, samples=10, guard=e.instance_guard)
+    assert substructure_property(e.program, cfg, with_functions=True).status == "ok"
 
 
 def test_substructure_suite_on_function_encoded_program():
