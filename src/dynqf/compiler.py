@@ -13,9 +13,10 @@ over the old state:
     is computed once per call, in a local shared by all rules of the applier;
   - a relational rule body goes to DNF, its trigger-only parts and negations
     opaque, and a disjunct holding !(l1 & ... & lk) and every li is dropped;
-    in each disjunct, trigger-only literals guard, `x = t` binds x, a
-    positive aux atom generates, other variables scan the domain, and the
-    remaining literals filter as soon as their variables are bound;
+    in each disjunct, trigger-only literals guard, `x = t` binds x (putting
+    t in place of x when t is a trigger term or a variable), a positive aux
+    atom generates, other variables scan the domain, and the remaining
+    literals filter as soon as their variables are bound;
   - frame: a disjunct R(x̄) for the target R, alone or under trigger-only
     guards, makes the result R ∪ Δ while a guard holds; Δ is built only
     when some other disjunct's trigger-only guard holds, and an unchanged
@@ -159,7 +160,6 @@ class _Planner:
         # parent, or _HOIST once it also has another parent or is a rule root
         self.parents: dict[int, int] = {}
         self.code: dict[int, tuple[str, int]] = {}  # trigger-only node id -> code or local, precedence
-        self.alias: dict[str, str] = {}  # variable -> the name it is bound to, in one disjunct
         self.pre: list[str] = []        # the hoisted assignments
         self.lines: list[str] = []      # the rules
         self.sets: dict[int, str] = {}  # node id -> the local holding its tuples
@@ -221,7 +221,7 @@ class _Planner:
         if kind is Not and kids[0].kind in (Eq, RelAtom) and not self._hoists(kids[0]):
             return self._render(kids[0], negate=True)
         if kind is Var:
-            return self.alias.get(name, name), _ATOM
+            return name, _ATOM
         if kind is Const:
             return "_C_" + name, _ATOM
         if kind is TrueConst or kind is FalseConst:
@@ -310,6 +310,7 @@ class _Planner:
         conds = [self._expr(lit, _AND) for lit in lits if lit.trig]  # for the next `if`
         rest = [lit for lit in lits if not lit.trig]
         bound, free, temps = set(self.mvars), list(tvars), 0
+        subst: dict[str, _Node] = {}  # variable -> the trigger term or variable it equals
         while True:
             waiting = []
             for lit in rest:
@@ -333,12 +334,12 @@ class _Planner:
                 rest.remove(lit)
                 bound.add(var)
                 free.remove(var)
-                code = self._expr(term)
-                if code.isidentifier():
-                    self.alias[var] = code
+                if term.trig or term.kind is Var:
+                    subst[var] = term
+                    rest = [self._renamed(lit, subst) for lit in rest]
                 else:
                     ind = self._if(ind, conds)
-                    self.lines.append(ind + var + " = " + code)
+                    self.lines.append(ind + var + " = " + self._expr(term))
                 continue
             ind = self._if(ind, conds)
             if gen is None:
@@ -360,8 +361,8 @@ class _Planner:
                 self.lines.append(ind + "for " + _tup(targets) + " in _R_" + gen.name + ":")
             ind += "    "
         ind = self._if(ind, conds)
-        self.lines.append(ind + out + ".add(" + _tup([self.alias.get(v, v) for v in tvars]) + ")")
-        self.alias = {}
+        self.lines.append(ind + out + ".add(" + _tup([self._expr(subst[v], _ATOM) if v in subst else v
+                                                      for v in tvars]) + ")")
 
     def _if(self, ind: str, conds: list[str]) -> str:
         """Open one `if` for the pending conditions; the indent inside it."""
@@ -413,11 +414,11 @@ class _Planner:
             return None
         return gvars
 
-    def _renamed(self, node: _Node, names: Mapping[str, str]) -> _Node:
+    def _renamed(self, node: _Node, names: Mapping[str, _Node]) -> _Node:
         if node.trig or not (node.kids or node.kind is Var):
             return node
         if node.kind is Var:
-            return self._node(Var, names[node.name])
+            return names.get(node.name, node)
         return self._node(node.kind, node.name, tuple([self._renamed(k, names) for k in node.kids]))
 
     def _set(self, gamma: _Node, gvars: tuple[str, ...]) -> str:
@@ -425,7 +426,7 @@ class _Planner:
         like a delta query once per applier.  Its variables are renamed to
         t0, t1, ... first, so that G(t0) and G(t1) share one set."""
         canon = tuple("t%d" % i for i in range(len(gvars)))
-        gamma = self._renamed(gamma, dict(zip(gvars, canon)))
+        gamma = self._renamed(gamma, {v: self._node(Var, c) for v, c in zip(gvars, canon)})
         local = self.sets.get(gamma.id)
         if local is None:
             local = self.sets[gamma.id] = "_g%d" % len(self.sets)

@@ -6,7 +6,6 @@ byte-identical serializations; the trace digest is a sha256 over that form.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Sequence
 
@@ -61,6 +60,7 @@ def canonical_json(doc) -> str:
 
 
 def trace_digest(trace: Sequence[State]) -> str:
+    import hashlib  # here, so that a process that digests no trace never loads OpenSSL
     return hashlib.sha256(canonical_json(trace_to_dict(trace)).encode()).hexdigest()
 
 

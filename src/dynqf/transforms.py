@@ -138,20 +138,18 @@ def relations_to_functions(p: DynamicProgram) -> DynamicProgram:
     initialization time).
 
     A program with nothing left to convert (every non-query auxiliary symbol
-    already a function) passes through unchanged."""
+    already a function) passes through unchanged; one where a name f_R,
+    c_top or c_bot is taken raises TransformError."""
     converted = [r for r in p.schema.symbols(Role.AUX, "rel") if r != p.query_symbol]
     if not converted:
         return p
     if any(p.schema.role(f) is Role.AUX for f in p.schema.functions):
         raise TransformError("mixed relation/function auxiliary schemas are not supported")
-    fun_names = {}
+    fun_names = {r: f"f_{r}" for r in converted}
     taken = set(p.schema.relations) | set(p.schema.functions) | set(p.schema.constants)
-    for r in converted:
-        name = f"f_{r}"
-        while name in taken:
-            name += "x"
-        fun_names[r] = name
-        taken.add(name)
+    for name in fun_names.values():
+        if name in taken:  # the base and the decoder read R back from the name f_R
+            raise TransformError(f"symbol name {name} is taken")
     if C_TOP in taken or C_BOT in taken:
         raise TransformError(f"symbol names {C_TOP}/{C_BOT} are taken")
 

@@ -19,6 +19,10 @@ that fix the constants (`queries.is_query`).  Otherwise it runs with none,
 each orbit is a single state, and it is the plain search.  Either way it
 finds the plain search's counterexample, and its counts are those of
 `Verdict`.
+
+The search, random mode, the suites and the attack drivers step lean
+payloads, the drivers each prefix their sequences share once
+(`_witness_walk`); only the replay validating a counterexample runs States.
 """
 from __future__ import annotations
 
@@ -31,11 +35,11 @@ from .compiler import LeanContext, context_for_state
 from .corpus import InstanceGuard
 from .errors import DynqfError, GuardError, ResourceLimitError
 from .formulas import classify_syntax, eval_term, terms_up_to_depth, equality_type_of, EqualityType
-from .program import DynamicProgram, apply, empty_input_db, init_state, run
+from .program import DynamicProgram, empty_input_db, init_state, run
 from .queries import oracle_nonemptyset, oracle_st_reach
 from .records import Record
 from .schema import Role
-from .state import DEL, INS, Modification, State, is_honest, transport
+from .state import DEL, INS, Modification, State, check_modification, is_honest, transport
 from .transforms import deletion_depth, eliminate_repeated_variables
 
 
@@ -644,22 +648,61 @@ def _restriction_isomorphism(s: State, a_tup: Sequence[int], t: State,
 
 # -- attack drivers --------------------------------------------------------------------------
 
-def _replay_with_oracle(p: DynamicProgram, oracle, db: State,
-                        seq: Sequence[Modification]) -> Counterexample | None:
-    """Run a concrete sequence, comparing the query bit to the oracle after
-    every step; the first divergence becomes a validated counterexample."""
-    s = init_state(p, db)
-    if s.query_value(p.query_symbol) != oracle(s.input_part()):
-        return _finish_counterexample(p, oracle, Counterexample(
-            p.name, db, (), 0, oracle(s.input_part()), s.query_value(p.query_symbol)))
-    for i, m in enumerate(seq, start=1):
-        s = apply(p, s, m)
-        got = s.query_value(p.query_symbol)
-        exp = oracle(s.input_part())
-        if got != exp:
-            return _finish_counterexample(p, oracle, Counterexample(
-                p.name, db, tuple(seq[:i]), i, exp, got))
-    return None
+def _witness_walk(p: DynamicProgram, oracle: Callable[[State], bool], db: State):
+    """Sequences of moves from init_state(p, db) on the payloads of one
+    context; returns (ctx, walk, first).  walk(seq) is the payload after seq,
+    first(seq) the validated counterexample at the first step of seq (0 is
+    the initial state) where the query bit differs from the oracle, or None.
+    A call steps only the moves after the prefix seq shares with the last
+    sequence, each checked against the schema as `program.apply` checks it,
+    and first checks only the states that no earlier call checked."""
+    s0 = init_state(p, db)
+    ctx = context_for_state(p, s0)
+    moves: list[Modification] = []
+    path = [ctx.to_lean(s0)]  # the payload after each prefix of moves
+    checked = 0  # the leading payloads of path that agree with the oracle
+
+    def walk(seq: Sequence[Modification]):
+        nonlocal checked
+        k = 0
+        while k < len(seq) and k < len(moves) and seq[k] == moves[k]:
+            k += 1
+        del moves[k:], path[k + 1:]
+        checked = min(checked, k + 1)
+        for m in seq[k:]:
+            check_modification(p.schema, db.n, m)
+            path.append(ctx.apply(path[-1], m))
+            moves.append(m)
+        return path[-1]
+
+    def first(seq: Sequence[Modification]) -> Counterexample | None:
+        nonlocal checked
+        walk(seq)
+        for i in range(checked, len(path)):
+            exp, got = oracle(ctx.input_state(path[i])), ctx.query(path[i])
+            if exp != got:
+                return _finish_counterexample(p, oracle, Counterexample(
+                    p.name, db, tuple(seq[:i]), i, exp, got))
+        checked = len(path)
+        return None
+
+    return ctx, walk, first
+
+
+def _check_relational_candidate(p: DynamicProgram, driver: str, data: str, max_arity: int) -> None:
+    """The guard of the attack drivers on s-t reachability: auxiliary
+    relations of arity at most max_arity, no auxiliary function, and the
+    constants s and t."""
+    sch = p.schema
+    bad = [a for a in sch.aux_symbols if sch.arity(a) > max_arity]
+    if bad:
+        worst = max(bad, key=sch.arity)
+        raise GuardError(f"{driver} needs {data} auxiliary data: "
+                         f"{worst!r} has arity {sch.arity(worst)} > {max_arity}")
+    if any(sch.role(f) is Role.AUX for f in sch.functions):
+        raise GuardError(f"{driver} targets relational candidates")
+    if "s" not in sch.constants or "t" not in sch.constants:
+        raise GuardError("candidate must use constants s and t")
 
 
 def attack_star_deletion(p: DynamicProgram, n: int,
@@ -671,16 +714,7 @@ def attack_star_deletion(p: DynamicProgram, n: int,
     reachability differs.  Any earlier divergence found along the way is
     returned as the (shorter) witness.
     """
-    sch = p.schema
-    bad = [a for a in sch.aux_symbols if sch.arity(a) > 1]
-    if bad:
-        worst = max(bad, key=sch.arity)
-        raise GuardError(f"star-deletion needs unary auxiliary data: "
-                         f"{worst!r} has arity {sch.arity(worst)} > 1")
-    if any(sch.role(f) is Role.AUX for f in sch.functions):
-        raise GuardError("star-deletion targets relational candidates")
-    if "s" not in sch.constants or "t" not in sch.constants:
-        raise GuardError("candidate must use constants s and t")
+    _check_relational_candidate(p, "star-deletion", "unary", 1)
     if n < 1:
         return None
     size = n + 2
@@ -691,13 +725,10 @@ def attack_star_deletion(p: DynamicProgram, n: int,
     for a in layer:
         alpha += [Modification("E", (0, a), INS), Modification("E", (a, t_node), INS)]
 
-    aux_rels = [r for r in sch.symbols(Role.AUX, "rel")]
-    trace = run(p, init_state(p, db), alpha)
-    states = {n: trace[-1]}
-    suffix: list[Modification] = []
-    for i in range(n - 1, 0, -1):
-        suffix.append(Modification("E", (0, layer[i]), DEL))
-        states[i] = apply(p, states[i + 1], suffix[-1])
+    aux_rels = p.schema.symbols(Role.AUX, "rel")
+    ctx, walk, first = _witness_walk(p, oracle, db)
+    suffix = [Modification("E", (0, layer[i]), DEL) for i in range(n - 1, 0, -1)]
+    states = {i: ctx.from_lean(walk(alpha + suffix[:n - i])) for i in range(n, 0, -1)}
 
     words = {i: tuple(atomic_type(states[i], (layer[j],), sigma=aux_rels) for j in range(i))
              for i in range(1, n + 1)}
@@ -705,17 +736,12 @@ def attack_star_deletion(p: DynamicProgram, n: int,
     if pair is None:
         # no pair at this scale; an outright maintenance failure along the
         # construction is still a valid (shorter) witness
-        return _replay_with_oracle(p, oracle, db, alpha + suffix)
+        return first(alpha + suffix)
     i, j = pair[0] + 1, pair[1] + 1  # word sizes, 1-based
     pos = embedding_positions(words[i], words[j])
-    alpha_i = [Modification("E", (0, layer[m]), DEL) for m in range(n - 1, i - 1, -1)]
-    alpha_j = [Modification("E", (0, layer[m]), DEL) for m in range(n - 1, j - 1, -1)]
     beta1 = [Modification("E", (0, layer[m]), DEL) for m in range(i)]
     beta2 = [Modification("E", (0, layer[q]), DEL) for q in pos]
-    found = _replay_with_oracle(p, oracle, db, alpha + alpha_i + beta1)
-    if found:
-        return found
-    return _replay_with_oracle(p, oracle, db, alpha + alpha_j + beta2)
+    return first(alpha + suffix[:n - i] + beta1) or first(alpha + suffix[:n - j] + beta2)
 
 
 def attack_subset_gadget(p: DynamicProgram, n2: int,
@@ -725,16 +751,7 @@ def attack_subset_gadget(p: DynamicProgram, n2: int,
     homogeneous subset of B, and a Higman pair over the binary type words of
     (a_X, b) pairs; the pair yields two delete-then-connect sequences with
     different reachability that the candidate must answer identically."""
-    sch = p.schema
-    bad = [a for a in sch.aux_symbols if sch.arity(a) > 2]
-    if bad:
-        worst = max(bad, key=sch.arity)
-        raise GuardError(f"subset-gadget needs at most binary auxiliary data: "
-                         f"{worst!r} has arity {sch.arity(worst)} > 2")
-    if any(sch.role(f) is Role.AUX for f in sch.functions):
-        raise GuardError("subset-gadget targets relational candidates")
-    if "s" not in sch.constants or "t" not in sch.constants:
-        raise GuardError("candidate must use constants s and t")
+    _check_relational_candidate(p, "subset-gadget", "at most binary", 2)
     if n2 < 1:
         return None
     if n2 > 4:
@@ -756,19 +773,18 @@ def attack_subset_gadget(p: DynamicProgram, n2: int,
         for b in sorted(subset):
             alpha.append(Modification("E", (a_of(subset), b), INS))
 
-    s_prime = run(p, init_state(p, db), alpha)[-1]
-    aux_rels = sch.symbols(Role.AUX, "rel")
+    ctx, walk, first = _witness_walk(p, oracle, db)
+    s_prime = ctx.from_lean(walk(alpha))
+    aux_rels = p.schema.symbols(Role.AUX, "rel")
     b3: list[int] | None = None
     for want in range(n2, 1, -1):
         found = find_homogeneous_subset(s_prime, b_nodes, want)
         if found:
             b3 = sorted(found)
             break
-    early = _replay_with_oracle(p, oracle, db, alpha)
-    if early:
+    early = first(alpha)
+    if early or not b3:
         return early
-    if not b3:
-        return None
     words = []
     for i in range(1, len(b3) + 1):
         x_i = frozenset(b3[:i])
@@ -784,10 +800,7 @@ def attack_subset_gadget(p: DynamicProgram, n2: int,
     beta1.append(Modification("E", (0, a_of(x_i)), INS))
     beta2 = [Modification("E", (a_of(x_j), b3[q]), DEL) for q in pos]
     beta2.append(Modification("E", (0, a_of(x_j)), INS))
-    found = _replay_with_oracle(p, oracle, db, alpha + beta1)
-    if found:
-        return found
-    return _replay_with_oracle(p, oracle, db, alpha + beta2)
+    return first(alpha + beta1) or first(alpha + beta2)
 
 
 # -- the conjunctive-fragment adversary ----------------------------------------------------
@@ -833,35 +846,20 @@ def cq_adversary(p: DynamicProgram, bound: int,
     if size > n:
         raise DynqfError(f"domain of size {n} cannot hold {size} elements")
     db = empty_input_db(p, n)
-    oracle = oracle_nonemptyset
     inserts = [Modification(u_rel, (e,), INS) for e in range(size)]
     if bound < len(inserts):
         return None
-    early = _replay_with_oracle(p, oracle, db, inserts)
-    if early:
-        return early
-    base_state = run(p, init_state(p, db), inserts)[-1]
-    found: list[tuple[list[Modification], bool, bool]] = []
+    ctx, walk, first = _witness_walk(p, oracle_nonemptyset, db)
+    u = ctx.rel_index[u_rel]
 
-    def dfs(state: State, seq: list[Modification]) -> bool:
-        if len(seq) + len(inserts) >= bound:
-            return False
-        present = sorted(x for (x,) in state.relations[u_rel])
-        for e in present:
-            m_ = Modification(u_rel, (e,), DEL)
-            nxt = apply(p, state, m_)
-            got = nxt.query_value(p.query_symbol)
-            exp = oracle(nxt.input_part())
-            if got != exp:
-                found.append((seq + [m_], exp, got))
-                return True
-            if dfs(nxt, seq + [m_]):
-                return True
-        return False
+    def dfs(seq: list[Modification]) -> Counterexample | None:
+        if len(seq) >= bound:
+            return None
+        for e in sorted(walk(seq)[0][u]):
+            nxt = seq + [Modification(u_rel, e, DEL)]
+            found = first(nxt) or dfs(nxt)
+            if found:
+                return found
+        return None
 
-    if dfs(base_state, []):
-        suffix, exp, got = found[0]
-        seq = inserts + suffix
-        return _finish_counterexample(p, oracle, Counterexample(
-            p.name, db, tuple(seq), len(seq), exp, got))
-    return None
+    return first(inserts) or dfs(inserts)

@@ -236,6 +236,15 @@ def test_transform_dedup_writes_file_and_checks(tmp_path, capsys, nes_file):
                  "--domain", "3", "--maxlen", "4", "--exhaustive"]) == 0
 
 
+def test_transform_rel2fun_name_clash_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "clash.dynp"
+    f.write_text("program clash\ninput { E/1, f_C/1 }\naux { Q/0, C/1 }\nquery Q\n"
+                 "init oracle reach1layer_base\ndefault frame\non insert E(a):\n  Q(): C(a)\n")
+    assert main(["transform", str(f), "--pass", "rel2fun"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: symbol name f_C is taken\n"
+
+
 def test_analyze_reach(reach_file, capsys):
     assert main(["analyze", reach_file]) == 0
     out = capsys.readouterr().out

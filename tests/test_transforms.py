@@ -176,6 +176,25 @@ def test_rel2fun_small_domain_rejected():
         init_state(f, empty_input_db(f, 1))
 
 
+def test_rel2fun_rejects_a_taken_function_name():
+    # the encoding reads R back from the name f_R, so a renamed f_Cx would
+    # start from an empty C: Q after ins E(0) would read False, not True
+    p = parse_program("""
+program clash
+input   { E/1, f_C/1 }
+aux     { Q/0, C/1 }
+query   Q
+init    oracle reach1layer_base
+default frame
+on insert E(a):
+  Q(): C(a)
+""")
+    s = apply(p, init_state(p, empty_input_db(p, 3)), Modification("E", (0,), INS))
+    assert s.query_value("Q") is True
+    with pytest.raises(TransformError, match="^symbol name f_C is taken$"):
+        relations_to_functions(p)
+
+
 def test_rel2fun_twice_passes_through():
     p = builtin_program("non-empty-set").program
     once = relations_to_functions(p)

@@ -8,14 +8,14 @@ from hypothesis import given, strategies as st
 
 from dynqf.compiler import LeanContext, context_for_state
 from dynqf.corpus import GUARDS, builtin_program, corpus_source, strawman_program
-from dynqf.errors import GuardError, ResourceLimitError
+from dynqf.errors import DynqfError, GuardError, ResourceLimitError
 from dynqf.formulas import And, Not, Or, eval_term, terms_up_to_depth
 from dynqf.parser import parse_program
 from dynqf.program import DynamicProgram, UpdateRule, apply, empty_input_db, init_state, run
 from dynqf.queries import (ORACLES, is_query, oracle_k_clique, oracle_nonemptyset,
                            oracle_st_reach, oracle_st_twopath)
 from dynqf.schema import Role, make_schema
-from dynqf.serialize import trace_digest, verdict_to_dict
+from dynqf.serialize import counterexample_to_dict, trace_digest, verdict_to_dict
 from dynqf.state import ins, is_honest, make_state, transport
 from dynqf.symmetry import Orbits, interchangeable
 from dynqf.transforms import deletion_depth, eliminate_repeated_variables, relations_to_functions
@@ -25,8 +25,8 @@ from dynqf.verify import (CheckConfig, Counterexample, Verdict, attack_star_dele
                           is_closed, k_similar, neighborhood,
                           neighborhood_vector, subsequence,
                           substructure_property, validate_counterexample)
-from dynqf.verify import (_candidate_mods, _fold, _lean_oracle, _mods_on, _move_slots, _moves,
-                          _orbit_bfs, _setup, _walk)
+from dynqf.verify import (_candidate_mods, _finish_counterexample, _fold, _lean_oracle, _mods_on,
+                          _move_slots, _moves, _orbit_bfs, _setup, _walk)
 
 BROKEN_SRC = """
 program broken
@@ -911,12 +911,13 @@ def test_lean_folds_agree_with_run(name):
 
 
 def test_substructure_suites_step_without_apply_or_run(monkeypatch):
+    import dynqf.program
     import dynqf.verify
 
     def refuse(*args, **kwargs):
         raise AssertionError("the suite stepped through a full-State path")
 
-    monkeypatch.setattr(dynqf.verify, "apply", refuse)
+    monkeypatch.setattr(dynqf.program, "apply", refuse)
     monkeypatch.setattr(dynqf.verify, "run", refuse)
     cfg = CheckConfig(domain_size=5, max_len=3, seed=3, samples=20)
     assert substructure_property(builtin_program("st-twopath-binary").program, cfg).status == "ok"
@@ -1043,3 +1044,114 @@ on delete U(u):
     p = parse_program(src)
     cex = cq_adversary(p, bound=6)
     assert cex is not None and cex.step <= 2
+
+
+# -- the drivers' payload walk against the State path -------------------------------------------
+
+def _replay_with_oracle(p, oracle, db, seq):
+    """The State-path reference for the drivers' `first`: run a concrete
+    sequence from init_state with `program.apply`, comparing the query bit to
+    the oracle after every step; the first divergence becomes a validated
+    counterexample."""
+    s = init_state(p, db)
+    if s.query_value(p.query_symbol) != oracle(s.input_part()):
+        return _finish_counterexample(p, oracle, Counterexample(
+            p.name, db, (), 0, oracle(s.input_part()), s.query_value(p.query_symbol)))
+    for i, m in enumerate(seq, start=1):
+        s = apply(p, s, m)
+        got = s.query_value(p.query_symbol)
+        exp = oracle(s.input_part())
+        if got != exp:
+            return _finish_counterexample(p, oracle, Counterexample(
+                p.name, db, tuple(seq[:i]), i, exp, got))
+    return None
+
+
+def _state_path_walk(p, oracle, db):
+    """The drivers' walk on full States: every sequence is run from the
+    initial state again with `program.apply`."""
+    ctx = context_for_state(p, init_state(p, db))
+    return (ctx, lambda seq: ctx.to_lean(run(p, init_state(p, db), seq)[-1]),
+            lambda seq: _replay_with_oracle(p, oracle, db, seq))
+
+
+def _outcomes(calls):
+    """Each driver call's witness as a dict, None, or its error."""
+    out = []
+    for driver, *args in calls:
+        try:
+            cex = driver(*args)
+            out.append(None if cex is None else counterexample_to_dict(cex))
+        except DynqfError as e:
+            out.append((type(e).__name__, str(e)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_attack_drivers_match_the_state_path(name, monkeypatch):
+    # star n = 1..9 and gadget n2 = 0..4 under st-reach and the program's
+    # own oracle, and cq bound = 0..9
+    import dynqf.verify
+    p, oracle = PROGRAMS[name]
+    calls = [(attack_star_deletion, p, n, o) for n in range(1, 10) for o in (oracle_st_reach, oracle)]
+    calls += [(attack_subset_gadget, p, n2, o) for n2 in range(5) for o in (oracle_st_reach, oracle)]
+    calls += [(cq_adversary, p, bound) for bound in range(10)]
+    walked = _outcomes(calls)
+    monkeypatch.setattr(dynqf.verify, "_witness_walk", _state_path_walk)
+    assert walked == _outcomes(calls)
+
+
+def test_attack_drivers_match_the_state_path_on_early_divergences(monkeypatch):
+    # oracles that part from the candidates at scattered steps, so witnesses
+    # come from the construction, from either Higman sequence, and from the
+    # prefixes the two sequences share
+    import dynqf.verify
+    oracles = [lambda s, k=k: (hash(s.relations["E"]) + k) % 4 == 0 for k in range(4)]
+    oracles += [lambda s, k=k: len(s.relations["E"]) >= k for k in (1, 5, 9, 13)]
+    calls = [(driver, PROGRAMS[name][0], n, o)
+             for name in ("unary-twopath-naive", "binary-reach2-naive") for o in oracles
+             for driver, sizes in ((attack_star_deletion, range(1, 8)), (attack_subset_gadget, range(1, 4)))
+             for n in sizes]
+    walked = _outcomes(calls)
+    assert len([w for w in walked if isinstance(w, dict) and w["step"] > 2]) > 10
+    monkeypatch.setattr(dynqf.verify, "_witness_walk", _state_path_walk)
+    assert walked == _outcomes(calls)
+
+
+def test_attack_drivers_step_without_apply_or_run(monkeypatch):
+    # each driver call initializes once and steps on payloads; only the
+    # self-validation replay of a witness initializes again and runs
+    import dynqf.program
+    import dynqf.verify
+    finish, init = dynqf.verify._finish_counterexample, dynqf.verify.init_state
+    replaying, inits = [], []
+
+    def only_in_replay(fn):
+        def call(*args, **kwargs):
+            assert replaying, "a driver stepped through a full-State path"
+            return fn(*args, **kwargs)
+        return call
+
+    def finishing(*args):
+        replaying.append(True)
+        try:
+            return finish(*args)
+        finally:
+            replaying.pop()
+
+    monkeypatch.setattr(dynqf.program, "apply", only_in_replay(dynqf.program.apply))
+    monkeypatch.setattr(dynqf.verify, "run", only_in_replay(dynqf.verify.run))
+    monkeypatch.setattr(dynqf.verify, "_finish_counterexample", finishing)
+    monkeypatch.setattr(dynqf.verify, "init_state", lambda *args: inits.append(args) or init(*args))
+    unary, binary = strawman_program("unary-twopath-naive"), strawman_program("binary-reach2-naive")
+    cq, broken = strawman_program("cq-nonemptyset-naive"), parse_program(BROKEN_SRC)
+    for call, witness in [(lambda: attack_star_deletion(unary, 1), False),
+                          (lambda: attack_star_deletion(unary, 6), True),
+                          (lambda: attack_subset_gadget(binary, 1), False),
+                          (lambda: attack_subset_gadget(binary, 2), True),
+                          (lambda: cq_adversary(cq, bound=3), False),
+                          (lambda: cq_adversary(cq, bound=4), True),
+                          (lambda: cq_adversary(broken, bound=4), True)]:
+        inits.clear()
+        assert (call() is not None) == witness
+        assert len(inits) == 1 + witness
