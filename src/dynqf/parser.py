@@ -1,10 +1,15 @@
 """Parsers for the .dynp program format, modification scripts, and formulas.
 
-Hand-rolled recursive descent over a small token stream; diagnostics carry
-line and column.  Identifiers are [A-Za-z][A-Za-z0-9_]*, comments run from
-'#' to end of line.  Operator precedence in formulas: '!' over '&' over '|'.
+Hand-rolled recursive descent over a token list; diagnostics carry line and
+column.  `tokenize` reads one token per match of `_TOKEN`: a newline, the
+punctuation `:=` `!=` `->` and `{}(),/=!&|:;`, an identifier
+[A-Za-z][A-Za-z0-9_]*, an integer [0-9]+, or blanks and a '#' comment to the
+end of the line.  Any other character, non-ASCII letters and digits included,
+is a ParseError.  Operator precedence in formulas: '!' over '&' over '|'.
 """
 from __future__ import annotations
+
+import re
 
 from .errors import ParseError
 from .formulas import (And, App, Const, Eq, Formula, Ite, Not, Or, RelAtom,
@@ -15,8 +20,9 @@ from .records import Record
 from .schema import Role, Schema, make_schema
 from .state import DEL, INS, Modification
 
-_PUNCT2 = (":=", "!=", "->")
-_PUNCT1 = "{}(),/=!&|:;"
+_TOKEN = re.compile(r"(?P<newline>\n)|(?P<punct>:=|!=|->|[{}(),/=!&|:;])"
+                    r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>[0-9]+)|[ \t\r]+|#.*|(?P<bad>.)")
+_SECTIONS = ("input", "aux", "builtin", "const", "query", "init")
 
 
 class Token(Record):
@@ -30,58 +36,24 @@ class Token(Record):
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        two = text[i:i + 2]
-        if two in _PUNCT2:
-            tokens.append(Token("punct", two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT1:
-            tokens.append(Token("punct", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, start_col, filename)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start = 1, 0  # line_start: the index of the line's first character
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, m.start() - line_start + 1, filename)
+        elif kind:
+            tokens.append(Token(kind, m.group(), line, m.start() - line_start + 1))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
 class TokenStream:
+    """A cursor over a token list.  `accept`, `expect` and `at` compare token
+    values only: no punctuation is a word, and no word or punctuation is an
+    integer."""
+
     def __init__(self, tokens: list[Token], filename: str):
         self.tokens = tokens
         self.pos = 0
@@ -101,27 +73,19 @@ class TokenStream:
             self.pos += 1
         return tok
 
-    def accept(self, value: str) -> bool:
-        if self.cur.kind == "punct" and self.cur.value == value:
-            self.advance()
-            return True
-        return False
+    def at(self, *values: str) -> bool:
+        return self.cur.value in values
 
-    def accept_word(self, word: str) -> bool:
-        if self.cur.kind == "ident" and self.cur.value == word:
+    def accept(self, value: str) -> bool:
+        if self.cur.value == value:
             self.advance()
             return True
         return False
 
     def expect(self, value: str) -> Token:
-        if self.cur.kind == "punct" and self.cur.value == value:
+        if self.cur.value == value:
             return self.advance()
         self.error(f"expected {value!r}, found {self.cur.value!r}")
-
-    def expect_word(self, word: str) -> Token:
-        if self.cur.kind == "ident" and self.cur.value == word:
-            return self.advance()
-        self.error(f"expected {word!r}, found {self.cur.value!r}")
 
     def expect_ident(self) -> str:
         if self.cur.kind == "ident":
@@ -129,12 +93,26 @@ class TokenStream:
         self.error(f"expected identifier, found {self.cur.value!r}")
 
     def expect_int(self) -> int:
-        if self.cur.kind == "int":
-            return int(self.advance().value)
-        self.error(f"expected integer, found {self.cur.value!r}")
+        tok = self.cur
+        if tok.kind != "int":
+            self.error(f"expected integer, found {tok.value!r}")
+        try:
+            value = int(tok.value)
+        except ValueError:  # longer than sys.get_int_max_str_digits() allows
+            self.error(f"integer of {len(tok.value)} digits is too long")
+        self.advance()
+        return value
 
-    def at_word(self, *words: str) -> bool:
-        return self.cur.kind == "ident" and self.cur.value in words
+    def items(self, read) -> list:
+        """A parenthesised, comma-separated list of what read() reads."""
+        self.expect("(")
+        if self.accept(")"):
+            return []
+        out = [read()]
+        while self.accept(","):
+            out.append(read())
+        self.expect(")")
+        return out
 
 
 # -- formulas and terms --------------------------------------------------------
@@ -171,9 +149,9 @@ class FormulaParser:
             f = self.formula()
             ts.expect(")")
             return f
-        if ts.accept_word("true"):
+        if ts.accept("true"):
             return TRUE
-        if ts.accept_word("false"):
+        if ts.accept("false"):
             return FALSE
         tok = ts.cur
         if tok.kind != "ident" and tok.kind != "int":
@@ -181,7 +159,7 @@ class FormulaParser:
         # relation atom, or a term followed by = / !=
         if tok.kind == "ident" and tok.value in self.schema.relations:
             name = ts.advance().value
-            args = self._args()
+            args = ts.items(self.term)
             if len(args) != self.schema.arity(name):
                 ts.error(f"relation {name!r} expects {self.schema.arity(name)} arguments", tok)
             return RelAtom(name, tuple(args))
@@ -192,22 +170,10 @@ class FormulaParser:
             return Not(Eq(left, self.term()))
         ts.error("expected '=' or '!=' after a term", tok)
 
-    def _args(self) -> list[Term]:
-        ts = self.ts
-        ts.expect("(")
-        args: list[Term] = []
-        if not ts.accept(")"):
-            args.append(self.term())
-            while ts.accept(","):
-                args.append(self.term())
-            ts.expect(")")
-        return args
-
     def term(self) -> Term:
         ts = self.ts
         tok = ts.cur
-        if tok.kind == "ident" and tok.value == "ite":
-            ts.advance()
+        if ts.accept("ite"):
             ts.expect("(")
             cond = self.formula()
             ts.expect(",")
@@ -218,10 +184,7 @@ class FormulaParser:
             return Ite(cond, then, other)
         name = ts.expect_ident()
         if name in self.schema.functions:
-            if ts.cur.kind == "punct" and ts.cur.value == "(":
-                args = self._args()
-            else:
-                args = []
+            args = ts.items(self.term) if ts.at("(") else []
             if len(args) != self.schema.arity(name):
                 ts.error(f"function {name!r} expects {self.schema.arity(name)} arguments", tok)
             return App(name, tuple(args))
@@ -252,7 +215,7 @@ def parse_term(text: str, schema: Schema, vars: set[str] | None = None) -> Term:
 
 def parse_program(text: str, filename: str = "<program>") -> DynamicProgram:
     ts = TokenStream(tokenize(text, filename), filename)
-    ts.expect_word("program")
+    ts.expect("program")
     name = ts.expect_ident()
 
     input_rels: dict[str, int] = {}
@@ -264,12 +227,11 @@ def parse_program(text: str, filename: str = "<program>") -> DynamicProgram:
     query: str | None = None
     init: InitSpec | None = None
     default_frame = False
-    raw_rules: list[tuple] = []  # (kind, trigger, params, target, tparams, body_tokens-slice)
 
     def parse_symbol_block(rels: dict[str, int], funs: dict[str, int] | None):
         ts.expect("{")
         while True:
-            is_fun = ts.accept_word("fun")
+            is_fun = ts.accept("fun")
             sym = ts.expect_ident()
             ts.expect("/")
             ar = ts.expect_int()
@@ -283,7 +245,7 @@ def parse_program(text: str, filename: str = "<program>") -> DynamicProgram:
                 break
         ts.expect("}")
 
-    while ts.at_word("input", "aux", "builtin", "const", "query", "init"):
+    while ts.at(*_SECTIONS):
         section = ts.advance().value
         if section == "input":
             parse_symbol_block(input_rels, None)
@@ -309,15 +271,15 @@ def parse_program(text: str, filename: str = "<program>") -> DynamicProgram:
         init = _resolve_table(ts, init, schema)
 
     rules: dict[tuple[str, str, str], UpdateRule] = {}
-    while ts.at_word("on", "default"):
-        if ts.accept_word("default"):
-            ts.expect_word("frame")
+    while ts.at("on", "default"):
+        if ts.accept("default"):
+            ts.expect("frame")
             default_frame = True
             continue
-        ts.expect_word("on")
-        if ts.accept_word("insert"):
+        ts.expect("on")
+        if ts.accept("insert"):
             kind = INS
-        elif ts.accept_word("delete"):
+        elif ts.accept("delete"):
             kind = DEL
         else:
             ts.error("expected 'insert' or 'delete'")
@@ -325,17 +287,16 @@ def parse_program(text: str, filename: str = "<program>") -> DynamicProgram:
         trigger = ts.expect_ident()
         if trigger not in input_rels:
             ts.error(f"{trigger!r} is not an input relation", trig_tok)
-        params = _param_list(ts)
+        params = ts.items(ts.expect_ident)
         if len(params) != input_rels[trigger]:
             ts.error(f"trigger {trigger!r} expects {input_rels[trigger]} parameters", trig_tok)
         ts.expect(":")
-        while ts.cur.kind == "ident" and not ts.at_word("on", "default") \
-                and ts.tokens[ts.pos + 1].kind == "punct" and ts.tokens[ts.pos + 1].value == "(":
+        while ts.cur.kind == "ident" and not ts.at("on", "default") and ts.tokens[ts.pos + 1].value == "(":
             target_tok = ts.cur
             target = ts.expect_ident()
             if schema.roles.get(target) is not Role.AUX:
                 ts.error(f"{target!r} is not an auxiliary symbol", target_tok)
-            tparams = _param_list(ts)
+            tparams = ts.items(ts.expect_ident)
             if len(tparams) != schema.arity(target):
                 ts.error(f"{target!r} expects {schema.arity(target)} parameters", target_tok)
             fp = FormulaParser(ts, schema, set(params) | set(tparams))
@@ -369,27 +330,14 @@ def parse_program(text: str, filename: str = "<program>") -> DynamicProgram:
     return program
 
 
-def _param_list(ts: TokenStream) -> list[str]:
-    ts.expect("(")
-    params: list[str] = []
-    if not ts.accept(")"):
-        params.append(ts.expect_ident())
-        while ts.accept(","):
-            params.append(ts.expect_ident())
-        ts.expect(")")
-    return params
-
-
 def _parse_init(ts: TokenStream) -> InitSpec:
-    if ts.accept_word("empty"):
-        base = ts.expect_ident() if ts.cur.kind == "ident" and not ts.at_word(
-            "input", "aux", "builtin", "const", "query", "init", "on", "default") else None
-        return InitSpec("empty", base=base)
-    if ts.accept_word("oracle"):
-        base = ts.expect_ident() if ts.cur.kind == "ident" and not ts.at_word(
-            "input", "aux", "builtin", "const", "query", "init", "on", "default") else None
-        return InitSpec("oracle", base=base)
-    if ts.accept_word("table"):
+    if ts.at("empty", "oracle"):
+        kind = ts.advance().value
+        base = None
+        if ts.cur.kind == "ident" and not ts.at(*_SECTIONS, "on", "default"):
+            base = ts.advance().value
+        return InitSpec(kind, base=base)
+    if ts.accept("table"):
         # remember the token range; resolved once the schema is known
         start = ts.pos
         ts.expect("{")
@@ -398,9 +346,9 @@ def _parse_init(ts: TokenStream) -> InitSpec:
             tok = ts.advance()
             if tok.kind == "eof":
                 ts.error("unterminated table initializer")
-            if tok.kind == "punct" and tok.value == "{":
+            if tok.value == "{":
                 depth += 1
-            elif tok.kind == "punct" and tok.value == "}":
+            elif tok.value == "}":
                 depth -= 1
         return InitSpec("table", table=("pending", start, ts.pos))
     ts.error("expected one of: empty, oracle, table")
@@ -412,7 +360,7 @@ def _resolve_table(ts: TokenStream, init: InitSpec, schema: Schema) -> InitSpec:
     sub.expect("{")
     relations: dict[str, list[tuple[int, ...]]] = {}
     functions: dict[str, dict[tuple[int, ...], int]] = {}
-    while not (sub.cur.kind == "punct" and sub.cur.value == "}"):
+    while not sub.at("}"):
         sym_tok = sub.cur
         sym = sub.expect_ident()
         sub.expect("=")
@@ -422,14 +370,8 @@ def _resolve_table(ts: TokenStream, init: InitSpec, schema: Schema) -> InitSpec:
             fentries = functions.setdefault(sym, {})
         else:
             sub.error(f"unknown symbol {sym!r} in table", sym_tok)
-        while sub.cur.kind == "punct" and sub.cur.value == "(":
-            sub.expect("(")
-            tup: list[int] = []
-            if not sub.accept(")"):
-                tup.append(sub.expect_int())
-                while sub.accept(","):
-                    tup.append(sub.expect_int())
-                sub.expect(")")
+        while sub.at("("):
+            tup = sub.items(sub.expect_int)
             if sym in schema.relations:
                 entries.append(tuple(tup))
             else:
@@ -473,24 +415,23 @@ def parse_script(text: str, schema: Schema, filename: str = "<script>") -> Scrip
 
     mods: list[Modification] = []
     while ts.cur.kind != "eof":
-        if ts.accept_word("domain"):
+        if ts.accept("domain"):
             domain = ts.expect_int()
-        elif ts.accept_word("graph"):
+        elif ts.accept("graph"):
             ts.expect("{")
             while not ts.accept("}"):
-                if ts.accept_word("nodes"):
+                if ts.accept("nodes"):
                     domain = ts.expect_int()
-                elif ts.accept_word("const"):
+                elif ts.accept("const"):
                     while ts.cur.kind == "ident":
                         cname = ts.expect_ident()
                         ts.expect("=")
                         constants[cname] = ts.expect_int()
-                elif ts.accept_word("edges"):
+                elif ts.accept("edges"):
                     if "E" not in schema.relations or schema.arity("E") != 2:
                         ts.error("graph literals need a binary input relation E")
                     edges = relations.setdefault("E", set())
-                    while ts.cur.kind == "punct" and ts.cur.value == "(":
-                        ts.expect("(")
+                    while ts.accept("("):
                         u = element()
                         ts.expect(",")
                         v = element()
@@ -500,7 +441,7 @@ def parse_script(text: str, schema: Schema, filename: str = "<script>") -> Scrip
                     continue
                 else:
                     ts.error(f"unexpected {ts.cur.value!r} in graph literal")
-        elif ts.accept_word("db"):
+        elif ts.accept("db"):
             ts.expect("{")
             while not ts.accept("}"):
                 if ts.accept(";"):
@@ -511,34 +452,22 @@ def parse_script(text: str, schema: Schema, filename: str = "<script>") -> Scrip
                     ts.error(f"unknown relation {sym!r} in db literal", sym_tok)
                 ts.expect(":")
                 tuples = relations.setdefault(sym, set())
-                while ts.cur.kind == "punct" and ts.cur.value == "(":
-                    ts.expect("(")
-                    tup = []
-                    if not ts.accept(")"):
-                        tup.append(element())
-                        while ts.accept(","):
-                            tup.append(element())
-                        ts.expect(")")
+                while ts.at("("):
+                    tup = ts.items(element)
                     if len(tup) != schema.arity(sym):
                         ts.error(f"{sym!r} expects {schema.arity(sym)} components", sym_tok)
                     tuples.add(tuple(tup))
-        elif ts.accept_word("elem"):
+        elif ts.accept("elem"):
             name = ts.expect_ident()
             ts.expect("=")
             aliases[name] = ts.expect_int()
-        elif ts.at_word("ins", "del"):
+        elif ts.at("ins", "del"):
             kind = INS if ts.advance().value == "ins" else DEL
             rel_tok = ts.cur
             rel = ts.expect_ident()
             if rel not in schema.relations:
                 ts.error(f"unknown relation {rel!r}", rel_tok)
-            ts.expect("(")
-            tup = []
-            if not ts.accept(")"):
-                tup.append(element())
-                while ts.accept(","):
-                    tup.append(element())
-                ts.expect(")")
+            tup = ts.items(element)
             if len(tup) != schema.arity(rel):
                 ts.error(f"{rel!r} expects {schema.arity(rel)} components", rel_tok)
             mods.append(Modification(rel, tuple(tup), kind))

@@ -356,9 +356,10 @@ def _random_check(p, oracle, cfg, bounds) -> Verdict:
     _, start, flip = _moves(p, cfg, s0)
     rng = random.Random(cfg.seed)
     steps = 0
-    if lean_oracle(lean0) != ctx.query(lean0):
+    exp, got = lean_oracle(lean0), ctx.query(lean0)
+    if exp != got:
         c = _finish_counterexample(p, oracle, Counterexample(
-            p.name, db, (), 0, lean_oracle(lean0), ctx.query(lean0), seed=cfg.seed))
+            p.name, db, (), 0, exp, got, seed=cfg.seed))
         return Verdict("counterexample", bounds, 1, 0, c, seed=cfg.seed)
     for _ in range(cfg.samples):
         lean = lean0
@@ -691,8 +692,8 @@ def _witness_walk(p: DynamicProgram, oracle: Callable[[State], bool], db: State)
 
 def _check_relational_candidate(p: DynamicProgram, driver: str, data: str, max_arity: int) -> None:
     """The guard of the attack drivers on s-t reachability: auxiliary
-    relations of arity at most max_arity, no auxiliary function, and the
-    constants s and t."""
+    relations of arity at most max_arity, no auxiliary function, the
+    constants s and t, and a binary input relation E."""
     sch = p.schema
     bad = [a for a in sch.aux_symbols if sch.arity(a) > max_arity]
     if bad:
@@ -703,6 +704,8 @@ def _check_relational_candidate(p: DynamicProgram, driver: str, data: str, max_a
         raise GuardError(f"{driver} targets relational candidates")
     if "s" not in sch.constants or "t" not in sch.constants:
         raise GuardError("candidate must use constants s and t")
+    if "E" not in sch.input_relations or sch.arity("E") != 2:
+        raise GuardError(f"{driver} needs a binary input relation 'E'")
 
 
 def attack_star_deletion(p: DynamicProgram, n: int,

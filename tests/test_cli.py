@@ -211,6 +211,19 @@ def test_attack_star_witness_exit_one(tmp_path, capsys):
     assert "witness found" in out and "self-validation: True" in out
 
 
+def test_attack_replays_its_witness_once(tmp_path, capsys, monkeypatch):
+    # the driver's own replay stands behind the "self-validation" line
+    import dynqf.verify
+    replays = []
+    replay = dynqf.verify._replay
+    monkeypatch.setattr(dynqf.verify, "_replay", lambda *args: replays.append(args) or replay(*args))
+    f = tmp_path / "unary.dynp"
+    f.write_text(corpus_source("strawmen/unary_twopath_naive.dynp"))
+    assert main(["attack", str(f), "--driver", "star-deletion", "--n", "6"]) == 1
+    assert "self-validation: True" in capsys.readouterr().out
+    assert len(replays) == 1
+
+
 def test_attack_guard_violation(tmp_path, capsys):
     f = tmp_path / "tern.dynp"
     f.write_text(corpus_source("s_twopath_ternary.dynp"))
@@ -428,6 +441,25 @@ def test_init_builtin_is_a_parse_error(tmp_path, capsys):
     assert main(["verify", str(f)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command, program, script", [
+    ("verify", "input   { U/\u00b9 }", None),
+    ("verify", "input   { U\u00e9/1 }", None),
+    ("run", "input   { U/1 }", "domain \u00b2\nins U(0)\n"),
+    ("run", "input   { U/1 }", "domain 3\nins U(\u0663)\n"),
+])
+def test_a_non_ascii_digit_or_letter_is_a_parse_error(tmp_path, capsys, command, program, script):
+    f = tmp_path / "bad.dynp"
+    f.write_text(corpus_source("non_empty_set.dynp").replace("input   { U/1 }", program), encoding="utf-8")
+    argv = [command, str(f)]
+    if script is not None:
+        (tmp_path / "s.txt").write_text(script, encoding="utf-8")
+        argv.append(str(tmp_path / "s.txt"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1, err
+    assert "unexpected character" in err
 
 
 @pytest.mark.parametrize("command", ["verify", "transform", "replay"])

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dynqf.corpus import _SPECS, _STRAWMEN, builtin_program, corpus_names, corpus_source
 from dynqf.errors import DynqfError, ParseError, ProgramError
 from dynqf.formulas import And, App, Eq, Ite, Not, Or, RelAtom, Var
-from dynqf.parser import parse_formula, parse_program, parse_script, parse_term
+from dynqf.parser import parse_formula, parse_program, parse_script, parse_term, tokenize
 from dynqf.printer import print_formula, print_program
 from dynqf.program import decode_table
 from dynqf.schema import make_schema
@@ -196,6 +196,38 @@ def test_parse_error_carries_position():
     assert exc.value.line >= 6
 
 
+@pytest.mark.parametrize("text, line, col, fragment", [
+    ("program x\ninput { U/1 } $", 2, 15, "unexpected character '$'"),
+    ("program x\n# a comment\ninput { U/1 }\n  @ query Q", 4, 3, "unexpected character '@'"),
+    ("program x\n\tinput\t{ U/1 } ?", 2, 16, "unexpected character '?'"),
+    ("program x\ninput { U/1", 2, 12, "expected '}', found ''"),
+    ("program x\ninput { U/1 } # the end", 2, 24, "missing 'query' section"),
+    ("program x\ninput { U/\u00b9 }", 2, 11, "unexpected character '\u00b9'"),
+    ("program x\ninput { \u00e9/1 }", 2, 9, "unexpected character '\u00e9'"),
+    ("program x\ninput { U/1 }\r\nquery \u0663", 3, 7, "unexpected character '\u0663'"),
+    ("program x\u00e9", 1, 10, "unexpected character '\u00e9'"),
+    ("program x\ninput { U/1\u0663 }", 2, 12, "unexpected character '\u0663'"),
+    ("program _x", 1, 9, "unexpected character '_'"),
+])
+def test_parse_errors_carry_line_and_column(text, line, col, fragment):
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    assert (exc.value.line, exc.value.column) == (line, col)
+    assert str(exc.value) == f"<program>:{line}:{col}: {fragment}"
+
+
+def test_an_integer_too_long_to_convert_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"^<program>:2:11: integer of 5000 digits is too long$"):
+        parse_program("program x\ninput { U/" + "9" * 5000 + " }")
+
+
+def test_end_of_input_after_a_trailing_comment_is_past_the_comment():
+    # the end-of-input token sits after the last character of its line,
+    # comment characters included
+    assert [(t.kind, t.line, t.col) for t in tokenize("x # note")] == [("ident", 1, 1), ("eof", 1, 9)]
+    assert [(t.kind, t.line, t.col) for t in tokenize("x # note\n")] == [("ident", 1, 1), ("eof", 2, 1)]
+
+
 CORPUS_SOURCES = ([corpus_source(spec[0]) for spec in _SPECS.values()]
                   + [corpus_source(path) for path in _STRAWMEN.values()])
 TOKEN = re.compile(r"\w+|\S")
@@ -218,7 +250,7 @@ def corpus_mutants(draw):
         if op == "delete":
             text = text[:a0] + text[a1:]
         elif op == "insert":
-            piece = draw(st.sampled_from((text[b0:b1] + " ", *"(){},:=!&|/#\n0sxE")))
+            piece = draw(st.sampled_from((text[b0:b1] + " ", *"(){},:=!&|/#\n0sxEé²٣")))
             text = text[:a0] + piece + text[a0:]
         elif a1 <= b0:
             text = text[:a0] + text[b0:b1] + text[a1:b0] + text[a0:a1] + text[b1:]

@@ -957,6 +957,27 @@ def test_star_attack_guard_rejects_binary():
     assert "arity 2 > 1" in str(exc.value)
 
 
+@pytest.mark.parametrize("edges", ["F/2", "E/1"])
+@pytest.mark.parametrize("driver, name", [(attack_star_deletion, "star-deletion"),
+                                          (attack_subset_gadget, "subset-gadget")])
+def test_attack_guard_needs_a_binary_input_relation_e(driver, name, edges):
+    params = "(a)" if edges == "E/1" else "(a,b)"
+    p = parse_program(f"""
+program no_edges
+input {{ {edges} }}
+aux   {{ Q/0 }}
+const s, t
+query Q
+init  empty
+on insert {edges[0]}{params}:
+  Q(): true
+on delete {edges[0]}{params}:
+  Q(): false
+""")
+    with pytest.raises(GuardError, match=f"^{name} needs a binary input relation 'E'$"):
+        driver(p, 3)
+
+
 def test_star_attack_n1_returns_none_for_sane_candidates():
     # with a single layer node no divergence can be provoked by this
     # candidate: it is exact while the witness set has at most one element
