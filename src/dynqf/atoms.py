@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, DynqfError
 from .records import Frozen
@@ -79,9 +79,16 @@ def atomic_type(s: State, tup: Sequence[int], sigma: Iterable[str] | None = None
     return AtomicType(len(tup), frozenset(rel_atoms), frozenset(eq_atoms))
 
 
-def _ordered_tuples(elements: Sequence[int], length: int):
-    """All strictly increasing `length`-tuples, in the given element order."""
-    return itertools.combinations(elements, length)
+def _one_type_per_length(s: State, tuples: Callable[[int], Iterable[tuple]], up_to_arity: int,
+                         anchor: tuple = (), sigma: Iterable[str] | None = None) -> bool:
+    """Do all tuples of `tuples(l)`, each extended by the anchor, share one
+    atomic type, for every l <= up_to_arity?"""
+    for l in range(1, up_to_arity + 1):
+        types = (atomic_type(s, tup + anchor, sigma) for tup in tuples(l))
+        first = next(types, None)
+        if any(t != first for t in types):
+            return False
+    return True
 
 
 def is_homogeneous(
@@ -104,16 +111,8 @@ def is_homogeneous(
     if not subset <= set(pos):
         raise DynqfError("order does not cover the subset")
     ordered = sorted(subset, key=pos.__getitem__)
-    anchor = tuple(anchor)
-    for l in range(1, up_to_arity + 1):
-        seen = None
-        for tup in _ordered_tuples(ordered, l):
-            t = atomic_type(s, tup + anchor, sigma)
-            if seen is None:
-                seen = t
-            elif t != seen:
-                return False
-    return True
+    return _one_type_per_length(s, lambda l: itertools.combinations(ordered, l), up_to_arity,
+                                tuple(anchor), sigma)
 
 
 def find_homogeneous_subset(
@@ -150,7 +149,7 @@ def find_homogeneous_subset(
             ok = True
             # only tuples containing e are new; e is the largest chosen so far
             for l in range(1, min(len(chosen) + 1, max_ar) + 1):
-                for prefix in _ordered_tuples(chosen, l - 1):
+                for prefix in itertools.combinations(chosen, l - 1):
                     t = atomic_type(s, prefix + (e,) + anchor, sigma)
                     if l not in new_ref:
                         new_ref[l] = t
@@ -179,12 +178,4 @@ def diverse_tuples_share_type(s: State, subset: Iterable[int], up_to_arity: int)
     l <= up_to_arity?  The shape of state an invariant initialization must
     produce on inputs whose subset elements are pairwise swappable."""
     subset = sorted(set(subset))
-    for l in range(1, up_to_arity + 1):
-        seen = None
-        for tup in diverse_tuples(subset, l):
-            t = atomic_type(s, tup)
-            if seen is None:
-                seen = t
-            elif t != seen:
-                return False
-    return True
+    return _one_type_per_length(s, lambda l: diverse_tuples(subset, l), up_to_arity)

@@ -8,7 +8,7 @@ from typing import Callable, Mapping
 from .errors import DynqfError, SchemaError
 from .formulas import classify_syntax
 from .parser import parse_program
-from .program import DynamicProgram, register_base
+from .program import BASE_REGISTRY, DynamicProgram
 from .queries import (oracle_nonemptyset, oracle_s_twopath, oracle_st_reach,
                       oracle_st_twopath)
 from .records import Frozen
@@ -52,20 +52,15 @@ def _succ_pred_tables(n: int) -> tuple[dict, dict]:
 
 def _reach1layer_base(schema: Schema, n: int):
     succ, pred = _succ_pred_tables(n)
-    return ({"C": {(0,)}}, {}, {}, {"Succ": succ, "Pred": pred})
-
-
-def _st_base(schema: Schema, n: int):
-    return ({}, {}, {}, {})
+    return {"C": {(0,)}}, {"Succ": succ, "Pred": pred}
 
 
 def _s_twopath_base(schema: Schema, n: int):
-    return ({"Empty1": {()}}, {}, {}, {})
+    return {"Empty1": {()}}, {}
 
 
-register_base("reach1layer_base", _reach1layer_base)
-register_base("st_base", _st_base)
-register_base("s_twopath_base", _s_twopath_base)
+BASE_REGISTRY.update(reach1layer_base=_reach1layer_base, st_base=BASE_REGISTRY["default"],
+                     s_twopath_base=_s_twopath_base)
 
 
 class ClassTags(Frozen):

@@ -14,7 +14,7 @@ from .formulas import (App, Formula, RelAtom, Term, Var, eval_formula, eval_term
 from .records import Frozen
 from .schema import Role, Schema
 from .state import (DEL, INS, Modification, State, check_modification,
-                    default_function, is_honest, make_state, transport)
+                    is_honest, make_state, transport)
 
 
 class UpdateRule(Frozen):
@@ -38,14 +38,17 @@ class UpdateRule(Frozen):
 
 
 class InitSpec(Frozen):
-    """Aux/builtin initialization model.
+    """Initialization model.  `base` names the base builder (see
+    `base_builder`) that seeds the symbols that are not input.
 
-    kind 'empty'  : aux relations empty, aux functions projection-on-first-arg
-                    (base overrides applied on top);
+    kind 'empty'  : the input database plus the base; aux relations the base
+                    leaves out are empty, aux functions projection-on-first-arg;
     kind 'oracle' : replay all input tuples, in sorted order, through the
-                    program's own insertion rules starting from the base state;
-    kind 'table'  : explicit interpretations, `table` in the canonical
-                    encoding of `encode_table`.
+                    program's own insertion rules starting from the base state
+                    over the empty input;
+    kind 'table'  : 'empty' with explicit interpretations on top, input
+                    relations included, `table` in the canonical encoding of
+                    `encode_table`.
     """
 
     __slots__ = ("kind", "base", "table")
@@ -91,12 +94,6 @@ class DynamicProgram(Frozen):
         sch = self.schema
         return (any(sch.role(f) is Role.AUX for f in sch.functions)
                 or any(sym in sch.functions for r in self.rules.values() for sym in symbols_used(r.body)))
-
-    def aux_relations(self) -> list[str]:
-        return self.schema.symbols(Role.AUX, "rel")
-
-    def aux_functions(self) -> list[str]:
-        return self.schema.symbols(Role.AUX, "fun")
 
 
 def frame_rule(schema: Schema, target: str, kind: str, trigger: str) -> UpdateRule:
@@ -212,50 +209,35 @@ def run(
 
 # -- initialization ---------------------------------------------------------------
 
-# Base builders seed aux/builtin interpretations before empty start or oracle
-# replay: name -> builder(schema, n) -> (aux_rel_overrides, aux_fun_overrides,
-# builtin_rel, builtin_fun).
-BaseBuilder = Callable[[Schema, int], tuple[dict, dict, dict, dict]]
-BASE_REGISTRY: dict[str, BaseBuilder] = {}
+# A base builder seeds the symbols that are not input, before empty start or
+# oracle replay: builder(schema, n) -> (relations, functions), dicts by symbol
+# name; a symbol it leaves out takes make_state's default.
+BaseBuilder = Callable[[Schema, int], tuple[dict, dict]]
+BASE_REGISTRY: dict[str, BaseBuilder] = {"default": lambda schema, n: ({}, {})}
 
 
-def register_base(name: str, builder: BaseBuilder) -> None:
-    BASE_REGISTRY[name] = builder
+def base_builder(name: str | None) -> BaseBuilder:
+    """The base registered under `name` ("default" for None); a name
+    `rel2fun__<inner>` is the function encoding of the base `<inner>`."""
+    name = name or "default"
+    if name.startswith("rel2fun__"):
+        from .transforms import rel2fun_base
+        return rel2fun_base(base_builder(name[len("rel2fun__"):]))
+    try:
+        return BASE_REGISTRY[name]
+    except KeyError:
+        raise ProgramError(f"unknown base initializer {name!r}") from None
 
 
-def _default_base(schema: Schema, n: int):
-    return ({}, {}, {}, {})
-
-
-register_base("default", _default_base)
-
-
-def _base_state(p: DynamicProgram, input_db: State, empty_input: bool) -> State:
-    sch = p.schema
-    n = input_db.n
-    name = p.init.base or "default"
-    if name not in BASE_REGISTRY and name.startswith("rel2fun__"):
-        from .transforms import resolve_rel2fun_bases
-        resolve_rel2fun_bases(name)
-    builder = BASE_REGISTRY.get(name)
-    if builder is None:
-        raise ProgramError(f"unknown base initializer {p.init.base!r}")
-    aux_rels, aux_funs, bi_rels, bi_funs = builder(sch, n)
-    relations: dict[str, Iterable[tuple]] = {}
-    functions: dict[str, Mapping[tuple, int]] = {}
-    for name in sch.relations:
-        role = sch.role(name)
-        if role is Role.INPUT:
-            relations[name] = () if empty_input else input_db.relations[name]
-        elif role is Role.BUILTIN:
-            relations[name] = bi_rels.get(name, ())
-        else:
-            relations[name] = aux_rels.get(name, ())
-    for name, ar in sch.functions.items():
-        role = sch.role(name)
-        src = bi_funs if role is Role.BUILTIN else aux_funs
-        functions[name] = src.get(name, default_function(n, ar))
-    return make_state(sch, n, relations, functions, dict(input_db.constants))
+def assemble_state(schema: Schema, input_db: State, relations: Mapping[str, Iterable[tuple]],
+                   functions: Mapping[str, Mapping[tuple, int]], empty_input: bool = False) -> State:
+    """The state over `schema` whose input relations are those of `input_db`
+    (empty with `empty_input`) and whose other symbols are read from the two
+    dicts, or take make_state's defaults.  An entry of the dicts for an input
+    relation replaces the database's, as an `init table` entry does."""
+    rels = {name: () if empty_input else input_db.relations[name] for name in schema.input_relations}
+    rels.update(relations)
+    return make_state(schema, input_db.n, rels, functions, input_db.constants)
 
 
 def init_state(p: DynamicProgram, input_db: State) -> State:
@@ -267,27 +249,18 @@ def init_state(p: DynamicProgram, input_db: State) -> State:
     if input_db.schema != p.schema.input_only():
         raise SchemaError("input database does not match the program's input schema")
     spec = p.init
-    if spec.kind == "empty":
-        return _base_state(p, input_db, empty_input=False)
-    if spec.kind == "oracle":
-        state = _base_state(p, input_db, empty_input=True)
-        mods = [Modification(rel, tup, INS)
-                for rel in sorted(p.schema.input_relations)
-                for tup in sorted(input_db.relations[rel])]
-        for m in mods:
-            state = apply(p, state, m)
-        return state
+    if spec.kind not in ("empty", "oracle", "table"):
+        raise ProgramError(f"unknown init kind {spec.kind!r}")
+    relations, functions = base_builder(spec.base)(p.schema, input_db.n)
     if spec.kind == "table":
         rels, funs = decode_table(spec.table)
-        state = _base_state(p, input_db, empty_input=False)
-        relations = dict(state.relations)
-        functions = dict(state.functions)
-        for name, ts in rels.items():
-            relations[name] = frozenset(ts)
-        for name, table in funs.items():
-            functions[name] = dict(table)
-        return make_state(p.schema, state.n, relations, functions, state.constants)
-    raise ProgramError(f"unknown init kind {spec.kind!r}")
+        relations, functions = {**relations, **rels}, {**functions, **funs}
+    state = assemble_state(p.schema, input_db, relations, functions, empty_input=spec.kind == "oracle")
+    if spec.kind == "oracle":
+        for rel in sorted(p.schema.input_relations):
+            for tup in sorted(input_db.relations[rel]):
+                state = apply(p, state, Modification(rel, tup, INS))
+    return state
 
 
 def empty_input_db(p: DynamicProgram, n: int, constants: Mapping[str, int] | None = None) -> State:
@@ -330,21 +303,11 @@ class SchemaInit(Initializer):
         self.schema = schema
 
     def aux_interps(self, input_db: State) -> tuple[dict, dict]:
+        """The (relations, functions) of the symbols that are not input."""
         return {}, {}
 
     def build(self, input_db: State) -> State:
-        aux_rels, aux_funs = self.aux_interps(input_db)
-        relations: dict[str, Iterable[tuple]] = {}
-        functions: dict[str, Mapping[tuple, int]] = {}
-        for name in self.schema.relations:
-            role = self.schema.role(name)
-            if role is Role.INPUT:
-                relations[name] = input_db.relations[name]
-            else:
-                relations[name] = aux_rels.get(name, ())
-        for name, ar in self.schema.functions.items():
-            functions[name] = aux_funs.get(name, default_function(input_db.n, ar))
-        return make_state(self.schema, input_db.n, relations, functions, dict(input_db.constants))
+        return assemble_state(self.schema, input_db, *self.aux_interps(input_db))
 
 
 class EmptyInit(SchemaInit):

@@ -126,9 +126,6 @@ class State(Record):
     def fun(self, name: str) -> dict[tuple[int, ...], int]:
         return self.functions[name]
 
-    def const(self, name: str) -> int:
-        return self.constants[name]
-
     def query_value(self, symbol: str):
         """Value of a 0-ary query symbol as a bool, else the relation itself."""
         r = self.relations[symbol]
@@ -139,6 +136,12 @@ class State(Record):
     def input_part(self) -> "State":
         """The state restricted to input relations plus constants."""
         return self.layout.input_state(self.rels)
+
+
+# The largest domain a state may have: tests, demos and the benchmark use at
+# most 300 elements, and a default function table has n^k entries, so a
+# larger n is an input error, not a job.
+MAX_DOMAIN = 1000
 
 
 def _validate(schema: Schema, n: int, relations: Mapping[str, frozenset],
@@ -178,8 +181,12 @@ def make_state(
 
     Unnamed k-ary functions default to projection onto the first argument
     (0-ary ones to element 0), the same canonical choice empty initialization
-    uses.  Without `check`, the interpretations must already be valid.
+    uses.  Without `check`, the interpretations must already be valid.  A
+    domain above MAX_DOMAIN is a DomainError, raised before anything of that
+    size is built.
     """
+    if n > MAX_DOMAIN:
+        raise DomainError(f"domain of size {n} exceeds the limit of {MAX_DOMAIN} elements")
     rels = {name: frozenset(map(tuple, (relations or {}).get(name, ()))) for name in schema.relations}
     funs: dict[str, dict[tuple[int, ...], int]] = {}
     for name, ar in schema.functions.items():

@@ -8,8 +8,8 @@ import itertools
 from .errors import TransformError
 from .formulas import (App, Const, Eq, EqualityType, Formula, Ite, RelAtom, Var,
                        map_atoms, repeats_var, subst, symbols_used)
-from .program import (BASE_REGISTRY, DynamicProgram, InitSpec, UpdateRule,
-                      decode_table, encode_table, register_base, validate_program)
+from .program import (BaseBuilder, DynamicProgram, InitSpec, UpdateRule, decode_table,
+                      encode_table, validate_program)
 from .schema import Role, Schema
 from .state import DEL, INS, State
 
@@ -189,50 +189,27 @@ def relations_to_functions(p: DynamicProgram) -> DynamicProgram:
                                                            App(cname, ()))
     if p.init.kind == "table":
         raise TransformError("relations-to-functions does not support table initialization")
-    init = InitSpec(p.init.kind, base=rel2fun_base_name(p.init.base))
+    init = InitSpec(p.init.kind, base="rel2fun__" + (p.init.base or "default"))
     out = DynamicProgram(p.name + "_rel2fun", schema, rules, p.query_symbol, init)
     validate_program(out)
     return out
 
 
-def rel2fun_base_name(orig: str | None) -> str:
-    return "rel2fun__" + (orig or "default")
-
-
-def _rel2fun_base(inner_name: str):
+def rel2fun_base(inner: BaseBuilder) -> BaseBuilder:
+    """The base of a transformed program: inner's symbols, plus f_R(args) =
+    c_top iff args is in inner's R, with c_top = 0 and c_bot = 1."""
     def build(schema: Schema, n: int):
         if n < 2:
             raise TransformError("function encoding needs a domain with at least two elements")
-        inner = BASE_REGISTRY.get(inner_name)
-        if inner is None:
-            raise TransformError(f"unknown base initializer {inner_name!r}")
-        aux_rels, aux_funs, bi_rels, bi_funs = inner(schema, n)
-        top, bot = 0, 1
-        new_funs = dict(aux_funs)
+        relations, functions = inner(schema, n)
+        functions = {**functions, C_TOP: {(): 0}, C_BOT: {(): 1}}
         for name, ar in schema.functions.items():
-            if schema.role(name) is not Role.AUX:
-                continue
-            if name == C_TOP:
-                new_funs[name] = {(): top}
-            elif name == C_BOT:
-                new_funs[name] = {(): bot}
-            elif name.startswith("f_"):
-                source = name[2:]
-                held = set(map(tuple, aux_rels.get(source, ())))
-                new_funs[name] = {args: (top if args in held else bot)
-                                  for args in itertools.product(range(n), repeat=ar)}
-        aux_rels = {k: v for k, v in aux_rels.items() if k in schema.relations}
-        return aux_rels, new_funs, bi_rels, bi_funs
+            if schema.role(name) is Role.AUX and name.startswith("f_"):
+                held = set(map(tuple, relations.get(name[2:], ())))
+                functions[name] = {args: (0 if args in held else 1)
+                                   for args in itertools.product(range(n), repeat=ar)}
+        return relations, functions
     return build
-
-
-def resolve_rel2fun_bases(name: str) -> bool:
-    """Auto-register rel2fun__<inner> base names so transformed programs can
-    be reparsed in a fresh process."""
-    if name in BASE_REGISTRY or not name.startswith("rel2fun__"):
-        return name in BASE_REGISTRY
-    register_base(name, _rel2fun_base(name[len("rel2fun__"):]))
-    return True
 
 
 def decode_function_state(p: DynamicProgram, s: State) -> dict[str, frozenset]:

@@ -130,3 +130,26 @@ def test_diverse_tuples_share_type_on_symmetric_state():
     assert diverse_tuples_share_type(s, {1, 2, 3}, 2)
     lop = make_state(GRAPH_ST, n, {"E": edges - {(0, 1)}}, constants={"s": 0, "t": 4})
     assert not diverse_tuples_share_type(lop, {1, 2, 3}, 2)
+
+
+def _all_share_a_type(s, tuples, anchor=(), sigma=None):
+    return len({atomic_type(s, tup + anchor, sigma) for tup in tuples}) <= 1
+
+
+@given(st.integers(2, 5), st.data())
+def test_homogeneity_checks_agree_with_type_sets(n, data):
+    # both checks ask, per length l, whether one type covers all the tuples
+    sch = make_schema(input_relations={"E": 2, "U": 1}, constants=("s",))
+    edges = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
+    marked = data.draw(st.sets(st.tuples(st.integers(0, n - 1)), max_size=3))
+    s = make_state(sch, n, {"E": edges, "U": marked}, constants={"s": data.draw(st.integers(0, n - 1))})
+    order = data.draw(st.permutations(range(n)))
+    subset = data.draw(st.sets(st.integers(0, n - 1), max_size=4))
+    anchor = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=1)))
+    sigma = data.draw(st.sampled_from([None, ["E"], ["U"]]))
+    k = data.draw(st.integers(1, 3))
+    ordered = sorted(subset, key=order.index)
+    assert is_homogeneous(s, order, subset, k, anchor, sigma) == all(
+        _all_share_a_type(s, itertools.combinations(ordered, l), anchor, sigma) for l in range(1, k + 1))
+    assert diverse_tuples_share_type(s, subset, k) == all(
+        _all_share_a_type(s, itertools.permutations(sorted(subset), l)) for l in range(1, k + 1))

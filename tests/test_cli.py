@@ -96,6 +96,31 @@ def test_run_honesty_violation(nes_file, tmp_path, capsys):
     assert "step 2" in capsys.readouterr().err
 
 
+def _memory_capped():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("script", [
+    "domain 100000000\nins U(0)\n",
+    "domain 99999999999999999999\n",
+    "ins U(100000000)\n",  # no domain line: the domain is inferred from the tuple
+])
+def test_run_rejects_a_domain_above_the_limit(nes_file, tmp_path, script):
+    # in a child capped at 1 GB, so that building a domain of that size
+    # fails fast instead of taking the machine's memory
+    f = tmp_path / "s.txt"
+    f.write_text(script)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "dynqf.cli", "run", nes_file, str(f)], env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=_memory_capped)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: domain of size ")
+    assert proc.stderr.endswith(" exceeds the limit of 1000 elements\n")
+
+
 def test_run_parse_error_position(tmp_path, capsys):
     bad = tmp_path / "bad.dynp"
     bad.write_text("program x\ninput { U/1 }\naux { Q/0 }\nquery Q\non insert U(a):\n  Q(): U(\n")

@@ -1,15 +1,22 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
 
+from dynqf.cli import main
 from dynqf.corpus import builtin_program
-from dynqf.errors import RejectedSequenceError, SchemaError
-from dynqf.program import (ConstFunctionInit, CopyInputInit, EmptyInit,
+from dynqf.errors import DynqfError, RejectedSequenceError, SchemaError
+from dynqf.parser import parse_program
+from dynqf.program import (ConstFunctionInit, CopyInputInit, DynamicProgram, EmptyInit,
                            FixedElementInit, InitSpec, ProgramInit, UpdateRule,
                            _reference_apply, apply, empty_input_db, init_state,
                            is_invariant_init, run)
 from dynqf.schema import make_schema
+from dynqf.serialize import state_to_dict
 from dynqf.state import delete, ins, make_state
+from test_compiler import _shipped_with_transforms
 
 
 def nes():
@@ -306,3 +313,94 @@ def test_oracle_init_of_list_program_is_not_invariant():
     assert not is_invariant_init(ProgramInit(p), make_state(
         p.schema.input_only(), 3,
         {"U": frozenset({(0,), (1,)})}, {}, {}), "all")
+
+
+# -- initial states, pinned ----------------------------------------------------
+
+def _seeded_db(p, n, rng):
+    layout = empty_input_db(p, n)
+    rels = {name: {t for t in itertools.product(range(n), repeat=p.schema.arity(name)) if rng.random() < 0.3}
+            for name in sorted(p.schema.input_relations)}
+    return make_state(layout.schema, n, rels, {}, layout.constants)
+
+
+# sha256 over the serialized initial states below, in order: every shipped
+# program and its transforms, under its own `init oracle <base>` and under
+# `init empty <base>`, at n = 2..5, on the empty and two seeded databases
+INIT_STATES_SHA256 = "a60a17b7b3c3753063c91ab080e1b12c04ce323f2ac650f8f307be45021184be"
+
+
+def test_initial_states_are_pinned():
+    digest, count, rng = hashlib.sha256(), 0, random.Random(19)
+    for p in _shipped_with_transforms():
+        for kind in ("oracle", "empty"):
+            q = DynamicProgram(p.name, p.schema, p.rules, p.query_symbol, InitSpec(kind, p.init.base))
+            for n in range(2, 6):
+                for db in (empty_input_db(p, n), _seeded_db(p, n, rng), _seeded_db(p, n, rng)):
+                    doc = state_to_dict(init_state(q, db))
+                    digest.update(json.dumps(doc, sort_keys=True).encode())
+                    count += 1
+    assert (count, digest.hexdigest()) == (480, INIT_STATES_SHA256)
+
+
+def test_schema_initializers_build_the_criterion_10_states():
+    toy = make_schema(input_relations={"U": 1}, aux_relations={"A": 1})
+    db = make_state(toy.input_only(), 5, {"U": {(1,), (3,)}})
+    sch = make_schema(input_relations={"E": 2}, aux_functions={"g": 1}, constants=("s", "t"))
+    edges = {(0, a) for a in (1, 2, 3)} | {(a, 4) for a in (1, 2, 3)}
+    gdb = make_state(sch.input_only(), 5, {"E": edges}, constants={"s": 0, "t": 4})
+    built = {k: state_to_dict(s) for k, s in {
+        "empty": EmptyInit(toy).build(db),
+        "copy": CopyInputInit(toy, {"A": "U"}).build(db),
+        "fixed": FixedElementInit(toy, "A", 0).build(db),
+        "const": ConstFunctionInit(sch, "s").build(gdb),
+        "empty-fun": EmptyInit(sch).build(gdb),
+    }.items()}
+    u = [[1], [3]]
+    assert built["empty"]["relations"] == {"A": [], "U": u}
+    assert built["copy"]["relations"] == {"A": u, "U": u}
+    assert built["fixed"]["relations"] == {"A": [[0]], "U": u}
+    assert built["const"]["relations"] == {"E": [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]]}
+    assert built["const"]["functions"] == {"g": [[[i], 0] for i in range(5)]}
+    assert built["empty-fun"]["functions"] == {"g": [[[i], i] for i in range(5)]}
+    assert {d["constants"].get("t") for d in (built["const"], built["empty-fun"])} == {4}
+    assert all(d["domain"] == 5 and not d["functions"] for d in
+               (built["empty"], built["copy"], built["fixed"]))
+
+
+_TABLE_PROGRAM = """
+program table_input
+input { U/1 }
+aux   { Q/0, A/1 }
+query Q
+init  table { U = (1); A = (0) (2) }
+on insert U(a):
+  Q(): true
+  A(x): A(x)
+on delete U(a):
+  Q(): false
+  A(x): A(x)
+"""
+
+
+def test_a_table_entry_overrides_the_input_relation():
+    p = parse_program(_TABLE_PROGRAM)
+    s0 = init_state(p, empty_input_db(p, 3))
+    assert s0.rel("U") == {(1,)} and s0.rel("A") == {(0,), (2,)} and s0.rel("Q") == frozenset()
+    s0 = init_state(p, make_state(p.schema.input_only(), 3, {"U": {(0,), (2,)}}))
+    assert s0.rel("U") == {(1,)}
+
+
+@pytest.mark.parametrize("base", ["nosuch", "rel2fun__nosuch"])
+def test_an_unknown_base_is_named(base):
+    p = parse_program(_TABLE_PROGRAM.replace("table { U = (1); A = (0) (2) }", f"oracle {base}"))
+    with pytest.raises(DynqfError, match=r"^unknown base initializer 'nosuch'$"):
+        init_state(p, empty_input_db(p, 3))
+
+
+@pytest.mark.parametrize("base", ["nosuch", "rel2fun__nosuch"])
+def test_an_unknown_base_is_an_input_error_on_the_cli(base, tmp_path, capsys):
+    f = tmp_path / "unknown_base.dynp"
+    f.write_text(_TABLE_PROGRAM.replace("table { U = (1); A = (0) (2) }", f"oracle {base}"))
+    assert main(["verify", str(f), "--oracle", "non-empty-set", "--domain", "3", "--maxlen", "2"]) == 2
+    assert capsys.readouterr().err == "error: unknown base initializer 'nosuch'\n"

@@ -9,7 +9,7 @@ from dynqf.errors import DomainError, DynqfError, NotClosedError
 from dynqf.program import apply, empty_input_db, init_state
 from dynqf.schema import make_schema
 from dynqf.serialize import state_from_dict, state_to_dict
-from dynqf.state import (apply_input_modification, check_isomorphism, delete,
+from dynqf.state import (MAX_DOMAIN, apply_input_modification, check_isomorphism, delete,
                          ins, is_honest, make_state, restrict, transport)
 from dynqf.transforms import relations_to_functions
 from dynqf.verify import _candidate_mods
@@ -211,3 +211,12 @@ def test_transport_equals_the_make_state_image():
         assert check_isomorphism(s, image, pi)
     with pytest.raises(DynqfError):
         transport(make_state(sch, 2, constants={"s": 0, "t": 1}), {0: 0, 1: 0})
+
+
+def test_a_domain_above_the_limit_is_refused_before_it_is_built():
+    assert make_state(SET, MAX_DOMAIN, {"U": {(MAX_DOMAIN - 1,)}}).n == MAX_DOMAIN
+    # a binary function's default table would have n^2 entries
+    sch = make_schema(input_relations={"U": 1}, aux_functions={"g": 2})
+    for n in (MAX_DOMAIN + 1, 10 ** 20):
+        with pytest.raises(DomainError, match=f"^domain of size {n} exceeds the limit of {MAX_DOMAIN} elements$"):
+            make_state(sch, n)
