@@ -8,7 +8,7 @@ import random
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .compiler import context_for_state
-from .errors import ProgramError, RejectedSequenceError, SchemaError
+from .errors import DomainError, ProgramError, RejectedSequenceError, SchemaError
 from .formulas import (App, Formula, RelAtom, Term, Var, eval_formula, eval_term,
                        free_vars, nesting_depth, symbols_used)
 from .records import Frozen
@@ -274,6 +274,8 @@ def empty_input_db(p: DynamicProgram, n: int, constants: Mapping[str, int] | Non
                 consts[name] = 0
             elif name == "t":
                 consts[name] = n - 1
+            elif n < 1:
+                raise DomainError(f"constant {name!r} names no element of a domain of size {n}")
             else:
                 consts[name] = len(consts) % n
     return make_state(sch, n, {}, {}, consts)

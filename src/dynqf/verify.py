@@ -22,7 +22,8 @@ finds the plain search's counterexample, and its counts are those of
 
 The search, random mode, the suites and the attack drivers step lean
 payloads, the drivers each prefix their sequences share once
-(`_witness_walk`); only the replay validating a counterexample runs States.
+(`_witness_walk`) and random mode each short prefix its walks share
+(`_random_check`); only the replay validating a counterexample runs States.
 """
 from __future__ import annotations
 
@@ -351,6 +352,27 @@ def _orbit_bfs(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracl
 
 
 def _random_check(p, oracle, cfg, bounds) -> Verdict:
+    """Check the initial state, then `samples` seeded walks, each of a seeded
+    length from 1 to max_len, comparing the query bit with the oracle after
+    every step; with max_len 0 there is no walk.
+
+    Every walk starts from the initial state, so walks share their first
+    moves.  A per-run table maps each walk prefix of at most `depth` moves to
+    its payload and the table of its children.  A step whose prefix is in the
+    table takes the stored payload and is neither applied nor checked again:
+    the payload after a prefix is a function of the prefix, and it matched
+    the oracle when the prefix was first stepped, or the run would have ended
+    there.  `_walk` reads only moves, never states, so the seeded stream, the
+    verdict and any counterexample are those of stepping every move, and
+    `checked_steps` still counts every step of every walk.
+
+    `depth` is the largest d with |start|^d <= samples, at most max_len, where
+    start holds the moves admissible in the initial state.  No step admits
+    more moves than the one before it, so the table holds at most
+    min(|start|^d, samples) prefixes of length d: with two or more starting
+    moves at most 2 * samples payloads in all, and with one, one payload per
+    step of the longest walk.
+    """
     db, s0, lean0, ctx = _setup(p, cfg)
     lean_oracle = _lean_oracle(oracle, ctx)
     _, start, flip = _moves(p, cfg, s0)
@@ -361,19 +383,34 @@ def _random_check(p, oracle, cfg, bounds) -> Verdict:
         c = _finish_counterexample(p, oracle, Counterexample(
             p.name, db, (), 0, exp, got, seed=cfg.seed))
         return Verdict("counterexample", bounds, 1, 0, c, seed=cfg.seed)
+    if cfg.max_len == 0:
+        return Verdict("ok", bounds, 0, 0, seed=cfg.seed)
+    depth = cfg.max_len if len(start) <= 1 else 0
+    while depth < cfg.max_len and len(start) ** (depth + 1) <= cfg.samples:
+        depth += 1
+    known: dict[Modification, tuple] = {}  # move -> (payload, children) at the empty prefix
     for _ in range(cfg.samples):
-        lean = lean0
+        lean, level = lean0, known
         seq: list[Modification] = []
         for i, m in enumerate(_walk(start, flip, rng, rng.randint(1, cfg.max_len)), start=1):
-            lean = ctx.apply(lean, m)
             seq.append(m)
             steps += 1
+            if i <= depth:
+                node = level.get(m)
+                if node is not None:
+                    lean, level = node
+                    continue
+            lean = ctx.apply(lean, m)
             exp = lean_oracle(lean)
             got = ctx.query(lean)
             if exp != got:
                 c = _finish_counterexample(p, oracle, Counterexample(
                     p.name, db, tuple(seq), i, exp, got, seed=cfg.seed))
                 return Verdict("counterexample", bounds, 0, steps, c, seed=cfg.seed)
+            if i <= depth:
+                children: dict[Modification, tuple] = {}
+                level[m] = (lean, children)
+                level = children
     return Verdict("ok", bounds, 0, steps, seed=cfg.seed)
 
 
@@ -567,6 +604,9 @@ def substructure_property(p: DynamicProgram, cfg: CheckConfig,
     come from `_candidate_mods`, alpha's from `_mods_on` over the input
     relations and elements of `a_tup`, and beta is pi(alpha).
     """
+    if cfg.max_len < 1:
+        raise DynqfError(f"the substructure suite needs max_len >= 1 for its alpha runs, "
+                         f"got {cfg.max_len}")
     rng = random.Random(cfg.seed)
     if with_functions and similarity_depth is None:
         # one similarity level per potentially consumed nesting step, plus one

@@ -65,11 +65,7 @@ def test_run_json_trace(nes_file, tmp_path, capsys):
     assert len(doc["states"]) == 3
 
 
-def test_run_lays_out_constants_as_verify_does(tmp_path, capsys):
-    # s = 0, and u, which the script leaves out, takes empty_input_db's place
-    # for it, as in verify: 1 on a domain of 3
-    f = tmp_path / "two_consts.dynp"
-    f.write_text("""
+TWO_CONSTS_SRC = """
 program two_consts
 input { U/1 }
 aux   { Q/0 }
@@ -80,13 +76,30 @@ on insert U(a):
   Q(): a = u
 on delete U(a):
   Q(): false
-""")
+"""
+
+
+def test_run_lays_out_constants_as_verify_does(tmp_path, capsys):
+    # s = 0, and u, which the script leaves out, takes empty_input_db's place
+    # for it, as in verify: 1 on a domain of 3
+    f = tmp_path / "two_consts.dynp"
+    f.write_text(TWO_CONSTS_SRC)
     script = tmp_path / "s.txt"
     script.write_text("domain 3\nins U(1)\n")
     assert main(["run", str(f), str(script), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["states"][0]["constants"] == {"s": 0, "u": 1}
     assert doc["query"] == [False, True]
+
+
+def test_run_on_an_empty_domain_with_a_constant_is_an_input_error(tmp_path, capsys):
+    # u is not s or t, so its default place is computed modulo the domain size
+    f = tmp_path / "two_consts.dynp"
+    f.write_text(TWO_CONSTS_SRC)
+    script = tmp_path / "s.txt"
+    script.write_text("domain 0\n")
+    assert main(["run", str(f), str(script)]) == 2
+    assert_one_line_error(capsys, "constant 'u' names no element of a domain of size 0")
 
 
 def test_run_honesty_violation(nes_file, tmp_path, capsys):
@@ -145,6 +158,14 @@ def test_verify_without_an_admissible_move_notes_it(reach_file, capsys):
     out = capsys.readouterr().out
     assert "1 states / 0 steps" in out
     assert "note: no modification was admissible, so only the initial state was checked" in out
+
+
+@pytest.mark.parametrize("mode,counts", [(["--exhaustive"], "1 states / 0 steps"),
+                                          (["--random", "5"], "0 states / 0 steps")])
+def test_verify_at_maxlen_0_checks_only_the_initial_state(nes_file, capsys, mode, counts):
+    assert main(["verify", nes_file, "--domain", "3", "--maxlen", "0", *mode]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("verdict: ok") and counts in out and "note:" not in out
 
 
 def test_run_reach_with_graph_literal(reach_file, tmp_path, capsys):

@@ -182,6 +182,71 @@ def test_random_mode_matches_per_step_rebuild(name, guard, honest):
                 == verdict_to_dict(_reference_random_check(p, oracle, cfg)))
 
 
+@pytest.mark.parametrize("name,samples", [
+    ("non-empty-set", 100),  # 3 or 6 starting moves: depth 4 or 2
+    ("s-twopath-ternary", 400),  # 9 or 18 starting moves: depth 2
+])
+@pytest.mark.parametrize("honest", [True, False])
+def test_random_mode_with_stored_prefixes_matches_per_step_rebuild(name, samples, honest):
+    p, oracle = PROGRAMS[name]
+    for seed in (0, 7):
+        cfg = CheckConfig(domain_size=3, max_len=6, mode="random", samples=samples, seed=seed,
+                          honest_only=honest)
+        assert (verdict_to_dict(check_maintenance(p, oracle, cfg))
+                == verdict_to_dict(_reference_random_check(p, oracle, cfg)))
+
+
+def _walks(p, cfg):
+    """The moves of every walk of random mode, drawn as `_random_check` draws them."""
+    _, start, flip = _moves(p, cfg, init_state(p, empty_input_db(p, cfg.domain_size)))
+    rng = random.Random(cfg.seed)
+    return [list(_walk(start, flip, rng, rng.randint(1, cfg.max_len))) for _ in range(cfg.samples)]
+
+
+def test_a_counterexample_after_a_stored_prefix_matches_the_reference():
+    p, oracle = PROGRAMS["unary-twopath-naive"]
+    cfg = CheckConfig(domain_size=3, max_len=6, mode="random", samples=300, seed=0)
+    v = check_maintenance(p, oracle, cfg)
+    ref = _reference_random_check(p, oracle, cfg)
+    c = v.counterexample
+    assert (c.sequence, c.step, c.trace_digest) == (ref.counterexample.sequence,
+                                                    ref.counterexample.step,
+                                                    ref.counterexample.trace_digest)
+    assert verdict_to_dict(v) == verdict_to_dict(ref)
+    # the depth is 2 (9 starting moves, 9 ** 2 <= 300), and an earlier walk
+    # stepped the failing walk's first two moves, so it took their payload
+    # from the table
+    walks = _walks(p, cfg)
+    failing = next(i for i, w in enumerate(walks) if tuple(w[:c.step]) == c.sequence)
+    assert c.step > 2 and c.sequence[:2] in {tuple(w[:2]) for w in walks[:failing]}
+
+
+def test_random_mode_applies_each_short_prefix_once(apply_calls):
+    p, oracle = PROGRAMS["s-twopath-ternary"]
+    cfg = CheckConfig(domain_size=4, max_len=6, mode="random", samples=300, seed=0)
+    v = check_maintenance(p, oracle, cfg)
+    assert v.status == "ok"
+    depth = 2  # 16 starting moves: 16 ** 2 <= 300 < 16 ** 3
+    short = [tuple(w[:i]) for w in _walks(p, cfg) for i in range(1, min(len(w), depth) + 1)]
+    # every step beyond the depth is applied, and each short prefix once
+    assert len(apply_calls) == v.checked_steps - len(short) + len(set(short)) < v.checked_steps
+
+
+def test_random_mode_at_max_len_0_checks_only_the_initial_state():
+    e = builtin_program("non-empty-set")
+    cfg = CheckConfig(domain_size=3, max_len=0, mode="random", samples=5)
+    v = check_maintenance(e.program, e.oracle, cfg)
+    assert (v.status, v.checked_steps, v.notes) == ("ok", 0, [])
+    v = check_maintenance(e.program, lambda g: True, cfg)  # the empty set is not non-empty
+    assert (v.status, v.counterexample.step, v.counterexample.sequence) == ("counterexample", 0, ())
+
+
+def test_substructure_suite_refuses_max_len_0():
+    with pytest.raises(DynqfError, match="max_len >= 1 .* got 0"):
+        substructure_property(builtin_program("non-empty-set").program,
+                              CheckConfig(domain_size=3, max_len=0, samples=5))
+
+
 def _reference_bfs_check(p, oracle, cfg):
     """Exhaustive mode as a loop over the guarded moves that probes the
     honesty of each one in every expanded state and expands every state.
