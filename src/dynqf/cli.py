@@ -8,6 +8,10 @@ one-line error on stderr and exit code 2.  A closed output pipe (say, into
 `head`) ends the command quietly with exit code 141, 128 + SIGPIPE, as a
 shell reports a process that the signal ended.  All randomness is seeded;
 the seed is echoed in the output.
+
+The commands that need the lower-bound drivers, the transformations or the
+printer import them themselves, so a `verify` or `replay` process never
+loads them.
 """
 from __future__ import annotations
 
@@ -22,18 +26,13 @@ from .corpus import GUARDS, builtin_program, corpus_names, corpus_source, _SPECS
 from .errors import DynqfError, ParseError
 from .formulas import classify_syntax
 from .parser import parse_program, parse_script
-from .printer import print_program
 from .program import DynamicProgram, empty_input_db, init_state, run
 from .queries import ORACLES, oracle_k_clique, oracle_k_colorability
 from .schema import Role
 from .serialize import (counterexample_from_dict, counterexample_to_dict,
                         verdict_to_dict)
 from .state import State, make_state
-from .transforms import (dependency_graph, deletion_depth,
-                         eliminate_repeated_variables, relations_to_functions)
-from .verify import (CheckConfig, Counterexample, attack_star_deletion,
-                     attack_subset_gadget, check_maintenance, cq_adversary,
-                     validate_counterexample)
+from .verify import CheckConfig, Counterexample, check_maintenance, validate_counterexample
 
 
 def _read_text(path: str) -> str:
@@ -164,6 +163,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    from .lower_bounds import attack_star_deletion, attack_subset_gadget, cq_adversary
     _require_at_least(args, n=1, bound=0)
     p = _load_program(args.program)
     if args.driver == "star-deletion":
@@ -190,6 +190,8 @@ def cmd_attack(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .printer import print_program
+    from .transforms import eliminate_repeated_variables, relations_to_functions
     _require_at_least(args, domain=1, maxlen=0)
     p = _load_program(args.program)
     if args.transform_pass == "dedup-vars":
@@ -222,6 +224,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .transforms import dependency_graph, deletion_depth
     p = _load_program(args.program)
     sch = p.schema
     flags = [classify_syntax(r.body) for r in p.rules.values() if r.target in sch.relations]

@@ -17,10 +17,6 @@ class EvalError(DynqfError):
     """A formula or term could not be evaluated (unbound variable, bad symbol)."""
 
 
-class NotClosedError(DynqfError):
-    """A function value escapes the subset a state is being restricted to."""
-
-
 class ParseError(DynqfError):
     def __init__(self, message: str, line: int, column: int, filename: str = "<input>"):
         super().__init__(f"{filename}:{line}:{column}: {message}")

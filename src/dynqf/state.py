@@ -1,4 +1,4 @@
-"""Finite program states, input modifications, restriction and isomorphism.
+"""Finite program states, input modifications and permutation images.
 
 A `State` is a layout plus a payload.  The layout is what every state of one
 shape shares: the schema, the domain 0..n-1, the constants, the built-in
@@ -16,7 +16,7 @@ import itertools
 import weakref
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, DynqfError, NotClosedError, SchemaError
+from .errors import DomainError, DynqfError, SchemaError
 from .records import Frozen, Record, setfield
 from .schema import Role, Schema
 
@@ -290,81 +290,6 @@ def is_honest(s: State, m: Modification) -> bool:
     """Insertion of an absent tuple, or deletion of a present one."""
     present = m.tuple in s.relations[m.relation]
     return not present if m.kind == INS else present
-
-
-def apply_input_modification(s: State, m: Modification) -> State:
-    """Apply one modification to the input relation; everything else unchanged."""
-    check_modification(s.schema, s.n, m)
-    i = s.layout.rel_index[m.relation]
-    old = s.rels[i]
-    new = old | {m.tuple} if m.kind == INS else old - {m.tuple}
-    return State(s.layout, s.rels[:i] + (new,) + s.rels[i + 1:], s.funs)
-
-
-# -- restriction and isomorphism ----------------------------------------------
-
-def restrict(s: State, subset: Iterable[int], relations_only: bool = False) -> State:
-    """The substructure induced by `subset` (which must contain all constants).
-
-    Function interpretations are restricted as well; a function value escaping
-    the subset raises NotClosedError unless relations_only is set, in which
-    case function symbols are dropped from the result.
-    """
-    sub = sorted(set(subset))
-    if any(e not in set(s.domain) for e in sub):
-        raise DomainError("subset leaves the domain")
-    for name, val in s.constants.items():
-        if val not in sub:
-            raise DomainError(f"subset misses constant {name!r} = {val}")
-    # relabel to a contiguous 0..m-1 domain, preserving element order
-    index = {e: i for i, e in enumerate(sub)}
-    rels = {
-        name: frozenset(tuple(index[e] for e in t) for t in tuples if all(e in index for e in t))
-        for name, tuples in s.relations.items()
-    }
-    consts = {name: index[val] for name, val in s.constants.items()}
-    if relations_only:
-        sch = s.schema
-        if sch.functions:
-            sch = Schema(dict(sch.relations), {}, sch.constants,
-                         {n: r for n, r in sch.roles.items() if n in sch.relations})
-        return make_state(sch, len(sub), rels, {}, consts, check=False)
-    funs: dict[str, dict[tuple[int, ...], int]] = {}
-    for name, table in s.functions.items():
-        new_table = {}
-        for args in itertools.product(sub, repeat=s.schema.arity(name)):
-            val = table[args]
-            if val not in index:
-                raise NotClosedError(f"{name}{args} = {val} escapes the subset")
-            new_table[tuple(index[e] for e in args)] = index[val]
-        funs[name] = new_table
-    return make_state(s.schema, len(sub), rels, funs, consts, check=False)
-
-
-def check_isomorphism(s: State, t: State, pi: Mapping[int, int]) -> bool:
-    """Is `pi` an isomorphism s -> t?
-
-    Preserves every relation in both directions, maps constants to constants,
-    and commutes with every function symbol.  Raises on schema mismatch or a
-    non-bijective map.
-    """
-    if s.schema != t.schema:
-        raise SchemaError("states do not share a schema")
-    if set(pi) != set(s.domain) or sorted(pi.values()) != sorted(t.domain):
-        raise DynqfError("pi is not a bijection between the two domains")
-    for name, val in s.constants.items():
-        if pi[val] != t.constants[name]:
-            return False
-    for name, tuples in s.relations.items():
-        mapped = {tuple(pi[e] for e in tup) for tup in tuples}
-        if mapped != set(t.relations[name]):
-            return False
-    for name, table in s.functions.items():
-        other = t.functions[name]
-        for args, val in table.items():
-            if other[tuple(pi[e] for e in args)] != pi[val]:
-                return False
-    return True
 
 
 def remap_index(p: Sequence[int], arity: int) -> list[int]:

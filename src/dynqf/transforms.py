@@ -11,7 +11,7 @@ from .formulas import (App, Const, Eq, EqualityType, Formula, Ite, RelAtom, Var,
 from .program import (BaseBuilder, DynamicProgram, InitSpec, UpdateRule, decode_table,
                       encode_table, validate_program)
 from .schema import Role, Schema
-from .state import DEL, INS, State
+from .state import DEL, INS
 
 
 def _bell(n: int) -> int:
@@ -210,18 +210,6 @@ def rel2fun_base(inner: BaseBuilder) -> BaseBuilder:
                                    for args in itertools.product(range(n), repeat=ar)}
         return relations, functions
     return build
-
-
-def decode_function_state(p: DynamicProgram, s: State) -> dict[str, frozenset]:
-    """Read the encoded relations back out of a transformed program's state:
-    args in R iff f_R(args) = c_top."""
-    top = s.functions[C_TOP][()]
-    out = {}
-    for name in p.schema.functions:
-        if p.schema.role(name) is Role.AUX and name.startswith("f_"):
-            table = s.functions[name]
-            out[name[2:]] = frozenset(args for args, val in table.items() if val == top)
-    return out
 
 
 # -- dependency analysis -----------------------------------------------------------------

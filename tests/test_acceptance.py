@@ -16,9 +16,8 @@ from dynqf.schema import make_schema
 from dynqf.state import INS, DEL, Modification, is_honest, make_state
 from dynqf.transforms import eliminate_repeated_variables, relations_to_functions
 from dynqf.formulas import classify_syntax
-from dynqf.verify import (CheckConfig, attack_star_deletion, check_maintenance,
-                          cq_adversary, substructure_property,
-                          validate_counterexample)
+from dynqf.lower_bounds import attack_star_deletion, cq_adversary, substructure_property
+from dynqf.verify import CheckConfig, check_maintenance, validate_counterexample
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -160,8 +160,16 @@ def test_verify_without_an_admissible_move_notes_it(reach_file, capsys):
     assert "note: no modification was admissible, so only the initial state was checked" in out
 
 
+def test_verify_in_random_mode_reports_the_states_it_checked(nes_file, capsys):
+    # 3 moves start a walk at domain 3, so the prefixes of at most 2 moves
+    # are stored: each is compared with the oracle once, however many of the
+    # 20 walks share it
+    assert main(["verify", nes_file, "--random", "20", "--domain", "3", "--maxlen", "4"]) == 0
+    assert "seed 0, 31 states / 55 steps)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("mode,counts", [(["--exhaustive"], "1 states / 0 steps"),
-                                          (["--random", "5"], "0 states / 0 steps")])
+                                          (["--random", "5"], "1 states / 0 steps")])
 def test_verify_at_maxlen_0_checks_only_the_initial_state(nes_file, capsys, mode, counts):
     assert main(["verify", nes_file, "--domain", "3", "--maxlen", "0", *mode]) == 0
     out = capsys.readouterr().out

@@ -18,7 +18,8 @@ from dynqf.program import DynamicProgram, InitSpec, UpdateRule
 from dynqf.queries import LayeredSpec, gen_layered
 from dynqf.schema import Role, Schema, make_schema
 from dynqf.state import DEL, INS, Modification, make_state
-from dynqf.verify import CheckConfig, Counterexample, PropertyReport, Verdict
+from dynqf.lower_bounds import PropertyReport
+from dynqf.verify import CheckConfig, Counterexample, Verdict
 
 SCHEMA = make_schema({"E": 2}, {"Q": 0}, {"f": 1}, constants=("s",))
 TRUE = TrueConst()

@@ -7,10 +7,20 @@ from dynqf.errors import TransformError
 from dynqf.formulas import And, RelAtom, atom, classify_syntax
 from dynqf.parser import parse_program
 from dynqf.program import apply, empty_input_db, init_state
+from dynqf.schema import Role
 from dynqf.state import INS, DEL, Modification, is_honest
-from dynqf.transforms import (decode_function_state, deletion_depth,
-                              dependency_graph, eliminate_repeated_variables,
-                              relations_to_functions)
+from dynqf.transforms import (C_TOP, deletion_depth, dependency_graph,
+                              eliminate_repeated_variables, relations_to_functions)
+
+
+def decode_function_state(p, s):
+    """Read the encoded relations back out of a transformed program's state:
+    args in R iff f_R(args) = c_top."""
+    top = s.functions[C_TOP][()]
+    return {name[2:]: frozenset(args for args, val in s.functions[name].items() if val == top)
+            for name in p.schema.functions
+            if p.schema.role(name) is Role.AUX and name.startswith("f_")}
+
 
 EXAMPLE_SRC = """
 program example

@@ -19,14 +19,14 @@ from dynqf.serialize import counterexample_to_dict, trace_digest, verdict_to_dic
 from dynqf.state import ins, is_honest, make_state, transport
 from dynqf.symmetry import Orbits, interchangeable
 from dynqf.transforms import deletion_depth, eliminate_repeated_variables, relations_to_functions
-from dynqf.verify import (CheckConfig, Counterexample, Verdict, attack_star_deletion,
-                          attack_subset_gadget, check_maintenance, cq_adversary,
-                          diverse_saturation, embedding_positions, higman_pair,
-                          is_closed, k_similar, neighborhood,
-                          neighborhood_vector, subsequence,
-                          substructure_property, validate_counterexample)
-from dynqf.verify import (_candidate_mods, _finish_counterexample, _fold, _lean_oracle, _mods_on,
-                          _move_slots, _moves, _orbit_bfs, _setup, _walk)
+from dynqf.lower_bounds import (_fold, _mods_on, attack_star_deletion, attack_subset_gadget,
+                                cq_adversary, diverse_saturation, embedding_positions, higman_pair,
+                                k_similar, neighborhood, neighborhood_vector, subsequence,
+                                substructure_property)
+from dynqf.verify import (CheckConfig, Counterexample, Verdict, check_maintenance,
+                          validate_counterexample)
+from dynqf.verify import (_candidate_mods, _finish_counterexample, _lean_oracle, _move_slots, _moves,
+                          _orbit_bfs, _setup, _walk)
 
 BROKEN_SRC = """
 program broken
@@ -140,7 +140,10 @@ TEST_GUARDS = {
 
 
 def _reference_random_check(p, oracle, cfg):
-    """Random mode with the admissible list rebuilt before every step."""
+    """Random mode with the admissible list rebuilt before every step.  It
+    counts the initial state and each state after a step, except a state
+    after a prefix of at most `depth` moves that an earlier walk stepped: as
+    `Verdict` defines the counts, random mode compares that one once."""
     db = empty_input_db(p, cfg.domain_size, cfg.constants)
     s0 = init_state(p, db)
     mods = _candidate_mods(p, cfg.domain_size)
@@ -148,26 +151,37 @@ def _reference_random_check(p, oracle, cfg):
     bounds = {"domain_size": cfg.domain_size, "max_len": cfg.max_len, "mode": "random",
               "honest_only": cfg.honest_only, "samples": cfg.samples}
     assert s0.query_value(p.query_symbol) == oracle(s0.input_part())
-    steps = 0
+
+    def admissible(s):
+        return [m for m in mods
+                if (not cfg.honest_only or is_honest(s, m))
+                and (cfg.guard is None or cfg.guard(m, cfg.domain_size, db.constants))]
+
+    start = len(admissible(s0))
+    depth = cfg.max_len if start <= 1 else max(d for d in range(cfg.max_len + 1)
+                                               if start ** d <= cfg.samples)
+    stepped = set()
+    states, steps = 1, 0
     for _ in range(cfg.samples):
         length = rng.randint(1, cfg.max_len)
         s, seq = s0, []
         for i in range(1, length + 1):
-            admissible = [m for m in mods
-                          if (not cfg.honest_only or is_honest(s, m))
-                          and (cfg.guard is None or cfg.guard(m, cfg.domain_size, db.constants))]
-            if not admissible:
+            moves = admissible(s)
+            if not moves:
                 break
-            m = rng.choice(admissible)
+            m = rng.choice(moves)
             s = apply(p, s, m)
             seq.append(m)
             steps += 1
+            if i > depth or tuple(seq) not in stepped:
+                stepped.add(tuple(seq))
+                states += 1
             exp, got = oracle(s.input_part()), s.query_value(p.query_symbol)
             if exp != got:
                 c = Counterexample(p.name, db, tuple(seq), i, exp, got, cfg.seed,
                                    trace_digest(run(p, s0, seq)))
-                return Verdict("counterexample", bounds, 0, steps, c, seed=cfg.seed)
-    return Verdict("ok", bounds, 0, steps, seed=cfg.seed)
+                return Verdict("counterexample", bounds, states, steps, c, seed=cfg.seed)
+    return Verdict("ok", bounds, states, steps, seed=cfg.seed)
 
 
 @pytest.mark.parametrize("name,guard", [(name, guard) for name in PROGRAMS for guard in TEST_GUARDS
@@ -236,9 +250,29 @@ def test_random_mode_at_max_len_0_checks_only_the_initial_state():
     e = builtin_program("non-empty-set")
     cfg = CheckConfig(domain_size=3, max_len=0, mode="random", samples=5)
     v = check_maintenance(e.program, e.oracle, cfg)
-    assert (v.status, v.checked_steps, v.notes) == ("ok", 0, [])
+    assert (v.status, v.checked_states, v.checked_steps, v.notes) == ("ok", 1, 0, [])
+    # the counts of the exhaustive search of the same bounds
+    exhaustive = check_maintenance(e.program, e.oracle, CheckConfig(domain_size=3, max_len=0))
+    assert (exhaustive.checked_states, exhaustive.checked_steps) == (1, 0)
     v = check_maintenance(e.program, lambda g: True, cfg)  # the empty set is not non-empty
     assert (v.status, v.counterexample.step, v.counterexample.sequence) == ("counterexample", 0, ())
+    assert (v.checked_states, v.checked_steps) == (1, 0)
+
+
+def test_random_mode_counts_each_state_it_compares_with_the_oracle():
+    # the initial state and each stepped state, once: 16 moves start a walk,
+    # so the prefixes of at most 2 moves are stored and compared once each
+    e = builtin_program("s-twopath-ternary")
+    calls = []
+
+    def oracle(s):
+        calls.append(s)
+        return e.oracle(s)
+
+    cfg = CheckConfig(domain_size=4, max_len=6, mode="random", samples=300, seed=1)
+    v = check_maintenance(e.program, oracle, cfg)
+    assert (v.status, v.checked_states, v.checked_steps) == ("ok", 680, 1067)
+    assert v.checked_states == len(calls)
 
 
 def test_substructure_suite_refuses_max_len_0():
@@ -685,11 +719,11 @@ def test_embedding_positions():
 
 
 def test_type_word_letters_match_atomic_types():
+    # the attack drivers' type words: one atomic-type letter per element
     from dynqf.atoms import atomic_type
-    from dynqf.verify import type_word
     sch = make_schema(input_relations={"E": 2}, constants=("s",))
     s = make_state(sch, 4, {"E": {(0, 1), (0, 2)}}, constants={"s": 0})
-    w = type_word(s, [1, 2, 3], sigma=["E"])
+    w = tuple(atomic_type(s, (e,), sigma=["E"]) for e in [1, 2, 3])
     assert len(w) == 3
     assert w[0] == w[1] != w[2]
     assert w[0] == atomic_type(s, (1,), ["E"])
@@ -734,11 +768,12 @@ def test_neighborhood_monotone_and_composes():
 
 
 def test_closed_set_fixed_point():
+    # a set is closed when its 1-neighborhood adds nothing
     s = chain_state(4)
-    assert is_closed(s, {0, 1, 2, 3})
-    assert is_closed(s, {3})  # clamp makes the top element a fixed point
-    assert is_closed(s, iter([3]))  # an iterator is read once
-    assert not is_closed(s, {0})
+    assert neighborhood(s, {0, 1, 2, 3}, 1) == {0, 1, 2, 3}
+    assert neighborhood(s, {3}, 1) == {3}  # clamp makes the top element a fixed point
+    assert neighborhood(s, iter([3]), 1) == {3}  # an iterator is read once
+    assert neighborhood(s, {0}, 1) != {0}
     closed = {3}
     for k in range(1, 4):
         assert neighborhood(s, closed, k) == closed
@@ -877,7 +912,7 @@ def test_substructure_identity_pairs_always_ok():
 def test_substructure_precondition_skips_asymmetric_pair():
     # after [ins U(0), ins U(1)] the subsets {0} and {1} are not isomorphic:
     # 0 is First, 1 is Last
-    from dynqf.verify import _restriction_isomorphism
+    from dynqf.lower_bounds import _restriction_isomorphism
     e = builtin_program("non-empty-set")
     s = run(e.program, init_state(e.program, empty_input_db(e.program, 3)),
             [ins("U", 0), ins("U", 1)])[-1]
@@ -902,7 +937,7 @@ def _restriction_isomorphism_by_probes(s, a_tup, t, b_tup):
 
 
 def test_restriction_isomorphism_matches_probes():
-    from dynqf.verify import _restriction_isomorphism
+    from dynqf.lower_bounds import _restriction_isomorphism
     rng = random.Random(77)
     sch = make_schema(input_relations={"E": 2}, aux_relations={"Z": 0, "U": 1, "T": 3},
                       constants=("s",))
@@ -1177,13 +1212,13 @@ def _outcomes(calls):
 def test_attack_drivers_match_the_state_path(name, monkeypatch):
     # star n = 1..9 and gadget n2 = 0..4 under st-reach and the program's
     # own oracle, and cq bound = 0..9
-    import dynqf.verify
+    import dynqf.lower_bounds
     p, oracle = PROGRAMS[name]
     calls = [(attack_star_deletion, p, n, o) for n in range(1, 10) for o in (oracle_st_reach, oracle)]
     calls += [(attack_subset_gadget, p, n2, o) for n2 in range(5) for o in (oracle_st_reach, oracle)]
     calls += [(cq_adversary, p, bound) for bound in range(10)]
     walked = _outcomes(calls)
-    monkeypatch.setattr(dynqf.verify, "_witness_walk", _state_path_walk)
+    monkeypatch.setattr(dynqf.lower_bounds, "_witness_walk", _state_path_walk)
     assert walked == _outcomes(calls)
 
 
@@ -1191,7 +1226,7 @@ def test_attack_drivers_match_the_state_path_on_early_divergences(monkeypatch):
     # oracles that part from the candidates at scattered steps, so witnesses
     # come from the construction, from either Higman sequence, and from the
     # prefixes the two sequences share
-    import dynqf.verify
+    import dynqf.lower_bounds
     oracles = [lambda s, k=k: (hash(s.relations["E"]) + k) % 4 == 0 for k in range(4)]
     oracles += [lambda s, k=k: len(s.relations["E"]) >= k for k in (1, 5, 9, 13)]
     calls = [(driver, PROGRAMS[name][0], n, o)
@@ -1200,16 +1235,19 @@ def test_attack_drivers_match_the_state_path_on_early_divergences(monkeypatch):
              for n in sizes]
     walked = _outcomes(calls)
     assert len([w for w in walked if isinstance(w, dict) and w["step"] > 2]) > 10
-    monkeypatch.setattr(dynqf.verify, "_witness_walk", _state_path_walk)
+    monkeypatch.setattr(dynqf.lower_bounds, "_witness_walk", _state_path_walk)
     assert walked == _outcomes(calls)
 
 
 def test_attack_drivers_step_without_apply_or_run(monkeypatch):
     # each driver call initializes once and steps on payloads; only the
-    # self-validation replay of a witness initializes again and runs
+    # self-validation replay of a witness initializes again and runs.  The
+    # drivers' walk reads init_state and _finish_counterexample from
+    # lower_bounds, the replay reads init_state and run from verify
+    import dynqf.lower_bounds
     import dynqf.program
     import dynqf.verify
-    finish, init = dynqf.verify._finish_counterexample, dynqf.verify.init_state
+    finish, init = dynqf.lower_bounds._finish_counterexample, dynqf.program.init_state
     replaying, inits = [], []
 
     def only_in_replay(fn):
@@ -1227,8 +1265,9 @@ def test_attack_drivers_step_without_apply_or_run(monkeypatch):
 
     monkeypatch.setattr(dynqf.program, "apply", only_in_replay(dynqf.program.apply))
     monkeypatch.setattr(dynqf.verify, "run", only_in_replay(dynqf.verify.run))
-    monkeypatch.setattr(dynqf.verify, "_finish_counterexample", finishing)
-    monkeypatch.setattr(dynqf.verify, "init_state", lambda *args: inits.append(args) or init(*args))
+    monkeypatch.setattr(dynqf.lower_bounds, "_finish_counterexample", finishing)
+    for module in (dynqf.lower_bounds, dynqf.verify):
+        monkeypatch.setattr(module, "init_state", lambda *args: inits.append(args) or init(*args))
     unary, binary = strawman_program("unary-twopath-naive"), strawman_program("binary-reach2-naive")
     cq, broken = strawman_program("cq-nonemptyset-naive"), parse_program(BROKEN_SRC)
     for call, witness in [(lambda: attack_star_deletion(unary, 1), False),
