@@ -211,14 +211,15 @@ def substructure_property(p: DynamicProgram, cfg: CheckConfig,
         # one similarity level per potentially consumed nesting step, plus one
         similarity_depth = cfg.max_len * max(p.nesting_depth(), 1) + max(p.nesting_depth(), 1)
     _, s0, lean0, ctx = _setup(p, cfg)
-    _, start, flip = _moves(p, cfg, s0)
+    moves, start, flip = _moves(p, cfg, s0)
     done = skipped = 0
     attempts = 0
     while done < cfg.samples:
         attempts += 1
         if attempts > cfg.samples * 20:
             return PropertyReport("inconclusive", done, skipped, cfg.seed)
-        lean = _fold(ctx, lean0, _walk(start, flip, rng, rng.randint(0, cfg.max_len * 2)))
+        walk = _walk(start, flip, rng, rng.randint(0, cfg.max_len * 2))
+        lean = _fold(ctx, lean0, [moves[k] for k in walk])
         s = ctx.from_lean(lean)  # a random reachable state
         n = s.n
         cap = max_tuple if max_tuple is not None else (n - 1)

@@ -35,9 +35,10 @@ def graph_state(n: int, edges: Iterable[tuple[int, int]],
 
 
 def _edges(g: State) -> frozenset[tuple[int, int]]:
-    if "E" not in g.relations:
-        raise SchemaError("graph state needs a binary relation E")
-    return g.relations["E"]
+    try:
+        return g.rel("E")
+    except KeyError:
+        raise SchemaError("graph state needs a binary relation E") from None
 
 
 # -- oracles ------------------------------------------------------------------
@@ -83,9 +84,10 @@ def oracle_st_reach(g: State) -> bool:
 
 @query
 def oracle_nonemptyset(db: State) -> bool:
-    if "U" not in db.relations:
-        raise SchemaError("non-empty-set needs a unary relation U")
-    return bool(db.relations["U"])
+    try:
+        return bool(db.rel("U"))
+    except KeyError:
+        raise SchemaError("non-empty-set needs a unary relation U") from None
 
 
 @query

@@ -7,8 +7,9 @@ one object.  The payload is what modifications change: `rels`, the input
 and aux relations as frozensets, and `funs`, the aux functions as value
 vectors in mixed-radix argument order, both in layout order.  The compiled
 appliers read and return payloads directly.  `relations` and `functions`
-are dicts over every symbol, derived from the two; `functions` is built
-only when read.  `make_state` builds a state from dicts.
+are dicts over every symbol, derived from the two; both are built only when
+read, and `rel` reads one relation without building `relations`.
+`make_state` builds a state from dicts.
 """
 from __future__ import annotations
 
@@ -85,7 +86,7 @@ class State(Record):
     after construction; they compare and hash by layout and payload.
     """
 
-    __slots__ = ("layout", "rels", "funs", "schema", "domain", "constants", "relations", "_functions")
+    __slots__ = ("layout", "rels", "funs", "schema", "domain", "constants", "_relations", "_functions")
     _fields = ("layout", "rels", "funs")
 
     def __init__(self, layout: Layout, rels: tuple, funs: tuple = ()):
@@ -97,8 +98,7 @@ class State(Record):
         tools may wrap to count and time state construction."""
         lay = self.layout
         self.schema, self.domain, self.constants = lay.schema, lay.domain, lay.constants
-        self.relations = dict(zip(lay.rel_names, self.rels), **lay.builtin_rels)
-        self._functions = None
+        self._relations = self._functions = None
 
     def __hash__(self):
         return hash((self.layout, self.rels, self.funs))
@@ -106,6 +106,13 @@ class State(Record):
     def __eq__(self, other):
         return (isinstance(other, State) and self.layout is other.layout
                 and self.rels == other.rels and self.funs == other.funs)
+
+    @property
+    def relations(self) -> dict[str, frozenset[tuple[int, ...]]]:
+        if self._relations is None:
+            lay = self.layout
+            self._relations = dict(zip(lay.rel_names, self.rels), **lay.builtin_rels)
+        return self._relations
 
     @property
     def functions(self) -> dict[str, dict[tuple[int, ...], int]]:
@@ -121,14 +128,17 @@ class State(Record):
         return self.layout.n
 
     def rel(self, name: str) -> frozenset[tuple[int, ...]]:
-        return self.relations[name]
+        """The relation `name`, input, aux or built-in; a KeyError for any
+        other name."""
+        i = self.layout.rel_index.get(name)
+        return self.layout.builtin_rels[name] if i is None else self.rels[i]
 
     def fun(self, name: str) -> dict[tuple[int, ...], int]:
         return self.functions[name]
 
     def query_value(self, symbol: str):
         """Value of a 0-ary query symbol as a bool, else the relation itself."""
-        r = self.relations[symbol]
+        r = self.rel(symbol)
         if self.schema.arity(symbol) == 0:
             return () in r
         return r
@@ -288,7 +298,7 @@ def check_modification(schema: Schema, domain_size: int, m: Modification) -> Non
 
 def is_honest(s: State, m: Modification) -> bool:
     """Insertion of an absent tuple, or deletion of a present one."""
-    present = m.tuple in s.relations[m.relation]
+    present = m.tuple in s.rel(m.relation)
     return not present if m.kind == INS else present
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Mapping
+from typing import Callable
 
 from .compiler import LeanContext, context_for_state
 from .corpus import InstanceGuard
@@ -165,46 +165,47 @@ def _candidate_mods(p: DynamicProgram, n: int) -> list[Modification]:
 
 
 def _moves(p: DynamicProgram, cfg: CheckConfig, start: State):
-    """The candidate moves the instance guard admits, in candidate order;
-    those admissible in `start`; and the flip table of the random walks.
+    """The candidate moves the instance guard admits, in candidate order; the
+    numbers of those admissible in `start`, a move's number being its index
+    in the first list; and the flip list of the random walks.
 
     A guard reads only the move, so it is evaluated once per run.  With
-    `honest_only`, the table maps each move to its opposite kind, or to None
-    when the guard rejects the opposite; without it, each move maps to
-    itself, so the admissible list never changes.
+    `honest_only`, the flip list maps each move's number to that of its
+    opposite kind, or to None when the guard rejects the opposite; without
+    it, each number maps to itself, so the admissible list never changes.
     """
     n = cfg.domain_size
     guarded = [m for m in _candidate_mods(p, n)
                if cfg.guard is None or cfg.guard(m, n, start.constants)]
     if not cfg.honest_only:
-        return guarded, guarded, {m: m for m in guarded}
-    admitted = set(guarded)
-    flip = {}
-    for m in guarded:
-        opposite = Modification(m.relation, m.tuple, DEL if m.kind == INS else INS)
-        flip[m] = opposite if opposite in admitted else None
-    return guarded, [m for m in guarded if is_honest(start, m)], flip
+        return guarded, list(range(len(guarded))), list(range(len(guarded)))
+    number = {m: k for k, m in enumerate(guarded)}
+    flip = [number.get(Modification(m.relation, m.tuple, DEL if m.kind == INS else INS))
+            for m in guarded]
+    return guarded, [k for k, m in enumerate(guarded) if is_honest(start, m)], flip
 
 
-def _walk(start: list[Modification], flip: Mapping, rng: random.Random, length: int):
-    """Up to `length` seeded moves, each drawn from the moves admissible at
-    that step; the walk stops early when none is."""
+def _walk(start: list[int], flip: list, rng: random.Random, length: int):
+    """Up to `length` seeded move numbers, each drawn from the numbers of
+    the moves admissible at that step; the walk stops early when none is."""
     admissible = list(start)
     for _ in range(length):
         if not admissible:
             return
-        j = rng.choice(range(len(admissible)))
-        m = admissible[j]
-        # `admissible` stays equal to the guarded candidates that are honest
-        # in the current state, in candidate order: honesty reads only the
-        # move's own tuple, and a step changes its input relation only at
-        # m.tuple, so m turns into its opposite, which sorts next to it.
-        flipped = flip[m]
+        # one `_randbelow(len(admissible))`, as `rng.choice(admissible)` draws
+        j = rng.randrange(len(admissible))
+        k = admissible[j]
+        # `admissible` stays equal to the numbers of the guarded candidates
+        # that are honest in the current state, in candidate order: honesty
+        # reads only the move's own tuple, and a step changes its input
+        # relation only at that tuple, so the move turns into its opposite,
+        # which sorts next to it.
+        flipped = flip[k]
         if flipped is None:
             del admissible[j]
         else:
             admissible[j] = flipped
-        yield m
+        yield k
 
 
 # -- maintenance checking ---------------------------------------------------------------
@@ -373,12 +374,13 @@ def _random_check(p, oracle, cfg, bounds) -> Verdict:
     every step; with max_len 0 there is no walk.
 
     Every walk starts from the initial state, so walks share their first
-    moves.  A per-run table maps each walk prefix of at most `depth` moves to
-    its payload and the table of its children.  A step whose prefix is in the
-    table takes the stored payload and is neither applied nor checked again:
-    the payload after a prefix is a function of the prefix, and it matched
-    the oracle when the prefix was first stepped, or the run would have ended
-    there.  `_walk` reads only moves, never states, so the seeded stream, the
+    moves.  Walks draw move numbers (see `_moves`), and a per-run table maps
+    each walk prefix of at most `depth` moves, as numbers, to its payload and
+    the table of its children.  A step whose prefix is in the table takes the
+    stored payload and is neither applied nor checked again: the payload
+    after a prefix is a function of the prefix, and it matched the oracle
+    when the prefix was first stepped, or the run would have ended there.
+    `_walk` reads only move numbers, never states, so the seeded stream, the
     verdict and any counterexample are those of stepping every move.
     `checked_steps` still counts every step of every walk, and
     `checked_states` the initial state and each state compared with the
@@ -393,7 +395,7 @@ def _random_check(p, oracle, cfg, bounds) -> Verdict:
     """
     db, s0, lean0, ctx = _setup(p, cfg)
     lean_oracle = _lean_oracle(oracle, ctx)
-    _, start, flip = _moves(p, cfg, s0)
+    moves, start, flip = _moves(p, cfg, s0)
     rng = random.Random(cfg.seed)
     states, steps = 1, 0
     exp, got = lean_oracle(lean0), ctx.query(lean0)
@@ -406,28 +408,28 @@ def _random_check(p, oracle, cfg, bounds) -> Verdict:
     depth = cfg.max_len if len(start) <= 1 else 0
     while depth < cfg.max_len and len(start) ** (depth + 1) <= cfg.samples:
         depth += 1
-    known: dict[Modification, tuple] = {}  # move -> (payload, children) at the empty prefix
+    known: dict[int, tuple] = {}  # move number -> (payload, children) at the empty prefix
     for _ in range(cfg.samples):
         lean, level = lean0, known
-        seq: list[Modification] = []
-        for i, m in enumerate(_walk(start, flip, rng, rng.randint(1, cfg.max_len)), start=1):
-            seq.append(m)
+        seq: list[int] = []
+        for i, k in enumerate(_walk(start, flip, rng, rng.randint(1, cfg.max_len)), start=1):
+            seq.append(k)
             steps += 1
             if i <= depth:
-                node = level.get(m)
+                node = level.get(k)
                 if node is not None:
                     lean, level = node
                     continue
-            lean = ctx.apply(lean, m)
+            lean = ctx.apply(lean, moves[k])
             states += 1
             exp = lean_oracle(lean)
             got = ctx.query(lean)
             if exp != got:
                 c = _finish_counterexample(p, oracle, Counterexample(
-                    p.name, db, tuple(seq), i, exp, got, seed=cfg.seed))
+                    p.name, db, tuple([moves[j] for j in seq]), i, exp, got, seed=cfg.seed))
                 return Verdict("counterexample", bounds, states, steps, c, seed=cfg.seed)
             if i <= depth:
-                children: dict[Modification, tuple] = {}
-                level[m] = (lean, children)
+                children: dict[int, tuple] = {}
+                level[k] = (lean, children)
                 level = children
     return Verdict("ok", bounds, states, steps, seed=cfg.seed)

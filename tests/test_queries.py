@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from dynqf.errors import DomainError, DynqfError
+from dynqf.errors import DomainError, DynqfError, SchemaError
 from dynqf.queries import (LayeredSpec, allowed_layer_edges,
                            check_layered, gen_layered, graph_state,
                            oracle_k_clique, oracle_k_colorability,
@@ -198,3 +198,15 @@ def test_tensor_clique_shift_exhaustive():
             base = oracle_k_clique(g, 3)
             for m in (1, 2):
                 assert base == oracle_k_clique(reduce_tensor_clique(g, m), 3 + m)
+
+
+@pytest.mark.parametrize("oracle", [oracle_st_reach, oracle_st_twopath, oracle_s_twopath])
+def test_graph_oracles_refuse_a_state_without_E(oracle):
+    sch = make_schema(input_relations={"U": 1}, constants=("s", "t"))
+    with pytest.raises(SchemaError, match="^graph state needs a binary relation E$"):
+        oracle(make_state(sch, 3, {"U": {(0,)}}, constants={"s": 0, "t": 2}))
+
+
+def test_nonemptyset_oracle_refuses_a_state_without_U():
+    with pytest.raises(SchemaError, match="^non-empty-set needs a unary relation U$"):
+        oracle_nonemptyset(st_graph(3, {(0, 1)}))

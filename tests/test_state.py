@@ -233,3 +233,57 @@ def test_a_domain_above_the_limit_is_refused_before_it_is_built():
     for n in (MAX_DOMAIN + 1, 10 ** 20):
         with pytest.raises(DomainError, match=f"^domain of size {n} exceeds the limit of {MAX_DOMAIN} elements$"):
             make_state(sch, n)
+
+
+WITH_BUILTIN_REL = parse_program("""
+program with_builtin_rel
+input   { U/1 }
+aux     { Q/0, A/1 }
+builtin { Le/2 }
+query   Q
+init    table { Le = (0,0) (0,1) (0,2) (1,1) (1,2) (2,2) }
+on insert U(u):
+  Q():  Q() | Le(u, u)
+  A(x): A(x) | (Le(u, x) & x != u)
+on delete U(u):
+  Q():  Q() & !Le(u, u)
+  A(x): A(x) & !Le(x, u)
+""")
+
+
+def _reachable_states():
+    """Initial states and a few steps of every corpus program, of its rel2fun
+    encoding, and of a program with a built-in relation."""
+    programs = [WITH_BUILTIN_REL]
+    for name in corpus_names():
+        p = builtin_program(name).program
+        programs += [p, relations_to_functions(p)]
+    for p in programs:
+        s = init_state(p, empty_input_db(p, 3))
+        yield s
+        for m in _candidate_mods(p, 3)[:6:2]:
+            s = apply(p, s, m)
+            yield s
+
+
+def test_relations_are_built_when_read_and_equal_the_eager_dict():
+    for s in _reachable_states():
+        assert s._relations is None
+        lay = s.layout
+        eager = dict(zip(lay.rel_names, s.rels), **lay.builtin_rels)
+        assert s.relations == eager and sorted(s.relations) == sorted(s.schema.relations)
+        assert s.relations is s.relations
+    assert "Le" in init_state(WITH_BUILTIN_REL, empty_input_db(WITH_BUILTIN_REL, 3)).layout.builtin_rels
+
+
+def test_rel_reads_input_aux_and_builtin_relations():
+    s = init_state(WITH_BUILTIN_REL, empty_input_db(WITH_BUILTIN_REL, 3))
+    s = apply(WITH_BUILTIN_REL, s, ins("U", 1))
+    assert s.rel("U") == {(1,)}  # input
+    assert (s.rel("A"), s.rel("Q")) == ({(2,)}, {()})  # aux
+    assert s.rel("Le") == {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}  # built-in
+    assert s._relations is None  # reading one relation builds no dict
+    for s in _reachable_states():
+        assert all(s.rel(name) is s.relations[name] for name in s.schema.relations)
+        with pytest.raises(KeyError):
+            s.rel("no_such_relation")

@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dynqf.compiler import LeanContext, context_for_state
 from dynqf.corpus import GUARDS, builtin_program, corpus_source, strawman_program
@@ -16,7 +16,7 @@ from dynqf.queries import (ORACLES, is_query, oracle_k_clique, oracle_nonemptyse
                            oracle_st_reach, oracle_st_twopath)
 from dynqf.schema import Role, make_schema
 from dynqf.serialize import counterexample_to_dict, trace_digest, verdict_to_dict
-from dynqf.state import ins, is_honest, make_state, transport
+from dynqf.state import DEL, INS, Modification, ins, is_honest, make_state, transport
 from dynqf.symmetry import Orbits, interchangeable
 from dynqf.transforms import deletion_depth, eliminate_repeated_variables, relations_to_functions
 from dynqf.lower_bounds import (_fold, _mods_on, attack_star_deletion, attack_subset_gadget,
@@ -212,9 +212,65 @@ def test_random_mode_with_stored_prefixes_matches_per_step_rebuild(name, samples
 
 def _walks(p, cfg):
     """The moves of every walk of random mode, drawn as `_random_check` draws them."""
-    _, start, flip = _moves(p, cfg, init_state(p, empty_input_db(p, cfg.domain_size)))
+    moves, start, flip = _moves(p, cfg, init_state(p, empty_input_db(p, cfg.domain_size)))
     rng = random.Random(cfg.seed)
-    return [list(_walk(start, flip, rng, rng.randint(1, cfg.max_len))) for _ in range(cfg.samples)]
+    return [[moves[k] for k in _walk(start, flip, rng, rng.randint(1, cfg.max_len))]
+            for _ in range(cfg.samples)]
+
+
+def _reference_walk(start, flip, rng, length):
+    """The walk as a sequence of `Modification`s: up to `length` seeded
+    moves, each drawn from the moves admissible at that step, with `flip` a
+    dict from each move to the move that replaces it once taken (None: no
+    move does).  `_walk` must draw the same moves by number, and leave the
+    generator in the same state."""
+    admissible = list(start)
+    for _ in range(length):
+        if not admissible:
+            return
+        j = rng.choice(range(len(admissible)))
+        m = admissible[j]
+        flipped = flip[m]
+        if flipped is None:
+            del admissible[j]
+        else:
+            admissible[j] = flipped
+        yield m
+
+
+def _reference_walk_moves(p, cfg, s0):
+    """The start moves and flip dict of `_reference_walk`, built from the
+    candidates alone: with `honest_only`, a move is admissible at the start
+    when it is honest in s0, and it flips to its opposite kind if the guard
+    admits that; without, every guarded move is admissible and stays so."""
+    n = cfg.domain_size
+    guarded = [m for m in _candidate_mods(p, n) if cfg.guard is None or cfg.guard(m, n, s0.constants)]
+    if not cfg.honest_only:
+        return guarded, {m: m for m in guarded}
+    flip = {}
+    for m in guarded:
+        opposite = Modification(m.relation, m.tuple, DEL if m.kind == INS else INS)
+        flip[m] = opposite if opposite in guarded else None
+    return [m for m in guarded if is_honest(s0, m)], flip
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 5), honest=st.booleans(),
+       guard=st.sampled_from(sorted(TEST_GUARDS)), walks=st.integers(1, 12))
+def test_numbered_walks_draw_the_reference_moves(seed, n, honest, guard, walks):
+    # reach-1layer-qf with no guard, under the 1-layered-st guard, and under
+    # a guard that rejects the opposite of some moves it admits
+    p = PROGRAMS["reach-1layer-qf"][0]
+    cfg = CheckConfig(domain_size=n, max_len=8, honest_only=honest, guard=TEST_GUARDS[guard])
+    s0 = init_state(p, empty_input_db(p, n))
+    moves, start, flip = _moves(p, cfg, s0)
+    ref_start, ref_flip = _reference_walk_moves(p, cfg, s0)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(walks):
+        got = [moves[k] for k in _walk(start, flip, rng, rng.randint(0, cfg.max_len))]
+        expected = list(_reference_walk(ref_start, ref_flip, ref_rng, ref_rng.randint(0, cfg.max_len)))
+        assert got == expected
+        assert rng.getstate() == ref_rng.getstate()
 
 
 def test_a_counterexample_after_a_stored_prefix_matches_the_reference():
@@ -993,11 +1049,11 @@ def test_lean_folds_agree_with_run(name):
     guard = entry.instance_guard if name == "reach-1layer-qf" else None
     cfg = CheckConfig(domain_size=5, max_len=4, honest_only=True, guard=guard)
     _, s0, _, _ = _setup(p, cfg)
-    _, start, flip = _moves(p, cfg, s0)
+    moves, start, flip = _moves(p, cfg, s0)
     rng = random.Random(29)
     moved = 0
     for _ in range(15):
-        s = _fold_to_state(p, s0, list(_walk(start, flip, rng, rng.randint(0, 8))))
+        s = _fold_to_state(p, s0, [moves[k] for k in _walk(start, flip, rng, rng.randint(0, 8))])
         perm = list(range(s.n))
         rng.shuffle(perm)
         t = transport(s, dict(enumerate(perm)))
@@ -1011,14 +1067,14 @@ def test_lean_folds_agree_with_run(name):
 
 
 def test_substructure_suites_step_without_apply_or_run(monkeypatch):
+    # `program.run` steps through `program.apply`, which it reads from its
+    # module, so refusing `apply` refuses a step through `run` too
     import dynqf.program
-    import dynqf.verify
 
     def refuse(*args, **kwargs):
         raise AssertionError("the suite stepped through a full-State path")
 
     monkeypatch.setattr(dynqf.program, "apply", refuse)
-    monkeypatch.setattr(dynqf.verify, "run", refuse)
     cfg = CheckConfig(domain_size=5, max_len=3, seed=3, samples=20)
     assert substructure_property(builtin_program("st-twopath-binary").program, cfg).status == "ok"
     e = builtin_program("reach-1layer-qf")
