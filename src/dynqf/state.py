@@ -235,9 +235,9 @@ class Modification(Frozen):
 
     Field order gives the canonical ordering used for deterministic
     enumeration and lexicographic tie-breaks: by relation, then tuple,
-    then kind ("del" before "ins", plain string order).  Random walks look
-    modifications up in dicts and searches sort them, so the comparisons are
-    written out.
+    then kind ("del" before "ins", plain string order).  Numbering a run's
+    moves looks modifications up in a dict and searches sort them, so the
+    comparisons are written out.
     """
 
     __slots__ = ("relation", "tuple", "kind")
