@@ -21,13 +21,13 @@ from .atoms import atomic_type, diverse_tuples, find_homogeneous_subset
 from .compiler import LeanContext, context_for_state
 from .errors import DynqfError, GuardError, ResourceLimitError
 from .formulas import classify_syntax, eval_term, terms_up_to_depth, equality_type_of, EqualityType
-from .program import DynamicProgram, empty_input_db, init_state
+from .program import DynamicProgram, empty_input_db
 from .queries import oracle_nonemptyset, oracle_st_reach
 from .records import Record
 from .schema import Role
 from .state import DEL, INS, Modification, State, check_modification, transport
 from .transforms import deletion_depth, eliminate_repeated_variables
-from .verify import CheckConfig, Counterexample, _finish_counterexample, _moves, _setup, _walk
+from .verify import CheckConfig, Counterexample, _finish_counterexample, _lean_oracle, _moves, _setup, _walk
 
 
 # -- subsequences and Higman pairs ----------------------------------------------------
@@ -186,8 +186,7 @@ def _pi_of_mods(mods: Sequence[Modification], pi: Mapping[int, int]) -> list[Mod
 
 def substructure_property(p: DynamicProgram, cfg: CheckConfig,
                           with_functions: bool = False,
-                          similarity_depth: int | None = None,
-                          max_tuple: int | None = None) -> PropertyReport:
+                          similarity_depth: int | None = None) -> PropertyReport:
     """Randomized suite for the core engine invariant: isomorphic (resp.
     similar) substructures, driven by pi-respecting modification sequences,
     stay isomorphic (resp. 0-similar).
@@ -210,7 +209,7 @@ def substructure_property(p: DynamicProgram, cfg: CheckConfig,
     if with_functions and similarity_depth is None:
         # one similarity level per potentially consumed nesting step, plus one
         similarity_depth = cfg.max_len * max(p.nesting_depth(), 1) + max(p.nesting_depth(), 1)
-    _, s0, lean0, ctx = _setup(p, cfg)
+    s0, lean0, ctx = _setup(p, empty_input_db(p, cfg.domain_size, cfg.constants))
     moves, start, flip = _moves(p, cfg, s0)
     done = skipped = 0
     attempts = 0
@@ -222,19 +221,18 @@ def substructure_property(p: DynamicProgram, cfg: CheckConfig,
         lean = _fold(ctx, lean0, [moves[k] for k in walk])
         s = ctx.from_lean(lean)  # a random reachable state
         n = s.n
-        cap = max_tuple if max_tuple is not None else (n - 1)
         strategy = rng.choice(("transport", "same-state"))
         if strategy == "transport":
             perm = list(range(n))
             rng.shuffle(perm)
             pi_full = dict(enumerate(perm))
             t = transport(s, pi_full)
-            size = rng.randint(1, max(1, min(n - 1, cap)))
+            size = rng.randint(1, max(1, n - 1))
             a_set = sorted(rng.sample(range(n), size))
             pairs = [(x, pi_full[x]) for x in a_set]
         else:
             t = s
-            size = rng.randint(1, min(3, n, max(1, cap)))
+            size = rng.randint(1, min(3, max(1, n - 1)))
             a_set = sorted(rng.sample(range(n), size))
             b_set = sorted(rng.sample(range(n), size))
             order = list(range(size))
@@ -245,25 +243,18 @@ def substructure_property(p: DynamicProgram, cfg: CheckConfig,
         if len(set(b_tup)) != len(b_tup):
             skipped += 1
             continue
-        if with_functions:
-            pi = k_similar(s, a_tup, t, b_tup, similarity_depth)
-            if pi is None:
-                skipped += 1
-                continue
-        else:
-            pi = _restriction_isomorphism(s, a_tup, t, b_tup)
-            if pi is None:
-                skipped += 1
-                continue
+        pi = (k_similar(s, a_tup, t, b_tup, similarity_depth) if with_functions
+              else _restriction_isomorphism(s, a_tup, t, b_tup))
+        if pi is None:
+            skipped += 1
+            continue
         alpha = _mods_on(p, a_tup, rng, rng.randint(1, cfg.max_len))
         beta = _pi_of_mods(alpha, pi)
         s_end = ctx.from_lean(_fold(ctx, lean, alpha))
         ctx_t = context_for_state(p, t)  # a transport may move the constants
         t_end = ctx_t.from_lean(_fold(ctx_t, ctx_t.to_lean(t), beta))
-        if with_functions:
-            ok = k_similar(s_end, a_tup, t_end, b_tup, 0) is not None
-        else:
-            ok = _restriction_isomorphism(s_end, a_tup, t_end, b_tup) is not None
+        # both suites end on 0-similarity, which is the restriction isomorphism
+        ok = _restriction_isomorphism(s_end, a_tup, t_end, b_tup) is not None
         # the 0-ary corollary, stated separately although the isomorphism
         # check above already covers nullary relations
         ok = ok and (s_end.query_value(p.query_symbol) == t_end.query_value(p.query_symbol))
@@ -297,10 +288,10 @@ def _witness_walk(p: DynamicProgram, oracle: Callable[[State], bool], db: State)
     A call steps only the moves after the prefix seq shares with the last
     sequence, each checked against the schema as `program.apply` checks it,
     and first checks only the states that no earlier call checked."""
-    s0 = init_state(p, db)
-    ctx = context_for_state(p, s0)
+    _, lean0, ctx = _setup(p, db)
+    lean_oracle = _lean_oracle(oracle, ctx)
     moves: list[Modification] = []
-    path = [ctx.to_lean(s0)]  # the payload after each prefix of moves
+    path = [lean0]  # the payload after each prefix of moves
     checked = 0  # the leading payloads of path that agree with the oracle
 
     def walk(seq: Sequence[Modification]):
@@ -320,7 +311,7 @@ def _witness_walk(p: DynamicProgram, oracle: Callable[[State], bool], db: State)
         nonlocal checked
         walk(seq)
         for i in range(checked, len(path)):
-            exp, got = oracle(ctx.input_state(path[i])), ctx.query(path[i])
+            exp, got = lean_oracle(path[i]), ctx.query(path[i])
             if exp != got:
                 return _finish_counterexample(p, oracle, Counterexample(
                     p.name, db, tuple(seq[:i]), i, exp, got))

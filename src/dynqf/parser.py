@@ -427,9 +427,10 @@ def parse_script(text: str, schema: Schema, filename: str = "<script>") -> Scrip
                         cname = ts.expect_ident()
                         ts.expect("=")
                         constants[cname] = ts.expect_int()
-                elif ts.accept("edges"):
-                    if "E" not in schema.relations or schema.arity("E") != 2:
+                elif ts.at("edges"):
+                    if "E" not in schema.input_relations or schema.arity("E") != 2:
                         ts.error("graph literals need a binary input relation E")
+                    ts.advance()
                     edges = relations.setdefault("E", set())
                     while ts.accept("("):
                         u = element()
@@ -450,6 +451,8 @@ def parse_script(text: str, schema: Schema, filename: str = "<script>") -> Scrip
                 sym = ts.expect_ident()
                 if sym not in schema.relations:
                     ts.error(f"unknown relation {sym!r} in db literal", sym_tok)
+                if sym not in schema.input_relations:
+                    ts.error(f"{sym!r} is not an input relation", sym_tok)
                 ts.expect(":")
                 tuples = relations.setdefault(sym, set())
                 while ts.at("("):

@@ -355,21 +355,23 @@ class ConstFunctionInit(SchemaInit):
         return {}, funs
 
 
+EXHAUSTIVE_CAP = 7  # the largest domain on which `is_invariant_init` tries all n! permutations
+
+
 def is_invariant_init(
     init: Initializer,
     input_db: State,
     permutations: str | int = "all",
     seed: int = 0,
-    exhaustive_cap: int = 7,
 ) -> bool:
     """Does pi(init(D)) equal init(pi(D)) for every tested permutation pi?
 
-    Exhaustive when permutations == "all" and the domain is small enough,
-    otherwise a seeded sample of the requested size.
+    Exhaustive when permutations == "all" and the domain has at most
+    EXHAUSTIVE_CAP elements, otherwise a seeded sample of the requested size.
     """
     n = input_db.n
     base = init.build(input_db)
-    if permutations == "all" and n <= exhaustive_cap:
+    if permutations == "all" and n <= EXHAUSTIVE_CAP:
         perms: Iterable[Sequence[int]] = itertools.permutations(range(n))
     else:
         count = permutations if isinstance(permutations, int) else min(math.factorial(n), 200)

@@ -29,12 +29,15 @@ def state_to_dict(s: State) -> dict:
 
 
 def state_from_dict(d: dict, schema: Schema) -> State:
+    relations, functions = d.get("relations", {}), d.get("functions", {})
+    unknown = sorted(set(relations) - set(schema.relations)) + sorted(set(functions) - set(schema.functions))
+    if unknown:
+        raise DynqfError(f"symbols outside the schema: {unknown}")
     return make_state(
         schema,
         d["domain"],
-        {name: {tuple(t) for t in tuples} for name, tuples in d.get("relations", {}).items()},
-        {name: {tuple(args): val for args, val in entries}
-         for name, entries in d.get("functions", {}).items()} or None,
+        {name: {tuple(t) for t in tuples} for name, tuples in relations.items()},
+        {name: {tuple(args): val for args, val in entries} for name, entries in functions.items()} or None,
         d.get("constants", {}),
     )
 

@@ -148,10 +148,19 @@ class State(Record):
         return self.layout.input_state(self.rels)
 
 
-# The largest domain a state may have: tests, demos and the benchmark use at
-# most 300 elements, and a default function table has n^k entries, so a
-# larger n is an input error, not a job.
+# The largest domain a state may have, and the largest function table, that
+# of a binary function over it: tests, demos and the benchmark use at most 300
+# elements, and a k-ary function table has n^k entries, so anything larger is
+# an input error, not a job.
 MAX_DOMAIN = 1000
+MAX_TABLE = MAX_DOMAIN ** 2
+
+
+def check_table_size(name: str, n: int, arity: int) -> None:
+    """A DomainError when the table of `name` over n elements would exceed MAX_TABLE entries."""
+    if n ** arity > MAX_TABLE:
+        raise DomainError(f"function {name!r} of arity {arity} over a domain of size {n} has "
+                          f"{n ** arity} entries, above the limit of {MAX_TABLE}")
 
 
 def _validate(schema: Schema, n: int, relations: Mapping[str, frozenset],
@@ -185,18 +194,18 @@ def make_state(
     relations: Mapping[str, Iterable[tuple[int, ...]]] | None = None,
     functions: Mapping[str, Mapping[tuple[int, ...], int]] | None = None,
     constants: Mapping[str, int] | None = None,
-    check: bool = True,
 ) -> State:
     """Build a state over domain 0..n-1; unnamed relations default to empty.
 
     Unnamed k-ary functions default to projection onto the first argument
     (0-ary ones to element 0), the same canonical choice empty initialization
-    uses.  Without `check`, the interpretations must already be valid.  A
-    domain above MAX_DOMAIN is a DomainError, raised before anything of that
-    size is built.
+    uses.  A domain above MAX_DOMAIN, or a function table above MAX_TABLE
+    entries, is a DomainError, raised before anything of that size is built.
     """
     if n > MAX_DOMAIN:
         raise DomainError(f"domain of size {n} exceeds the limit of {MAX_DOMAIN} elements")
+    for name, ar in schema.functions.items():
+        check_table_size(name, n, ar)
     rels = {name: frozenset(map(tuple, (relations or {}).get(name, ()))) for name in schema.relations}
     funs: dict[str, dict[tuple[int, ...], int]] = {}
     for name, ar in schema.functions.items():
@@ -208,8 +217,7 @@ def make_state(
     missing = set(schema.constants) - set(consts)
     if missing:
         raise SchemaError(f"missing constant interpretations: {sorted(missing)}")
-    if check:
-        _validate(schema, n, rels, funs, consts)
+    _validate(schema, n, rels, funs, consts)
     builtin = {name for name, role in schema.roles.items() if role is Role.BUILTIN}
     lay = layout_of(schema, n, consts, {k: v for k, v in rels.items() if k in builtin},
                     {k: v for k, v in funs.items() if k in builtin})

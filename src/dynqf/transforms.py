@@ -11,7 +11,7 @@ from .formulas import (App, Const, Eq, EqualityType, Formula, Ite, RelAtom, Var,
 from .program import (BaseBuilder, DynamicProgram, InitSpec, UpdateRule, decode_table,
                       encode_table, validate_program)
 from .schema import Role, Schema
-from .state import DEL, INS
+from .state import DEL, INS, check_table_size
 
 
 def _bell(n: int) -> int:
@@ -205,6 +205,7 @@ def rel2fun_base(inner: BaseBuilder) -> BaseBuilder:
         functions = {**functions, C_TOP: {(): 0}, C_BOT: {(): 1}}
         for name, ar in schema.functions.items():
             if schema.role(name) is Role.AUX and name.startswith("f_"):
+                check_table_size(name, n, ar)
                 held = set(map(tuple, relations.get(name[2:], ())))
                 functions[name] = {args: (0 if args in held else 1)
                                    for args in itertools.product(range(n), repeat=ar)}

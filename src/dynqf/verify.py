@@ -19,10 +19,11 @@ each orbit is a single state, and it is the plain search.  Either way it
 finds the plain search's counterexample, and its counts are those of
 `Verdict`.
 
-The search and random mode step lean payloads, random mode each short
-prefix its walks share once (`_random_check`); only the replay validating a
-counterexample runs States.  The lower-bound constructions, which reuse the
-moves, walks and replay defined here, live in lower_bounds.py.
+`check_maintenance` builds the start (`_setup`), checks the initial state
+and finishes any counterexample (`_finish_counterexample`, one replay on
+States); `_orbit_bfs` and `_random_check` step lean payloads from that
+checked start.  The lower-bound constructions, which reuse the start, moves,
+walks and replay defined here, live in lower_bounds.py.
 """
 from __future__ import annotations
 
@@ -229,21 +230,35 @@ def check_maintenance(p: DynamicProgram, oracle: Callable[[State], bool],
               "honest_only": cfg.honest_only}
     if cfg.mode == "random":
         bounds["samples"] = cfg.samples
-        verdict = _random_check(p, oracle, cfg, bounds)
     elif cfg.mode != "exhaustive":
         raise DynqfError(f"unknown mode {cfg.mode!r}")
+    # quick pre-estimate so hopeless exhaustive searches fail fast: a state
+    # admits one honest move per (relation, tuple), or two dishonest ones
+    per_tuple = 1 if cfg.honest_only else 2
+    n_mods = sum(per_tuple * cfg.domain_size ** p.schema.arity(r) for r in p.schema.input_relations)
+    est = sum(n_mods ** d for d in range(1, min(cfg.max_len, 4) + 1))
+    if cfg.mode == "exhaustive" and cfg.state_cap is not None and est > cfg.state_cap * 10:
+        verdict = Verdict("resource", bounds,
+                          notes=[f"estimated {est} sequence prefixes exceeds the state cap "
+                                 f"{cfg.state_cap}; pass --override-cap to force the search"])
     else:
-        # quick pre-estimate so hopeless configurations fail fast: a state
-        # admits one honest move per (relation, tuple), or two dishonest ones
-        per_tuple = 1 if cfg.honest_only else 2
-        n_mods = sum(per_tuple * cfg.domain_size ** p.schema.arity(r) for r in p.schema.input_relations)
-        est = sum(n_mods ** d for d in range(1, min(cfg.max_len, 4) + 1))
-        if cfg.state_cap is not None and est > cfg.state_cap * 10:
-            verdict = Verdict("resource", bounds,
-                              notes=[f"estimated {est} sequence prefixes exceeds the state cap "
-                                     f"{cfg.state_cap}; pass --override-cap to force the search"])
+        db = empty_input_db(p, cfg.domain_size, cfg.constants)
+        s0, lean0, ctx = _setup(p, db)
+        moves, start, flip = _moves(p, cfg, s0)  # before the oracle, so a guard's error comes first
+        lean_oracle = _lean_oracle(oracle, ctx)
+        exp, got = lean_oracle(lean0), ctx.query(lean0)
+        if exp != got:
+            verdict = Verdict("counterexample", bounds, 1, 0, Counterexample(p.name, db, (), 0, exp, got))
+        elif cfg.mode == "random":
+            verdict = _random_check(p, db, ctx, lean0, lean_oracle, moves, start, flip, cfg, bounds)
         else:
-            verdict = _bfs_check(p, oracle, cfg, bounds)
+            from .symmetry import interchangeable
+            verdict = _orbit_bfs(p, db, ctx, lean0, lean_oracle, _move_slots(moves, ctx, cfg.honest_only),
+                                 interchangeable(oracle, s0, moves), cfg, bounds)
+        verdict.seed = cfg.seed if cfg.mode == "random" else None
+        if verdict.counterexample:
+            verdict.counterexample.seed = verdict.seed
+            _finish_counterexample(p, oracle, verdict.counterexample)
     if (verdict.status == "ok" and verdict.checked_steps == 0 and cfg.max_len >= 1
             and (cfg.mode == "exhaustive" or cfg.samples >= 1)):
         verdict.notes.append("no modification was admissible, so only the initial "
@@ -254,11 +269,11 @@ def check_maintenance(p: DynamicProgram, oracle: Callable[[State], bool],
     return verdict
 
 
-def _setup(p: DynamicProgram, cfg: CheckConfig):
-    db = empty_input_db(p, cfg.domain_size, cfg.constants)
+def _setup(p: DynamicProgram, db: State):
+    """The initial state of the input database `db`, its payload and its context."""
     s0 = init_state(p, db)
     ctx = context_for_state(p, s0)
-    return db, s0, ctx.to_lean(s0), ctx
+    return s0, ctx.to_lean(s0), ctx
 
 
 def _move_slots(mods: list[Modification], ctx: LeanContext, honest_only: bool) -> list[tuple]:
@@ -280,22 +295,11 @@ def _move_slots(mods: list[Modification], ctx: LeanContext, honest_only: bool) -
     return table
 
 
-def _bfs_check(p, oracle, cfg, bounds) -> Verdict:
-    from .symmetry import interchangeable
-    db, s0, lean0, ctx = _setup(p, cfg)
-    moves = _moves(p, cfg, s0)[0]
-    verdict = _orbit_bfs(p, db, ctx, lean0, _lean_oracle(oracle, ctx),
-                         _move_slots(moves, ctx, cfg.honest_only), interchangeable(oracle, s0, moves),
-                         cfg, bounds)
-    if verdict.counterexample:
-        _finish_counterexample(p, oracle, verdict.counterexample)
-    return verdict
-
-
 def _orbit_bfs(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracle,
                slots: list[tuple], free: tuple[int, ...], cfg: CheckConfig, bounds: dict) -> Verdict:
     """Breadth-first search over the orbits of the free elements, within the
-    bounds of cfg; with no free element, the plain search.
+    bounds of cfg, from lean0, which the caller has checked against the
+    oracle; with no free element, the plain search.
 
     The set of seen states stays closed under the permutations of the free
     elements: a successor not seen yet is the representative of a new orbit,
@@ -303,7 +307,7 @@ def _orbit_bfs(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracl
     expanded.  The counts are those of `Verdict`: states are `len(seen)`,
     steps the orbit size times the moves taken from the representative.  A
     counterexample or the state cap stops the search where it stands, with
-    the counts so far, and returns a counterexample without its trace digest.
+    the counts so far; a counterexample is returned not yet finished.
 
     The path to the first violating representative is the plain search's
     counterexample.  The query and the oracle are invariant, so the violating
@@ -326,9 +330,6 @@ def _orbit_bfs(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracl
     # and no other new object, since each object per state that the garbage
     # collector tracks slows the whole search
     parents = {lean0: (None, None, frozenset(), 1)}
-    exp, got = lean_oracle(lean0), ctx.query(lean0)
-    if exp != got:
-        return Verdict("counterexample", bounds, 1, 0, Counterexample(p.name, db, (), 0, exp, got))
     frontier = [lean0]
     steps = 0
     for depth in range(1, cfg.max_len + 1):
@@ -368,10 +369,12 @@ def _orbit_bfs(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracl
     return Verdict("ok", bounds, len(seen), steps)
 
 
-def _random_check(p, oracle, cfg, bounds) -> Verdict:
-    """Check the initial state, then `samples` seeded walks, each of a seeded
-    length from 1 to max_len, comparing the query bit with the oracle after
-    every step; with max_len 0 there is no walk.
+def _random_check(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracle,
+                  moves, start, flip, cfg: CheckConfig, bounds: dict) -> Verdict:
+    """`samples` seeded walks from lean0, which the caller has checked
+    against the oracle, each of a seeded length from 1 to max_len, comparing
+    the query bit with the oracle after every step; with max_len 0 there is
+    no walk.  A counterexample is returned not yet finished.
 
     Every walk starts from the initial state, so walks share their first
     moves.  Walks draw move numbers (see `_moves`), and a per-run table maps
@@ -393,23 +396,13 @@ def _random_check(p, oracle, cfg, bounds) -> Verdict:
     moves at most 2 * samples payloads in all, and with one, one payload per
     step of the longest walk.
     """
-    db, s0, lean0, ctx = _setup(p, cfg)
-    lean_oracle = _lean_oracle(oracle, ctx)
-    moves, start, flip = _moves(p, cfg, s0)
     rng = random.Random(cfg.seed)
     states, steps = 1, 0
-    exp, got = lean_oracle(lean0), ctx.query(lean0)
-    if exp != got:
-        c = _finish_counterexample(p, oracle, Counterexample(
-            p.name, db, (), 0, exp, got, seed=cfg.seed))
-        return Verdict("counterexample", bounds, states, 0, c, seed=cfg.seed)
-    if cfg.max_len == 0:
-        return Verdict("ok", bounds, states, 0, seed=cfg.seed)
     depth = cfg.max_len if len(start) <= 1 else 0
     while depth < cfg.max_len and len(start) ** (depth + 1) <= cfg.samples:
         depth += 1
     known: dict[int, tuple] = {}  # move number -> (payload, children) at the empty prefix
-    for _ in range(cfg.samples):
+    for _ in range(cfg.samples if cfg.max_len else 0):
         lean, level = lean0, known
         seq: list[int] = []
         for i, k in enumerate(_walk(start, flip, rng, rng.randint(1, cfg.max_len)), start=1):
@@ -425,11 +418,10 @@ def _random_check(p, oracle, cfg, bounds) -> Verdict:
             exp = lean_oracle(lean)
             got = ctx.query(lean)
             if exp != got:
-                c = _finish_counterexample(p, oracle, Counterexample(
-                    p.name, db, tuple([moves[j] for j in seq]), i, exp, got, seed=cfg.seed))
-                return Verdict("counterexample", bounds, states, steps, c, seed=cfg.seed)
+                return Verdict("counterexample", bounds, states, steps,
+                               Counterexample(p.name, db, tuple([moves[j] for j in seq]), i, exp, got))
             if i <= depth:
                 children: dict[int, tuple] = {}
                 level[k] = (lean, children)
                 level = children
-    return Verdict("ok", bounds, states, steps, seed=cfg.seed)
+    return Verdict("ok", bounds, states, steps)

@@ -114,24 +114,76 @@ def _memory_capped():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _capped_cli(*argv: str) -> subprocess.CompletedProcess:
+    """`dynqf argv` in a child capped at 1 GB, so that building something of
+    a refused size fails fast instead of taking the machine's memory."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "dynqf.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=_memory_capped)
+
+
 @pytest.mark.parametrize("script", [
     "domain 100000000\nins U(0)\n",
     "domain 99999999999999999999\n",
     "ins U(100000000)\n",  # no domain line: the domain is inferred from the tuple
 ])
 def test_run_rejects_a_domain_above_the_limit(nes_file, tmp_path, script):
-    # in a child capped at 1 GB, so that building a domain of that size
-    # fails fast instead of taking the machine's memory
     f = tmp_path / "s.txt"
     f.write_text(script)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "dynqf.cli", "run", nes_file, str(f)], env=env,
-                          capture_output=True, text=True, timeout=60, preexec_fn=_memory_capped)
+    proc = _capped_cli("run", nes_file, str(f))
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: domain of size ")
     assert proc.stderr.endswith(" exceeds the limit of 1000 elements\n")
+
+
+ONE_AUX_SRC = """
+program one_aux
+input { U/1 }
+aux   { Q/0, %s }
+query Q
+init  oracle
+default frame
+on insert U(a):
+  Q(): true
+on delete U(a):
+  Q(): Q()
+"""
+
+
+@pytest.mark.parametrize("aux, mode", [
+    ("fun f/3", ["--maxlen", "1"]),
+    ("fun f/3", ["--random", "5"]),
+    ("R/3", ["--random", "5"]),  # its rel2fun transform: the base builds f_R before the state
+], ids=["fun-maxlen", "fun-random", "rel2fun-random"])
+def test_verify_rejects_a_function_table_above_the_limit(tmp_path, aux, mode):
+    from dynqf.printer import print_program
+    from dynqf.transforms import relations_to_functions
+    p = parse_program(ONE_AUX_SRC % aux)
+    f = tmp_path / "p.dynp"
+    f.write_text(print_program(p if p.schema.functions else relations_to_functions(p)))
+    proc = _capped_cli("verify", str(f), "--oracle", "non-empty-set", "--domain", "1000", *mode)
+    name = "f" if p.schema.functions else "f_R"
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: function {name!r} of arity 3 over a domain of size 1000 has "
+                           f"1000000000 entries, above the limit of 1000000\n")
+
+
+@pytest.mark.parametrize("aux, script, fragment", [
+    ("List/2", "domain 3\ndb { List: (0,1) }\nins U(2)\n", ":2:6: 'List' is not an input relation"),
+    ("E/2", "domain 3\ngraph { edges (0,1) }\nins U(2)\n", ":2:9: graph literals need a binary input relation E"),
+], ids=["db", "graph"])
+def test_run_refuses_a_literal_entry_that_is_not_input(tmp_path, capsys, aux, script, fragment):
+    f = tmp_path / "p.dynp"
+    f.write_text(ONE_AUX_SRC % aux)
+    s = tmp_path / "s.txt"
+    s.write_text(script)
+    assert main(["run", str(f), str(s), "--dump-aux"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ") and captured.err.count("\n") == 1
+    assert captured.err.endswith(f"s.txt{fragment}\n")
 
 
 def test_run_parse_error_position(tmp_path, capsys):
@@ -444,6 +496,24 @@ def test_replay_document_with_a_malformed_field(broken_file, tmp_path, capsys, f
     assert_one_line_error(capsys, "cex.json: malformed counterexample: " + fragment)
 
 
+@pytest.mark.parametrize("field, entries, name", [
+    ("relations", {"UU": [[0]]}, "UU"),
+    ("functions", {"f": [[[0], 0], [[1], 1], [[2], 2]]}, "f"),
+], ids=["relation", "function"])
+def test_replay_refuses_a_symbol_outside_the_schema(broken_file, tmp_path, capsys, field, entries, name):
+    # a state reader that dropped the symbol would replay from the empty
+    # database, where this divergence reproduces
+    assert main(["verify", broken_file, "--oracle", "non-empty-set",
+                 "--domain", "3", "--maxlen", "4", "--exhaustive", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)["counterexample"]
+    doc["initial"][field] = entries
+    f = tmp_path / "cex.json"
+    f.write_text(json.dumps(doc))
+    assert main(["replay", str(f), broken_file, "--oracle", "non-empty-set"]) == 2
+    assert capsys.readouterr().err == (f"error: {f}: malformed counterexample: "
+                                       f"symbols outside the schema: [{name!r}]\n")
+
+
 def test_verify_missing_program_file(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.dynp"), "--oracle", "non-empty-set"]) == 2
     assert_one_line_error(capsys, "nope.dynp")
@@ -483,6 +553,18 @@ def test_corpus_show_without_name(capsys):
 @pytest.mark.parametrize("mode", [["--exhaustive"], ["--random", "20"]])
 def test_verify_layered_guard_without_st_constants(nes_file, capsys, mode):
     assert main(["verify", nes_file, "--guard", "1-layered-st", "--domain", "3", *mode]) == 2
+    assert_one_line_error(capsys, "needs constants s and t")
+
+
+@pytest.mark.parametrize("mode", [["--exhaustive"], ["--random", "20"]])
+def test_a_guard_that_raises_comes_before_an_initial_divergence(tmp_path, capsys, mode):
+    # the initial state already diverges (Q holds on the empty set), but the
+    # guard's error on a program without s and t is reported first
+    f = tmp_path / "init_true.dynp"
+    f.write_text(corpus_source("non_empty_set.dynp").replace("init    oracle", "init    table { Q = () }"))
+    assert main(["verify", str(f), "--domain", "3", *mode]) == 1
+    capsys.readouterr()
+    assert main(["verify", str(f), "--guard", "1-layered-st", "--domain", "3", *mode]) == 2
     assert_one_line_error(capsys, "needs constants s and t")
 
 

@@ -437,9 +437,31 @@ on delete U(a):
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
 def test_counterexample_at_the_initial_state_counts_that_state(mode):
     p = parse_program(INIT_TRUE_SRC)
-    v = check_maintenance(p, oracle_nonemptyset, CheckConfig(domain_size=3, max_len=3, mode=mode))
+    cfg = CheckConfig(domain_size=3, max_len=3, mode=mode, seed=7)
+    v = check_maintenance(p, oracle_nonemptyset, cfg)
     assert (v.status, v.checked_states, v.checked_steps) == ("counterexample", 1, 0)
-    assert (v.counterexample.step, v.counterexample.sequence) == (0, ())
+    c = v.counterexample
+    assert (c.step, c.sequence) == (0, ())
+    assert c.trace_digest and validate_counterexample(p, oracle_nonemptyset, c)
+    assert c.seed == v.seed == (cfg.seed if mode == "random" else None)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+@pytest.mark.parametrize("src, step", [(INIT_TRUE_SRC, 0), (BROKEN_SRC, 2)], ids=["initial", "later"])
+def test_check_maintenance_finishes_a_counterexample_once(monkeypatch, mode, src, step):
+    import dynqf.verify as verify
+    finish, finished = verify._finish_counterexample, []
+
+    def counted(p, oracle, cex):
+        finished.append(cex)
+        return finish(p, oracle, cex)
+
+    monkeypatch.setattr(verify, "_finish_counterexample", counted)
+    p = parse_program(src)
+    v = check_maintenance(p, oracle_nonemptyset,
+                          CheckConfig(domain_size=3, max_len=4, mode=mode, samples=200, seed=3))
+    assert v.status == "counterexample" and v.counterexample.step == step
+    assert len(finished) == 1 and finished[0] is v.counterexample
 
 
 # -- symmetry reduction -------------------------------------------------------------
@@ -541,7 +563,8 @@ def test_reduced_search_finds_the_plain_search_counterexample():
     for (p, oracle), sizes in _search_cases():
         for (n, max_len), honest in itertools.product(sizes, (True, False)):
             cfg = CheckConfig(domain_size=n, max_len=max_len, honest_only=honest)
-            db, s0, lean0, ctx = _setup(p, cfg)
+            db = empty_input_db(p, n)
+            s0, lean0, ctx = _setup(p, db)
             moves = _moves(p, cfg, s0)[0]
             free = interchangeable(oracle, s0, moves)
             if not free:
@@ -587,7 +610,7 @@ def _free_permutations(free, used):
 def test_orbit_is_the_image_set_under_every_permutation(name, n, n_free):
     p, oracle = VARIANTS[name]
     cfg = CheckConfig(domain_size=n, max_len=6, constants={"s": 0, "t": 1} if "t" in p.schema.constants else None)
-    db, s0, lean0, ctx = _setup(p, cfg)
+    s0, lean0, ctx = _setup(p, empty_input_db(p, n, cfg.constants))
     moves = _moves(p, cfg, s0)[0]
     free = interchangeable(oracle, s0, moves)
     assert len(free) == n_free
@@ -1048,7 +1071,7 @@ def test_lean_folds_agree_with_run(name):
     p = getattr(entry, "program", entry)
     guard = entry.instance_guard if name == "reach-1layer-qf" else None
     cfg = CheckConfig(domain_size=5, max_len=4, honest_only=True, guard=guard)
-    _, s0, _, _ = _setup(p, cfg)
+    s0 = _setup(p, empty_input_db(p, cfg.domain_size))[0]
     moves, start, flip = _moves(p, cfg, s0)
     rng = random.Random(29)
     moved = 0
@@ -1085,13 +1108,12 @@ def test_substructure_suites_step_without_apply_or_run(monkeypatch):
 def test_substructure_suite_on_function_encoded_program():
     # the function-extended engine invariant also holds for programs with
     # 0-ary and binary functions (the encoding's c_top/c_bot and f_List);
-    # binary functions blow up term enumeration, so tuples and depth stay
-    # small here (transported pairs are similar at every depth anyway)
+    # k-similarity is a fixpoint on value pairs, so a binary function costs
+    # no more than a unary one (transported pairs are similar at every depth)
     from dynqf.transforms import relations_to_functions
     p = relations_to_functions(builtin_program("non-empty-set").program)
     cfg = CheckConfig(domain_size=4, max_len=2, seed=17, samples=40)
-    rep = substructure_property(p, cfg, with_functions=True, similarity_depth=2,
-                                max_tuple=2)
+    rep = substructure_property(p, cfg, with_functions=True, similarity_depth=2)
     assert rep.status == "ok" and rep.samples == 40
 
 
@@ -1298,8 +1320,9 @@ def test_attack_drivers_match_the_state_path_on_early_divergences(monkeypatch):
 def test_attack_drivers_step_without_apply_or_run(monkeypatch):
     # each driver call initializes once and steps on payloads; only the
     # self-validation replay of a witness initializes again and runs.  The
-    # drivers' walk reads init_state and _finish_counterexample from
-    # lower_bounds, the replay reads init_state and run from verify
+    # drivers' walk starts through verify._setup and reads
+    # _finish_counterexample from lower_bounds; the start and the replay read
+    # init_state and run from verify
     import dynqf.lower_bounds
     import dynqf.program
     import dynqf.verify
@@ -1322,8 +1345,7 @@ def test_attack_drivers_step_without_apply_or_run(monkeypatch):
     monkeypatch.setattr(dynqf.program, "apply", only_in_replay(dynqf.program.apply))
     monkeypatch.setattr(dynqf.verify, "run", only_in_replay(dynqf.verify.run))
     monkeypatch.setattr(dynqf.lower_bounds, "_finish_counterexample", finishing)
-    for module in (dynqf.lower_bounds, dynqf.verify):
-        monkeypatch.setattr(module, "init_state", lambda *args: inits.append(args) or init(*args))
+    monkeypatch.setattr(dynqf.verify, "init_state", lambda *args: inits.append(args) or init(*args))
     unary, binary = strawman_program("unary-twopath-naive"), strawman_program("binary-reach2-naive")
     cq, broken = strawman_program("cq-nonemptyset-naive"), parse_program(BROKEN_SRC)
     for call, witness in [(lambda: attack_star_deletion(unary, 1), False),
