@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -226,6 +227,79 @@ def test_end_of_input_after_a_trailing_comment_is_past_the_comment():
     # comment characters included
     assert [(t.kind, t.line, t.col) for t in tokenize("x # note")] == [("ident", 1, 1), ("eof", 1, 9)]
     assert [(t.kind, t.line, t.col) for t in tokenize("x # note\n")] == [("ident", 1, 1), ("eof", 2, 1)]
+
+
+
+def test_parsed_rules_are_pinned():
+    # the rules of every shipped source, and of its printed form read back
+    reprs = []
+    for filename in [spec[0] for spec in _SPECS.values()] + list(_STRAWMEN.values()):
+        program = parse_program(corpus_source(filename), filename)
+        reprs.append(repr(program.rules))
+        reprs.append(repr(parse_program(print_program(program)).rules))
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert (len(reprs), digest) == (14, "ac71c487dd569e9fbbf389308d85b730adaee1408605dbc72f367e56f789a29f")
+
+
+_HEAD = "program x\ninput { E/2 }\naux { Q/0 }\nquery Q\n"
+_RULES = "on insert E(a, b):\n  Q(): true\non delete E(a, b):\n  Q(): false\n"
+_LONG = "9" * 5000
+_SCRIPT_SCHEMA = make_schema(input_relations={"E": 2, "U": 1}, constants=("s",))
+
+
+_ERROR_CASES = [
+    ("program", "program x\n$input { E/2 }", "<program>:2:1: unexpected character '$'"),
+    ("program", "program x\ninput { E$/2 }", "<program>:2:10: unexpected character '$'"),
+    ("program", "program x\ninput { E/2 }$\nquery Q", "<program>:2:14: unexpected character '$'"),
+    ("program", "program x é\ninput { E/2 }", "<program>:1:11: unexpected character 'é'"),
+    ("program", "program x # café\ninput { E/2 } $", "<program>:2:15: unexpected character '$'"),
+    ("program", "program x\ninput { E/" + _LONG + " }", "<program>:2:11: integer of 5000 digits is too long"),
+    ("program", _HEAD + "init table { E = (0, 1)\n", "<program>:6:1: unterminated table initializer"),
+    ("program", _HEAD + "init table { E = (0, 1)", "<program>:5:24: unterminated table initializer"),
+    ("program", _HEAD + "init table {\n  E = (0, 1)\n  Q = (x)\n}\n" + _RULES,
+     "<program>:7:8: expected integer, found 'x'"),
+    ("program", _HEAD + "init table { E = (0, 1); F = (0) }\n" + _RULES,
+     "<program>:5:26: unknown symbol 'F' in table"),
+    ("program", _HEAD + "init table { E = (0, " + _LONG + ") }\n" + _RULES,
+     "<program>:5:22: integer of 5000 digits is too long"),
+    ("program", _HEAD + _RULES + "Q(): true\n", "<program>:9:1: duplicate rule for 'Q' under del 'E'"),
+    ("program", _HEAD + _RULES + "  }", "<program>:9:3: unexpected '}'"),
+    ("program", _HEAD + _RULES + "  foo", "<program>:9:3: unexpected 'foo'"),
+    ("program", _HEAD + "on insert E(a, b):\n  Q(): E(a,", "<program>:6:12: expected identifier, found ''"),
+    ("program", _HEAD + "on insert E(a, b):\n  Q(): E(a,\n", "<program>:7:1: expected identifier, found ''"),
+    ("program", _HEAD + "on insert E(a, b):\n  Q(): E(a, b) & # end", "<program>:6:23: expected a formula, found ''"),
+    ("script", "domain 3\nins E(0, 1)\n$", "<script>:3:1: unexpected character '$'"),
+    ("script", "domain 3\n  ins E(0, é)", "<script>:2:12: unexpected character 'é'"),
+    ("script", "# café\ndomain 3\nins E(0, q)",
+     "<script>:3:10: unknown element name 'q' (declare it with 'elem q = <id>')"),
+    ("script", "domain " + _LONG, "<script>:1:8: integer of 5000 digits is too long"),
+    ("script", "domain 3\nins E(0, 1) 7", "<script>:2:13: unexpected '7'"),
+    ("script", "domain 3\nins E(0,", "<script>:2:9: expected identifier, found ''"),
+    ("script", "domain 3\nins E(0,\n", "<script>:3:1: expected identifier, found ''"),
+    ("script", "db { U: (0) (1) ; E: (0, 1, 2) }", "<script>:1:19: 'E' expects 2 components"),
+    ("formula", "E(x, s) s", "<formula>:1:9: trailing input 's'"),
+    ("formula", "E(x, s) |", "<formula>:1:10: expected a formula, found ''"),
+]
+
+
+@pytest.mark.parametrize("kind, text, message", _ERROR_CASES, ids=[
+    "bad-char-line-start", "bad-char-mid-line", "bad-char-line-end", "non-ascii-outside-comment",
+    "non-ascii-in-comment", "long-int", "unterminated-table-newline", "unterminated-table-eof",
+    "table-entry", "table-unknown-symbol", "table-long-int", "duplicate-rule", "trailing-brace",
+    "trailing-ident", "eof-no-newline", "eof-newline", "eof-after-comment", "script-bad-char",
+    "script-non-ascii", "script-non-ascii-in-comment", "script-long-int", "script-trailing",
+    "script-eof-no-newline", "script-eof-newline", "script-db-arity", "formula-trailing",
+    "formula-eof",
+])
+def test_parse_error_strings_are_pinned(kind, text, message):
+    with pytest.raises(ParseError) as exc:
+        if kind == "program":
+            parse_program(text)
+        elif kind == "script":
+            parse_script(text, _SCRIPT_SCHEMA)
+        else:
+            parse_formula(text, _SCRIPT_SCHEMA, {"x"})
+    assert str(exc.value) == message
 
 
 CORPUS_SOURCES = ([corpus_source(spec[0]) for spec in _SPECS.values()]
