@@ -11,7 +11,7 @@ from .parser import parse_program
 from .program import BASE_REGISTRY, DynamicProgram
 from .queries import (oracle_nonemptyset, oracle_s_twopath, oracle_st_reach,
                       oracle_st_twopath)
-from .records import Frozen
+from .records import Frozen, setfield
 from .schema import Role, Schema
 from .state import Modification, State
 
@@ -74,12 +74,27 @@ class ClassTags(Frozen):
 
 
 class CorpusEntry(Frozen):
-    __slots__ = ("name", "program", "oracle", "oracle_name", "class_tags", "guard_name", "state_invariant")
+    """A shipped program with its oracle, instance guard and per-state
+    invariant.  `class_tags` given as None is computed from the program on
+    first read, since no check reads it; the repr and equality read it like
+    any other field."""
+
+    __slots__ = ("name", "program", "oracle", "oracle_name", "_class_tags", "guard_name", "state_invariant")
+    _fields = ("name", "program", "oracle", "oracle_name", "class_tags", "guard_name", "state_invariant")
 
     def __init__(self, name: str, program: DynamicProgram, oracle: Callable[[State], bool],
-                 oracle_name: str, class_tags: ClassTags, guard_name: str,
+                 oracle_name: str, class_tags: ClassTags | None, guard_name: str,
                  state_invariant: Callable[["CorpusEntry", State], list[str]] | None = None):
-        self._set_fields(name, program, oracle, oracle_name, class_tags, guard_name, state_invariant)
+        # the slots, in field order, with `_class_tags` for `class_tags`
+        for slot, value in zip(self.__slots__, (name, program, oracle, oracle_name, class_tags,
+                                                 guard_name, state_invariant)):
+            setfield(self, slot, value)
+
+    @property
+    def class_tags(self) -> ClassTags:
+        if self._class_tags is None:
+            setfield(self, "_class_tags", computed_tags(self.program))
+        return self._class_tags
 
     @property
     def instance_guard(self) -> InstanceGuard:
@@ -177,8 +192,7 @@ def builtin_program(name: str) -> CorpusEntry:
     if key not in _cache:
         filename, oracle, oracle_name, guard, invariant = _SPECS[key]
         program = parse_program(corpus_source(filename), filename)
-        _cache[key] = CorpusEntry(key, program, oracle, oracle_name,
-                                  computed_tags(program), guard, invariant)
+        _cache[key] = CorpusEntry(key, program, oracle, oracle_name, None, guard, invariant)
     return _cache[key]
 
 

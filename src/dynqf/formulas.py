@@ -224,8 +224,18 @@ def walk(node) -> Iterator:
         stack.extend(reversed(children(n)))
 
 
-def free_vars(node) -> set[str]:
-    return {n.name for n in walk(node) if isinstance(n, Var)}
+def vars_and_symbols(node) -> tuple[set[str], set[str]]:
+    """The variable names in node, and the relation and function symbols, in one walk."""
+    names, symbols = set(), set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Var):
+            names.add(n.name)
+        elif isinstance(n, (RelAtom, App)):
+            symbols.add(n.symbol)
+        stack.extend(children(n))
+    return names, symbols
 
 
 def rel_atoms(node) -> list[RelAtom]:

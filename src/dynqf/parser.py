@@ -1,15 +1,22 @@
 """Parsers for the .dynp program format, modification scripts, and formulas.
 
-Hand-rolled recursive descent over a token list; diagnostics carry line and
-column.  `tokenize` reads one token per match of `_TOKEN`: a newline, the
-punctuation `:=` `!=` `->` and `{}(),/=!&|:;`, an identifier
-[A-Za-z][A-Za-z0-9_]*, an integer [0-9]+, or blanks and a '#' comment to the
-end of the line.  Any other character, non-ASCII letters and digits included,
-is a ParseError.  Operator precedence in formulas: '!' over '&' over '|'.
+Hand-rolled recursive descent over a list of token strings.  `tokenize`
+reads them with one `re.findall`, after skipping the blanks, newlines and
+'#' comments at the start.  Each match takes one token, then skips the
+blanks, newlines and comments after it.  A token is the punctuation `:=`
+`!=` `->` or one of `{}(),/=!&|:;`, an identifier [A-Za-z][A-Za-z0-9_]*, an
+integer [0-9]+, or the empty string that ends every list; its kind follows
+from its first character.  At any other character, non-ASCII letters and
+digits included, the match takes the rest of the text.  So a bad character
+can only start the last token before the end, and `tokenize` raises a
+ParseError for it.  Tokens carry no position: a ParseError finds the line
+and column of its token by scanning the text again up to that token's index.
+Operator precedence in formulas: '!' over '&' over '|'.
 """
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .errors import ParseError
 from .formulas import (And, App, Const, Eq, Formula, Ite, Not, Or, RelAtom,
@@ -20,86 +27,86 @@ from .records import Record
 from .schema import Role, Schema, make_schema
 from .state import DEL, INS, Modification
 
-_TOKEN = re.compile(r"(?P<newline>\n)|(?P<punct>:=|!=|->|[{}(),/=!&|:;])"
-                    r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>[0-9]+)|[ \t\r]+|#.*|(?P<bad>.)")
+_BLANKS = r"(?:[ \t\r\n]|#[^\n]*)*"  # blanks, newlines and comments
+_SKIP = re.compile(_BLANKS)
+_TOKEN = re.compile(r"(:=|!=|->|[{}(),/=!&|:;]|[A-Za-z][A-Za-z0-9_]*|[0-9]+|\Z|(?s:.+))" + _BLANKS)
+_FIRST = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789{}(),/=!&|:;")
 _SECTIONS = ("input", "aux", "builtin", "const", "query", "init")
 
 
-class Token(Record):
-    """A token of kind "ident", "int", "punct" or "eof", and where it starts."""
-
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind: str, value: str, line: int, col: int):
-        self.kind, self.value, self.line, self.col = kind, value, line, col
-
-
-def tokenize(text: str, filename: str = "<input>") -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0  # line_start: the index of the line's first character
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", line, m.start() - line_start + 1, filename)
-        elif kind:
-            tokens.append(Token(kind, m.group(), line, m.start() - line_start + 1))
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+def tokenize(text: str, filename: str = "<input>") -> list[str]:
+    """The token strings of text, ending with the empty string."""
+    tokens = _TOKEN.findall(text, _SKIP.match(text).end())
+    # a bad character starts the last token before the end; '-' starts only '->'
+    if len(tokens) > 1 and tokens[-2][0] not in _FIRST and tokens[-2] != "->":
+        raise ParseError(f"unexpected character {tokens[-2][0]!r}",
+                         *position(text, len(tokens) - 2), filename)
     return tokens
 
 
+def position(text: str, index: int) -> tuple[int, int]:
+    """The line and column where token number `index` of text starts; the
+    end of input is past the last character."""
+    start = next(islice(_TOKEN.finditer(text, _SKIP.match(text).end()), index, None)).start()
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+
+
 class TokenStream:
-    """A cursor over a token list.  `accept`, `expect` and `at` compare token
-    values only: no punctuation is a word, and no word or punctuation is an
-    integer."""
+    """A cursor over the tokens of `text`, or over `tokens`, a part of them
+    that starts with token number `base`.  `accept`, `expect` and `at`
+    compare token strings only: no punctuation is a word, and no word or
+    punctuation is an integer."""
 
-    def __init__(self, tokens: list[Token], filename: str):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str, filename: str, tokens: list[str] | None = None, base: int = 0):
+        self.text = text
         self.filename = filename
+        self.tokens = tokenize(text, filename) if tokens is None else tokens
+        self.base = base
+        self.pos = 0
+        self.cur = self.tokens[0]
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, at: int | None = None):
+        """A ParseError at the token at index `at`, by default the current one."""
+        line, col = position(self.text, self.base + (self.pos if at is None else at))
+        raise ParseError(message, line, col, self.filename)
 
-    def error(self, message: str, tok: Token | None = None):
-        tok = tok or self.cur
-        raise ParseError(message, tok.line, tok.col, self.filename)
-
-    def advance(self) -> Token:
+    def advance(self) -> str:
         tok = self.cur
-        if tok.kind != "eof":
+        if tok:
             self.pos += 1
+            self.cur = self.tokens[self.pos]
         return tok
 
     def at(self, *values: str) -> bool:
-        return self.cur.value in values
+        return self.cur in values
+
+    def at_ident(self) -> bool:
+        return self.cur[:1].isalpha()
 
     def accept(self, value: str) -> bool:
-        if self.cur.value == value:
+        if self.cur == value:
             self.advance()
             return True
         return False
 
-    def expect(self, value: str) -> Token:
-        if self.cur.value == value:
+    def expect(self, value: str) -> str:
+        if self.cur == value:
             return self.advance()
-        self.error(f"expected {value!r}, found {self.cur.value!r}")
+        self.error(f"expected {value!r}, found {self.cur!r}")
 
     def expect_ident(self) -> str:
-        if self.cur.kind == "ident":
-            return self.advance().value
-        self.error(f"expected identifier, found {self.cur.value!r}")
+        if self.cur[:1].isalpha():
+            return self.advance()
+        self.error(f"expected identifier, found {self.cur!r}")
 
     def expect_int(self) -> int:
         tok = self.cur
-        if tok.kind != "int":
-            self.error(f"expected integer, found {tok.value!r}")
+        if not tok[:1].isdigit():
+            self.error(f"expected integer, found {tok!r}")
         try:
-            value = int(tok.value)
+            value = int(tok)
         except ValueError:  # longer than sys.get_int_max_str_digits() allows
-            self.error(f"integer of {len(tok.value)} digits is too long")
+            self.error(f"integer of {len(tok)} digits is too long")
         self.advance()
         return value
 
@@ -153,26 +160,26 @@ class FormulaParser:
             return TRUE
         if ts.accept("false"):
             return FALSE
-        tok = ts.cur
-        if tok.kind != "ident" and tok.kind != "int":
-            ts.error(f"expected a formula, found {tok.value!r}")
+        tok, at = ts.cur, ts.pos
+        if not tok[:1].isalnum():
+            ts.error(f"expected a formula, found {tok!r}")
         # relation atom, or a term followed by = / !=
-        if tok.kind == "ident" and tok.value in self.schema.relations:
-            name = ts.advance().value
+        if tok in self.schema.relations:
+            name = ts.advance()
             args = ts.items(self.term)
             if len(args) != self.schema.arity(name):
-                ts.error(f"relation {name!r} expects {self.schema.arity(name)} arguments", tok)
+                ts.error(f"relation {name!r} expects {self.schema.arity(name)} arguments", at)
             return RelAtom(name, tuple(args))
         left = self.term()
         if ts.accept("="):
             return Eq(left, self.term())
         if ts.accept("!="):
             return Not(Eq(left, self.term()))
-        ts.error("expected '=' or '!=' after a term", tok)
+        ts.error("expected '=' or '!=' after a term", at)
 
     def term(self) -> Term:
         ts = self.ts
-        tok = ts.cur
+        at = ts.pos
         if ts.accept("ite"):
             ts.expect("(")
             cond = self.formula()
@@ -186,35 +193,35 @@ class FormulaParser:
         if name in self.schema.functions:
             args = ts.items(self.term) if ts.at("(") else []
             if len(args) != self.schema.arity(name):
-                ts.error(f"function {name!r} expects {self.schema.arity(name)} arguments", tok)
+                ts.error(f"function {name!r} expects {self.schema.arity(name)} arguments", at)
             return App(name, tuple(args))
         if name in self.schema.constants:
             return Const(name)
         if name in self.vars:
             return Var(name)
-        ts.error(f"unknown identifier {name!r} (not a variable, constant or symbol here)", tok)
+        ts.error(f"unknown identifier {name!r} (not a variable, constant or symbol here)", at)
 
 
 def parse_formula(text: str, schema: Schema, vars: set[str] | None = None) -> Formula:
-    ts = TokenStream(tokenize(text), "<formula>")
+    ts = TokenStream(text, "<formula>")
     f = FormulaParser(ts, schema, vars or set()).formula()
-    if ts.cur.kind != "eof":
-        ts.error(f"trailing input {ts.cur.value!r}")
+    if ts.cur:
+        ts.error(f"trailing input {ts.cur!r}")
     return f
 
 
 def parse_term(text: str, schema: Schema, vars: set[str] | None = None) -> Term:
-    ts = TokenStream(tokenize(text), "<term>")
+    ts = TokenStream(text, "<term>")
     t = FormulaParser(ts, schema, vars or set()).term()
-    if ts.cur.kind != "eof":
-        ts.error(f"trailing input {ts.cur.value!r}")
+    if ts.cur:
+        ts.error(f"trailing input {ts.cur!r}")
     return t
 
 
 # -- programs --------------------------------------------------------------------
 
 def parse_program(text: str, filename: str = "<program>") -> DynamicProgram:
-    ts = TokenStream(tokenize(text, filename), filename)
+    ts = TokenStream(text, filename)
     ts.expect("program")
     name = ts.expect_ident()
 
@@ -246,7 +253,7 @@ def parse_program(text: str, filename: str = "<program>") -> DynamicProgram:
         ts.expect("}")
 
     while ts.at(*_SECTIONS):
-        section = ts.advance().value
+        section = ts.advance()
         if section == "input":
             parse_symbol_block(input_rels, None)
         elif section == "aux":
@@ -283,39 +290,39 @@ def parse_program(text: str, filename: str = "<program>") -> DynamicProgram:
             kind = DEL
         else:
             ts.error("expected 'insert' or 'delete'")
-        trig_tok = ts.cur
+        trig_at = ts.pos
         trigger = ts.expect_ident()
         if trigger not in input_rels:
-            ts.error(f"{trigger!r} is not an input relation", trig_tok)
+            ts.error(f"{trigger!r} is not an input relation", trig_at)
         params = ts.items(ts.expect_ident)
         if len(params) != input_rels[trigger]:
-            ts.error(f"trigger {trigger!r} expects {input_rels[trigger]} parameters", trig_tok)
+            ts.error(f"trigger {trigger!r} expects {input_rels[trigger]} parameters", trig_at)
         ts.expect(":")
-        while ts.cur.kind == "ident" and not ts.at("on", "default") and ts.tokens[ts.pos + 1].value == "(":
-            target_tok = ts.cur
+        while ts.at_ident() and not ts.at("on", "default") and ts.tokens[ts.pos + 1] == "(":
+            target_at = ts.pos
             target = ts.expect_ident()
             if schema.roles.get(target) is not Role.AUX:
-                ts.error(f"{target!r} is not an auxiliary symbol", target_tok)
+                ts.error(f"{target!r} is not an auxiliary symbol", target_at)
             tparams = ts.items(ts.expect_ident)
             if len(tparams) != schema.arity(target):
-                ts.error(f"{target!r} expects {schema.arity(target)} parameters", target_tok)
+                ts.error(f"{target!r} expects {schema.arity(target)} parameters", target_at)
             fp = FormulaParser(ts, schema, set(params) | set(tparams))
             if ts.accept(":="):
                 if target not in schema.functions:
-                    ts.error(f"':=' defines a function update, but {target!r} is a relation", target_tok)
+                    ts.error(f"':=' defines a function update, but {target!r} is a relation", target_at)
                 body: Formula | Term = fp.term()
             else:
                 ts.expect(":")
                 if target not in schema.relations:
-                    ts.error(f"':' defines a relation update, but {target!r} is a function", target_tok)
+                    ts.error(f"':' defines a relation update, but {target!r} is a function", target_at)
                 body = fp.formula()
             rule = UpdateRule(target, kind, trigger, tuple(params), tuple(tparams), body)
             if rule.key in rules:
-                ts.error(f"duplicate rule for {target!r} under {kind} {trigger!r}", target_tok)
+                ts.error(f"duplicate rule for {target!r} under {kind} {trigger!r}", target_at)
             rules[rule.key] = rule
 
-    if ts.cur.kind != "eof":
-        ts.error(f"unexpected {ts.cur.value!r}")
+    if ts.cur:
+        ts.error(f"unexpected {ts.cur!r}")
 
     if default_frame:
         for target in schema.aux_symbols:
@@ -332,10 +339,10 @@ def parse_program(text: str, filename: str = "<program>") -> DynamicProgram:
 
 def _parse_init(ts: TokenStream) -> InitSpec:
     if ts.at("empty", "oracle"):
-        kind = ts.advance().value
+        kind = ts.advance()
         base = None
-        if ts.cur.kind == "ident" and not ts.at(*_SECTIONS, "on", "default"):
-            base = ts.advance().value
+        if ts.at_ident() and not ts.at(*_SECTIONS, "on", "default"):
+            base = ts.advance()
         return InitSpec(kind, base=base)
     if ts.accept("table"):
         # remember the token range; resolved once the schema is known
@@ -344,11 +351,11 @@ def _parse_init(ts: TokenStream) -> InitSpec:
         depth = 1
         while depth:
             tok = ts.advance()
-            if tok.kind == "eof":
+            if not tok:
                 ts.error("unterminated table initializer")
-            if tok.value == "{":
+            if tok == "{":
                 depth += 1
-            elif tok.value == "}":
+            elif tok == "}":
                 depth -= 1
         return InitSpec("table", table=("pending", start, ts.pos))
     ts.error("expected one of: empty, oracle, table")
@@ -356,12 +363,12 @@ def _parse_init(ts: TokenStream) -> InitSpec:
 
 def _resolve_table(ts: TokenStream, init: InitSpec, schema: Schema) -> InitSpec:
     _, start, end = init.table
-    sub = TokenStream(ts.tokens[start:end] + [Token("eof", "", 0, 0)], ts.filename)
+    sub = TokenStream(ts.text, ts.filename, ts.tokens[start:end] + [""], start)
     sub.expect("{")
     relations: dict[str, list[tuple[int, ...]]] = {}
     functions: dict[str, dict[tuple[int, ...], int]] = {}
     while not sub.at("}"):
-        sym_tok = sub.cur
+        sym_at = sub.pos
         sym = sub.expect_ident()
         sub.expect("=")
         if sym in schema.relations:
@@ -369,7 +376,7 @@ def _resolve_table(ts: TokenStream, init: InitSpec, schema: Schema) -> InitSpec:
         elif sym in schema.functions:
             fentries = functions.setdefault(sym, {})
         else:
-            sub.error(f"unknown symbol {sym!r} in table", sym_tok)
+            sub.error(f"unknown symbol {sym!r} in table", sym_at)
         while sub.at("("):
             tup = sub.items(sub.expect_int)
             if sym in schema.relations:
@@ -396,25 +403,25 @@ class Script(Record):
 def parse_script(text: str, schema: Schema, filename: str = "<script>") -> Script:
     """A script: optional `domain`, `graph { ... }` or `db { ... }` literal,
     `elem` aliases, then `ins R(...)` / `del R(...)` lines."""
-    ts = TokenStream(tokenize(text, filename), filename)
+    ts = TokenStream(text, filename)
     domain: int | None = None
     relations: dict[str, set[tuple[int, ...]]] = {}
     constants: dict[str, int] = {}
     aliases: dict[str, int] = {}
 
     def element() -> int:
-        if ts.cur.kind == "int":
+        if ts.cur[:1].isdigit():
             return ts.expect_int()
-        name_tok = ts.cur
+        name_at = ts.pos
         name = ts.expect_ident()
         if name in aliases:
             return aliases[name]
         if name in constants:
             return constants[name]
-        ts.error(f"unknown element name {name!r} (declare it with 'elem {name} = <id>')", name_tok)
+        ts.error(f"unknown element name {name!r} (declare it with 'elem {name} = <id>')", name_at)
 
     mods: list[Modification] = []
-    while ts.cur.kind != "eof":
+    while ts.cur:
         if ts.accept("domain"):
             domain = ts.expect_int()
         elif ts.accept("graph"):
@@ -423,7 +430,7 @@ def parse_script(text: str, schema: Schema, filename: str = "<script>") -> Scrip
                 if ts.accept("nodes"):
                     domain = ts.expect_int()
                 elif ts.accept("const"):
-                    while ts.cur.kind == "ident":
+                    while ts.at_ident():
                         cname = ts.expect_ident()
                         ts.expect("=")
                         constants[cname] = ts.expect_int()
@@ -441,41 +448,41 @@ def parse_script(text: str, schema: Schema, filename: str = "<script>") -> Scrip
                 elif ts.accept(";"):
                     continue
                 else:
-                    ts.error(f"unexpected {ts.cur.value!r} in graph literal")
+                    ts.error(f"unexpected {ts.cur!r} in graph literal")
         elif ts.accept("db"):
             ts.expect("{")
             while not ts.accept("}"):
                 if ts.accept(";"):
                     continue
-                sym_tok = ts.cur
+                sym_at = ts.pos
                 sym = ts.expect_ident()
                 if sym not in schema.relations:
-                    ts.error(f"unknown relation {sym!r} in db literal", sym_tok)
+                    ts.error(f"unknown relation {sym!r} in db literal", sym_at)
                 if sym not in schema.input_relations:
-                    ts.error(f"{sym!r} is not an input relation", sym_tok)
+                    ts.error(f"{sym!r} is not an input relation", sym_at)
                 ts.expect(":")
                 tuples = relations.setdefault(sym, set())
                 while ts.at("("):
                     tup = ts.items(element)
                     if len(tup) != schema.arity(sym):
-                        ts.error(f"{sym!r} expects {schema.arity(sym)} components", sym_tok)
+                        ts.error(f"{sym!r} expects {schema.arity(sym)} components", sym_at)
                     tuples.add(tuple(tup))
         elif ts.accept("elem"):
             name = ts.expect_ident()
             ts.expect("=")
             aliases[name] = ts.expect_int()
         elif ts.at("ins", "del"):
-            kind = INS if ts.advance().value == "ins" else DEL
-            rel_tok = ts.cur
+            kind = INS if ts.advance() == "ins" else DEL
+            rel_at = ts.pos
             rel = ts.expect_ident()
             if rel not in schema.relations:
-                ts.error(f"unknown relation {rel!r}", rel_tok)
+                ts.error(f"unknown relation {rel!r}", rel_at)
             tup = ts.items(element)
             if len(tup) != schema.arity(rel):
-                ts.error(f"{rel!r} expects {schema.arity(rel)} components", rel_tok)
+                ts.error(f"{rel!r} expects {schema.arity(rel)} components", rel_at)
             mods.append(Modification(rel, tuple(tup), kind))
         else:
-            ts.error(f"unexpected {ts.cur.value!r}")
+            ts.error(f"unexpected {ts.cur!r}")
 
     if domain is None:
         used = [e for m in mods for e in m.tuple]

@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .compiler import context_for_state
 from .errors import DomainError, ProgramError, RejectedSequenceError, SchemaError
 from .formulas import (App, Formula, RelAtom, Term, Var, eval_formula, eval_term,
-                       free_vars, nesting_depth, symbols_used)
+                       nesting_depth, symbols_used, vars_and_symbols)
 from .records import Frozen
 from .schema import Role, Schema
 from .state import (DEL, INS, Modification, State, check_modification,
@@ -138,10 +138,11 @@ def validate_program(p: DynamicProgram) -> None:
             raise ProgramError(f"{r.target}: relation target needs a formula body")
         if not is_rel_target and not isinstance(r.body, Term):
             raise ProgramError(f"{r.target}: function target needs a term body")
-        loose = free_vars(r.body) - set(names)
+        used, symbols = vars_and_symbols(r.body)
+        loose = used - set(names)
         if loose:
             raise ProgramError(f"{r.target}: unbound variables {sorted(loose)} in rule body")
-        for sym in symbols_used(r.body):
+        for sym in symbols:
             if sym not in sch.relations and sym not in sch.functions:
                 raise ProgramError(f"{r.target}: unknown symbol {sym!r} in rule body")
 

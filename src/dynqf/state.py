@@ -156,6 +156,12 @@ MAX_DOMAIN = 1000
 MAX_TABLE = MAX_DOMAIN ** 2
 
 
+def check_domain_size(n: int) -> None:
+    """A DomainError when a domain of n elements exceeds MAX_DOMAIN."""
+    if n > MAX_DOMAIN:
+        raise DomainError(f"domain of size {n} exceeds the limit of {MAX_DOMAIN} elements")
+
+
 def check_table_size(name: str, n: int, arity: int) -> None:
     """A DomainError when the table of `name` over n elements would exceed MAX_TABLE entries."""
     if n ** arity > MAX_TABLE:
@@ -202,8 +208,7 @@ def make_state(
     uses.  A domain above MAX_DOMAIN, or a function table above MAX_TABLE
     entries, is a DomainError, raised before anything of that size is built.
     """
-    if n > MAX_DOMAIN:
-        raise DomainError(f"domain of size {n} exceeds the limit of {MAX_DOMAIN} elements")
+    check_domain_size(n)
     for name, ar in schema.functions.items():
         check_table_size(name, n, ar)
     rels = {name: frozenset(map(tuple, (relations or {}).get(name, ()))) for name in schema.relations}

@@ -36,7 +36,7 @@ from .corpus import InstanceGuard
 from .errors import DynqfError
 from .program import DynamicProgram, empty_input_db, init_state, run
 from .records import Record
-from .state import DEL, INS, Modification, State, is_honest
+from .state import DEL, INS, Modification, State, check_domain_size, is_honest
 
 # Names of lower_bounds.py that resolve as `dynqf.verify.<name>`, as the
 # benchmark's tracer reads them.  Each access loads that module if needed
@@ -232,6 +232,7 @@ def check_maintenance(p: DynamicProgram, oracle: Callable[[State], bool],
         bounds["samples"] = cfg.samples
     elif cfg.mode != "exhaustive":
         raise DynqfError(f"unknown mode {cfg.mode!r}")
+    check_domain_size(cfg.domain_size)  # before the estimate, whose advice cannot help there
     # quick pre-estimate so hopeless exhaustive searches fail fast: a state
     # admits one honest move per (relation, tuple), or two dishonest ones
     per_tuple = 1 if cfg.honest_only else 2

@@ -138,6 +138,16 @@ def test_run_rejects_a_domain_above_the_limit(nes_file, tmp_path, script):
     assert proc.stderr.endswith(" exceeds the limit of 1000 elements\n")
 
 
+@pytest.mark.parametrize("mode", [[], ["--random", "5"]], ids=["exhaustive", "random"])
+def test_verify_rejects_a_domain_above_the_limit(nes_file, capsys, mode):
+    # refused before the exhaustive pre-estimate, whose advice to pass
+    # --override-cap would only lead to this error
+    assert main(["verify", nes_file, "--domain", "5000", *mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: domain of size 5000 exceeds the limit of 1000 elements\n"
+
+
 ONE_AUX_SRC = """
 program one_aux
 input { U/1 }
@@ -423,9 +433,11 @@ def test_a_closed_output_pipe_exits_141_quietly(tmp_path):
 
 def test_corpus_list_and_show(capsys):
     assert main(["corpus", "list"]) == 0
-    out = capsys.readouterr().out
-    for name in ("non-empty-set", "st-twopath-binary", "s-twopath-ternary", "reach-1layer-qf"):
-        assert name in out
+    assert capsys.readouterr().out == (
+        "non-empty-set: classes=DynProp arity=2 oracle=non-empty-set guard=any\n"
+        "reach-1layer-qf: classes=DynQF* arity=1 oracle=st-reach guard=1-layered-st\n"
+        "s-twopath-ternary: classes=DynProp arity=3 oracle=s-twopath guard=any\n"
+        "st-twopath-binary: classes=DynProp arity=2 oracle=st-twopath guard=any\n")
     assert main(["corpus", "show", "non-empty-set"]) == 0
     assert "program non_empty_set" in capsys.readouterr().out
 

@@ -1,6 +1,7 @@
 import pytest
 
-from dynqf.corpus import builtin_program, computed_tags, guard_1layered, strawman_program
+from dynqf import corpus
+from dynqf.corpus import ClassTags, builtin_program, computed_tags, guard_1layered, strawman_program
 from dynqf.errors import SchemaError
 from dynqf.formulas import classify_syntax
 from dynqf.program import empty_input_db, init_state, run
@@ -54,6 +55,22 @@ def test_class_tags_are_machine_checked():
         assert entry.class_tags.arity == arity
         assert computed_tags(entry.program) == entry.class_tags
         assert entry.class_tags.arity == entry.program.schema.max_aux_arity()
+
+
+def test_class_tags_are_computed_on_first_read(monkeypatch):
+    calls = []
+
+    def counted(program):
+        calls.append(program)
+        return computed_tags(program)
+
+    monkeypatch.setattr(corpus, "computed_tags", counted)
+    monkeypatch.setattr(corpus, "_cache", {})
+    entry = builtin_program("reach-1layer-qf")
+    assert calls == []
+    tags = entry.class_tags
+    assert entry.class_tags is tags and calls == [entry.program]
+    assert tags == ClassTags(("DynQF*",), 1, False, False)
 
 
 def test_reach_builtins_are_unary_functions_only():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dynqf.corpus import _SPECS, _STRAWMEN, builtin_program, corpus_names, corpus_source
 from dynqf.errors import DynqfError, ParseError, ProgramError
 from dynqf.formulas import And, App, Eq, Ite, Not, Or, RelAtom, Var
-from dynqf.parser import parse_formula, parse_program, parse_script, parse_term, tokenize
+from dynqf.parser import parse_formula, parse_program, parse_script, parse_term, position, tokenize
 from dynqf.printer import print_formula, print_program
 from dynqf.program import decode_table
 from dynqf.schema import make_schema
@@ -225,9 +225,19 @@ def test_an_integer_too_long_to_convert_is_a_parse_error():
 def test_end_of_input_after_a_trailing_comment_is_past_the_comment():
     # the end-of-input token sits after the last character of its line,
     # comment characters included
-    assert [(t.kind, t.line, t.col) for t in tokenize("x # note")] == [("ident", 1, 1), ("eof", 1, 9)]
-    assert [(t.kind, t.line, t.col) for t in tokenize("x # note\n")] == [("ident", 1, 1), ("eof", 2, 1)]
+    assert kinds_and_positions("x # note") == [("ident", 1, 1), ("eof", 1, 9)]
+    assert kinds_and_positions("x # note\n") == [("ident", 1, 1), ("eof", 2, 1)]
 
+
+def token_kind(token):
+    """A token's kind, by its first character."""
+    if not token:
+        return "eof"
+    return "ident" if token[0].isalpha() else "int" if token[0].isdigit() else "punct"
+
+
+def kinds_and_positions(text):
+    return [(token_kind(t), *position(text, i)) for i, t in enumerate(tokenize(text))]
 
 
 def test_parsed_rules_are_pinned():
@@ -244,9 +254,7 @@ def test_parsed_rules_are_pinned():
 _HEAD = "program x\ninput { E/2 }\naux { Q/0 }\nquery Q\n"
 _RULES = "on insert E(a, b):\n  Q(): true\non delete E(a, b):\n  Q(): false\n"
 _LONG = "9" * 5000
-_SCRIPT_SCHEMA = make_schema(input_relations={"E": 2, "U": 1}, constants=("s",))
-
-
+_ERROR_SCHEMA = make_schema(input_relations={"E": 2, "U": 1}, constants=("s",))
 _ERROR_CASES = [
     ("program", "program x\n$input { E/2 }", "<program>:2:1: unexpected character '$'"),
     ("program", "program x\ninput { E$/2 }", "<program>:2:10: unexpected character '$'"),
@@ -279,6 +287,7 @@ _ERROR_CASES = [
     ("script", "db { U: (0) (1) ; E: (0, 1, 2) }", "<script>:1:19: 'E' expects 2 components"),
     ("formula", "E(x, s) s", "<formula>:1:9: trailing input 's'"),
     ("formula", "E(x, s) |", "<formula>:1:10: expected a formula, found ''"),
+    ("formula", "E(x, $)", "<formula>:1:6: unexpected character '$'"),
 ]
 
 
@@ -289,17 +298,50 @@ _ERROR_CASES = [
     "trailing-ident", "eof-no-newline", "eof-newline", "eof-after-comment", "script-bad-char",
     "script-non-ascii", "script-non-ascii-in-comment", "script-long-int", "script-trailing",
     "script-eof-no-newline", "script-eof-newline", "script-db-arity", "formula-trailing",
-    "formula-eof",
+    "formula-eof", "formula-bad-char",
 ])
 def test_parse_error_strings_are_pinned(kind, text, message):
     with pytest.raises(ParseError) as exc:
         if kind == "program":
             parse_program(text)
         elif kind == "script":
-            parse_script(text, _SCRIPT_SCHEMA)
+            parse_script(text, _ERROR_SCHEMA)
         else:
-            parse_formula(text, _SCRIPT_SCHEMA, {"x"})
+            parse_formula(text, _ERROR_SCHEMA, {"x"})
     assert str(exc.value) == message
+
+
+_REFERENCE_TOKEN = re.compile(r"(?P<newline>\n)|(?P<punct>:=|!=|->|[{}(),/=!&|:;])"
+                              r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>[0-9]+)|[ \t\r]+|#.*|(?P<bad>.)")
+
+
+def reference_tokens(text):
+    """(kind, value, line, col) of each token, eof last, by counting lines
+    match by match: the reading `tokenize` and `position` must agree with."""
+    tokens, line, line_start = [], 1, 0
+    for m in _REFERENCE_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, m.start() - line_start + 1)
+        elif kind:
+            tokens.append((kind, m.group(), line, m.start() - line_start + 1))
+    return tokens + [("eof", "", line, len(text) - line_start + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="aZ9_0 \t\r\n#(){},:;=!&|/->$\u00e9\u00b2\u0663", max_size=30))
+def test_tokens_and_positions_match_a_line_counting_reference(text):
+    try:
+        expected = reference_tokens(text)
+    except ParseError as e:
+        with pytest.raises(ParseError) as exc:
+            tokenize(text)
+        assert str(exc.value) == str(e)
+        return
+    tokens = tokenize(text)
+    assert [(token_kind(t), t, *position(text, i)) for i, t in enumerate(tokens)] == expected
 
 
 CORPUS_SOURCES = ([corpus_source(spec[0]) for spec in _SPECS.values()]

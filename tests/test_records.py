@@ -13,7 +13,7 @@ from dynqf.corpus import ClassTags, CorpusEntry
 from dynqf.errors import DynqfError, EvalError, SchemaError
 from dynqf.formulas import (And, App, Const, Eq, EqualityType, FalseConst, Ite, Not, Or,
                             RelAtom, SyntaxFlags, TrueConst, Var)
-from dynqf.parser import Script, Token
+from dynqf.parser import Script
 from dynqf.program import DynamicProgram, InitSpec, UpdateRule
 from dynqf.queries import LayeredSpec, gen_layered
 from dynqf.schema import Role, Schema, make_schema
@@ -23,7 +23,7 @@ from dynqf.verify import CheckConfig, Counterexample, Verdict
 
 SCHEMA = make_schema({"E": 2}, {"Q": 0}, {"f": 1}, constants=("s",))
 TRUE = TrueConst()
-MUTABLE = ("Token", "Script", "CheckConfig", "Counterexample", "Verdict", "PropertyReport")
+MUTABLE = ("Script", "CheckConfig", "Counterexample", "Verdict", "PropertyReport")
 OWN_HASH = ("State", "Schema", "DynamicProgram")
 
 
@@ -54,7 +54,6 @@ def instances() -> dict:
         "Schema": SCHEMA,
         "LayeredSpec": LayeredSpec((2, 1)),
         "Layered": gen_layered(LayeredSpec((1,), with_st=False)),
-        "Token": Token("ident", "E", 3, 7),
         "Script": Script(3, {"E": {(0, 1)}}, {"s": 0}, [Modification("E", (0, 1), INS)]),
         "CheckConfig": CheckConfig(3, 2),
         "Counterexample": cex,
@@ -103,7 +102,6 @@ GOLDEN = {
     "LayeredSpec": "LayeredSpec(sizes=(2, 1), with_st=True)",
     "Layered": ("Layered(state=State(layout=<dynqf.state.Layout object>, rels=(frozenset(),), funs=()), "
                 "layers=((0,),))"),
-    "Token": "Token(kind='ident', value='E', line=3, col=7)",
     "Script": ("Script(domain=3, relations={'E': {(0, 1)}}, constants={'s': 0}, "
                "modifications=[Modification(relation='E', tuple=(0, 1), kind='ins')])"),
     "CheckConfig": ("CheckConfig(domain_size=3, max_len=2, mode='exhaustive', samples=1000, seed=0, "
@@ -139,7 +137,7 @@ def _fields(record) -> list[str]:
 
 def test_every_record_class_has_a_case():
     assert sorted(instances()) == sorted(GOLDEN)
-    assert len(GOLDEN) == 30
+    assert len(GOLDEN) == 29
     for name, record in instances().items():
         assert type(record).__name__ == name
 
