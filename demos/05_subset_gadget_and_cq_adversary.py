@@ -32,7 +32,7 @@ print("conjunctive adversary vs", cq.name, "| deletion depths:", depths)
 # the saturation argument, visible in the candidate's own states
 state = run(cq, init_state(cq, empty_input_db(cq, 2)), [ins("U", 0), ins("U", 1)])[-1]
 print("  after saturating U = {0,1}: missing diverse tuples =",
-      diverse_saturation(state, cq, depths))
+      diverse_saturation(state, depths))
 
 cex = cq_adversary(cq, bound=4)
 print(f"  witness: {[str(m) for m in cex.sequence]}")

@@ -25,13 +25,11 @@ _EXPORTS = {
     "errors": ("DynqfError",),
     "formulas": ("And", "App", "Const", "Eq", "EqualityType", "FALSE", "FalseConst", "Formula", "Ite",
                  "Not", "Or", "RelAtom", "TRUE", "Term", "TrueConst", "Var", "classify_syntax",
-                 "equality_type_of", "eval_formula", "eval_term", "nesting_depth",
-                 "terms_up_to_depth"),
+                 "eval_formula", "eval_term", "nesting_depth", "terms_up_to_depth"),
     "corpus": ("CorpusEntry", "builtin_program", "corpus_names", "strawman_program"),
     "parser": ("parse_formula", "parse_program", "parse_script", "parse_term"),
     "printer": ("print_formula", "print_program", "print_term"),
-    "program": ("ConstFunctionInit", "CopyInputInit", "DynamicProgram", "EmptyInit",
-                "FixedElementInit", "InitSpec", "Initializer", "ProgramInit", "UpdateRule", "apply",
+    "program": ("DynamicProgram", "InitSpec", "UpdateRule", "apply", "assemble_state",
                 "empty_input_db", "init_state", "is_invariant_init", "run"),
     "queries": ("Layered", "LayeredSpec", "gen_layered", "graph_state", "is_query", "oracle_k_clique",
                 "oracle_k_colorability", "oracle_nonemptyset", "oracle_s_twopath", "oracle_st_reach",
@@ -44,7 +42,7 @@ _EXPORTS = {
                "validate_counterexample"),
     "lower_bounds": ("attack_star_deletion", "attack_subset_gadget", "cq_adversary",
                      "diverse_saturation", "embedding_positions", "higman_pair", "k_similar",
-                     "neighborhood", "neighborhood_vector", "subsequence", "substructure_property"),
+                     "neighborhood", "subsequence", "substructure_property"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -26,12 +26,12 @@ from .corpus import GUARDS, builtin_program, corpus_names, corpus_source, _SPECS
 from .errors import DynqfError, ParseError
 from .formulas import classify_syntax
 from .parser import parse_program, parse_script
-from .program import DynamicProgram, empty_input_db, init_state, run
+from .program import DynamicProgram, assemble_state, empty_input_db, init_state, run
 from .queries import ORACLES, oracle_k_clique, oracle_k_colorability
 from .schema import Role
 from .serialize import (counterexample_from_dict, counterexample_to_dict,
                         verdict_to_dict)
-from .state import State, make_state
+from .state import State
 from .verify import CheckConfig, Counterexample, check_maintenance, validate_counterexample
 
 
@@ -82,8 +82,7 @@ def _load_counterexample(path: str, input_schema) -> Counterexample:
 def _script_state(p: DynamicProgram, script) -> State:
     """The script's input database, with the default layout of the constants it leaves out."""
     db = empty_input_db(p, script.domain, script.constants)
-    rels = {name: script.relations.get(name, set()) for name in db.schema.relations}
-    return make_state(db.schema, db.n, rels, {}, db.constants)
+    return assemble_state(db.schema, db, script.relations, {})
 
 
 def _resolve_oracle(name: str):
@@ -128,6 +127,8 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_at_least(args, domain=1, maxlen=0, random=1)
+    if args.exhaustive and args.random is not None:
+        raise DynqfError("--exhaustive and --random exclude each other")
     p = _load_program(args.program)
     oracle_name = args.oracle
     guard = GUARDS.get(args.guard) if args.guard else None
@@ -142,7 +143,7 @@ def cmd_verify(args) -> int:
         raise DynqfError("no oracle given and the program is not a corpus entry")
     oracle = _resolve_oracle(oracle_name)
     cfg = CheckConfig(domain_size=args.domain, max_len=args.maxlen,
-                      mode="exhaustive" if args.exhaustive or not args.random else "random",
+                      mode="random" if args.random else "exhaustive",
                       samples=args.random or 1000, seed=args.seed, honest_only=args.honest, guard=guard)
     if args.override_cap:
         cfg.state_cap = None

@@ -2,9 +2,7 @@
 
 The formula class is quantifier-free by construction: there simply are no
 quantifier nodes.  Terms include a conditional (ite) whose condition is again
-a quantifier-free formula; plain terms (no ite) are what neighborhood vectors
-enumerate (neighborhoods and k-similarity compute their values as a fixpoint
-instead, without listing the terms).
+a quantifier-free formula.
 """
 from __future__ import annotations
 
@@ -315,6 +313,7 @@ class EqualityType(Frozen):
 
     @staticmethod
     def from_key(items: Sequence) -> "EqualityType":
+        """The partition of positions induced by equality of the items."""
         groups: dict[object, list[int]] = {}
         for i, item in enumerate(items):
             groups.setdefault(item, []).append(i)
@@ -329,11 +328,6 @@ class EqualityType(Frozen):
 
     def __str__(self):
         return "{" + ", ".join("{" + ",".join(str(p + 1) for p in b) + "}" for b in self.blocks) + "}"
-
-
-def equality_type_of(tup: Sequence) -> EqualityType:
-    """The partition of positions induced by component equality."""
-    return EqualityType.from_key(tuple(tup))
 
 
 # -- plain-term enumeration ---------------------------------------------------------
@@ -374,9 +368,6 @@ def terms_up_to_depth(
     """All plain terms (no ite) of nesting depth <= k over the given variables
     and the schema's constant and function symbols, in the canonical order:
     by depth, then lexicographically by symbol name and argument order.
-
-    The enumeration order is deterministic because downstream constructions
-    (neighborhood vectors) depend on it.
     """
     total = count_terms_up_to_depth(schema, k, len(vars))
     if total > cap:

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .atoms import atomic_type, diverse_tuples, find_homogeneous_subset
 from .compiler import LeanContext, context_for_state
 from .errors import DynqfError, GuardError, ResourceLimitError
-from .formulas import classify_syntax, eval_term, terms_up_to_depth, equality_type_of, EqualityType
+from .formulas import classify_syntax
 from .program import DynamicProgram, empty_input_db
 from .queries import oracle_nonemptyset, oracle_st_reach
 from .records import Record
@@ -125,28 +125,6 @@ def k_similar(s: State, a_tuple: Sequence[int], t: State, b_tuple: Sequence[int]
         if inside != {r for r in t.relations[name] if all([y in image for y in r])}:
             return None
     return pi
-
-
-def neighborhood_vector(s: State, tup: Sequence[int], k: int,
-                        cap: int | None = None) -> tuple[tuple[int, ...], EqualityType]:
-    """Per component, the values of the canonical term enumeration in one
-    variable (the bare variable comes first), concatenated; plus the equality
-    type of the concatenated vector.
-
-    Without an explicit cap this requires unary/0-ary function symbols only,
-    where the one-variable enumeration is the natural one.
-    """
-    if cap is None:
-        if any(ar > 1 for ar in s.schema.functions.values()):
-            raise ResourceLimitError(
-                "higher-arity function symbols need an explicit term cap", 0)
-        cap = 50000
-    terms = terms_up_to_depth(s.schema, k, ("x",), cap=cap)
-    vec: list[int] = []
-    for c in tup:
-        vec.extend(eval_term(t, s, {"x": c}) for t in terms)
-    vec_t = tuple(vec)
-    return vec_t, equality_type_of(vec_t)
 
 
 # -- substructure property suites ---------------------------------------------------------
@@ -439,11 +417,10 @@ def attack_subset_gadget(p: DynamicProgram, n2: int,
 
 # -- the conjunctive-fragment adversary ----------------------------------------------------
 
-def diverse_saturation(s: State, p: DynamicProgram, depths: Mapping[str, int | None],
-                       u_symbol: str = "U") -> list[tuple[str, tuple[int, ...]]]:
+def diverse_saturation(s: State, depths: Mapping[str, int | None]) -> list[tuple[str, tuple[int, ...]]]:
     """Diverse tuples over the current U that a correct conjunctive program
     must keep in each finite-deletion-depth relation but this state lacks."""
-    u = sorted(x for (x,) in s.relations[u_symbol])
+    u = sorted(x for (x,) in s.relations["U"])
     out = []
     for sym in sorted(depths):
         d = depths[sym]
@@ -457,8 +434,7 @@ def diverse_saturation(s: State, p: DynamicProgram, depths: Mapping[str, int | N
     return sorted(out)
 
 
-def cq_adversary(p: DynamicProgram, bound: int,
-                 domain_size: int | None = None) -> Counterexample | None:
+def cq_adversary(p: DynamicProgram, bound: int) -> Counterexample | None:
     """Adversary for conjunctive candidates maintaining non-empty-set:
     saturate U with one element more than the candidate's maximum finite
     deletion depth, then search honest deletion-only sequences for a step
@@ -476,10 +452,7 @@ def cq_adversary(p: DynamicProgram, bound: int,
     finite = [d for d in depths.values() if d is not None]
     m = max(finite) if finite else 0
     size = m + 1
-    n = domain_size if domain_size is not None else max(size, 2)
-    if size > n:
-        raise DynqfError(f"domain of size {n} cannot hold {size} elements")
-    db = empty_input_db(p, n)
+    db = empty_input_db(p, max(size, 2))
     inserts = [Modification(u_rel, (e,), INS) for e in range(size)]
     if bound < len(inserts):
         return None

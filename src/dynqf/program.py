@@ -3,7 +3,6 @@ initialization models, and initialization-invariance checking."""
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -282,106 +281,28 @@ def empty_input_db(p: DynamicProgram, n: int, constants: Mapping[str, int] | Non
     return make_state(sch, n, {}, {}, consts)
 
 
-# -- initializers as first-class objects, and invariance checking ------------------
-
-class Initializer:
-    """Anything that maps an input database to a full initial state."""
-
-    def build(self, input_db: State) -> State:
-        raise NotImplementedError
-
-
-class ProgramInit(Initializer):
-    def __init__(self, program: DynamicProgram):
-        self.program = program
-
-    def build(self, input_db: State) -> State:
-        return init_state(self.program, input_db)
-
-
-class SchemaInit(Initializer):
-    """Initializer defined directly on a schema by a per-symbol recipe."""
-
-    def __init__(self, schema: Schema):
-        self.schema = schema
-
-    def aux_interps(self, input_db: State) -> tuple[dict, dict]:
-        """The (relations, functions) of the symbols that are not input."""
-        return {}, {}
-
-    def build(self, input_db: State) -> State:
-        return assemble_state(self.schema, input_db, *self.aux_interps(input_db))
-
-
-class EmptyInit(SchemaInit):
-    """All aux relations empty; functions projection-on-first-argument."""
-
-
-class CopyInputInit(SchemaInit):
-    """Copy input relations into designated same-arity aux relations."""
-
-    def __init__(self, schema: Schema, mapping: Mapping[str, str]):
-        super().__init__(schema)
-        self.mapping = dict(mapping)  # aux symbol -> input symbol
-
-    def aux_interps(self, input_db: State):
-        return {aux: set(input_db.relations[inp]) for aux, inp in self.mapping.items()}, {}
-
-
-class FixedElementInit(SchemaInit):
-    """Mark a fixed domain element in one aux relation, whatever the input."""
-
-    def __init__(self, schema: Schema, symbol: str, element: int = 0):
-        super().__init__(schema)
-        self.symbol = symbol
-        self.element = element
-
-    def aux_interps(self, input_db: State):
-        return {self.symbol: {(self.element,)}}, {}
-
-
-class ConstFunctionInit(SchemaInit):
-    """Every aux function maps everything to the value of a constant symbol."""
-
-    def __init__(self, schema: Schema, const_symbol: str):
-        super().__init__(schema)
-        self.const_symbol = const_symbol
-
-    def aux_interps(self, input_db: State):
-        val = input_db.constants[self.const_symbol]
-        funs = {}
-        for name, ar in self.schema.functions.items():
-            if self.schema.role(name) is Role.AUX:
-                funs[name] = {args: val for args in itertools.product(range(input_db.n), repeat=ar)}
-        return {}, funs
-
+# -- initialization invariance -----------------------------------------------------
 
 EXHAUSTIVE_CAP = 7  # the largest domain on which `is_invariant_init` tries all n! permutations
 
 
-def is_invariant_init(
-    init: Initializer,
-    input_db: State,
-    permutations: str | int = "all",
-    seed: int = 0,
-) -> bool:
-    """Does pi(init(D)) equal init(pi(D)) for every tested permutation pi?
+def is_invariant_init(build: Callable[[State], State], input_db: State) -> bool:
+    """Does pi(build(D)) equal build(pi(D)) for every tested permutation pi?
 
-    Exhaustive when permutations == "all" and the domain has at most
-    EXHAUSTIVE_CAP elements, otherwise a seeded sample of the requested size.
+    `build` maps an input database to a full state, as
+    `functools.partial(init_state, p)` does, or a recipe calling
+    `assemble_state`.  All n! permutations are tested on a domain of at most
+    EXHAUSTIVE_CAP elements, 200 sampled with seed 0 on a larger one.
     """
     n = input_db.n
-    base = init.build(input_db)
-    if permutations == "all" and n <= EXHAUSTIVE_CAP:
+    if n <= EXHAUSTIVE_CAP:
         perms: Iterable[Sequence[int]] = itertools.permutations(range(n))
     else:
-        count = permutations if isinstance(permutations, int) else min(math.factorial(n), 200)
-        rng = random.Random(seed)
-        perms = [rng.sample(range(n), n) for _ in range(count)]
+        rng = random.Random(0)
+        perms = [rng.sample(range(n), n) for _ in range(200)]
+    base = build(input_db)
     for perm in perms:
         pi = dict(enumerate(perm))
-        transported = transport(base, pi)
-        rebuilt = init.build(transport(input_db, pi))
-        if transported != rebuilt:
+        if transport(base, pi) != build(transport(input_db, pi)):
             return False
     return True

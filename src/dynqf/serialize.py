@@ -28,17 +28,35 @@ def state_to_dict(s: State) -> dict:
     }
 
 
+def _ints(values, what: str) -> tuple:
+    """`values` as a tuple; a DynqfError unless each is a plain int, not a
+    bool or a float that JSON would carry as well."""
+    values = tuple(values)
+    if not all([type(x) is int for x in values]):
+        raise DynqfError(f"{what} must be integers, got {list(values)!r}")
+    return values
+
+
 def state_from_dict(d: dict, schema: Schema) -> State:
     relations, functions = d.get("relations", {}), d.get("functions", {})
+    constants = d.get("constants", {})
     unknown = sorted(set(relations) - set(schema.relations)) + sorted(set(functions) - set(schema.functions))
     if unknown:
         raise DynqfError(f"symbols outside the schema: {unknown}")
+    n = d["domain"]
+    if type(n) is not int:
+        raise DynqfError(f"domain must be an integer, got {n!r}")
+    _ints(constants.values(), "constants")
+    funs = {name: {_ints(args, "function arguments"): val for args, val in entries}
+            for name, entries in functions.items()}
+    for table in funs.values():
+        _ints(table.values(), "function values")
     return make_state(
         schema,
-        d["domain"],
-        {name: {tuple(t) for t in tuples} for name, tuples in relations.items()},
-        {name: {tuple(args): val for args, val in entries} for name, entries in functions.items()} or None,
-        d.get("constants", {}),
+        n,
+        {name: {_ints(t, "tuple elements") for t in tuples} for name, tuples in relations.items()},
+        funs or None,
+        constants,
     )
 
 
@@ -48,10 +66,7 @@ def modification_to_list(m: Modification) -> list:
 
 def modification_from_list(entry: Sequence) -> Modification:
     kind, relation, tup = entry
-    tup = tuple(tup)
-    if not all([type(x) is int for x in tup]):
-        raise DynqfError(f"tuple elements must be integers, got {list(tup)!r}")
-    return Modification(relation, tup, kind)
+    return Modification(relation, _ints(tup, "tuple elements"), kind)
 
 
 def trace_to_dict(trace: Sequence[State]) -> dict:

@@ -157,7 +157,9 @@ MAX_TABLE = MAX_DOMAIN ** 2
 
 
 def check_domain_size(n: int) -> None:
-    """A DomainError when a domain of n elements exceeds MAX_DOMAIN."""
+    """A DomainError when a domain of n elements is negative or exceeds MAX_DOMAIN."""
+    if n < 0:
+        raise DomainError(f"domain size must not be negative, got {n}")
     if n > MAX_DOMAIN:
         raise DomainError(f"domain of size {n} exceeds the limit of {MAX_DOMAIN} elements")
 

@@ -6,9 +6,7 @@ import time
 from dynqf.atoms import diverse_tuples_share_type
 from dynqf.corpus import builtin_program, strawman_program
 from dynqf.parser import parse_program
-from dynqf.program import (ConstFunctionInit, CopyInputInit, EmptyInit,
-                           FixedElementInit, apply, empty_input_db, init_state,
-                           is_invariant_init)
+from dynqf.program import apply, assemble_state, empty_input_db, init_state, is_invariant_init
 from dynqf.queries import (LayeredSpec, allowed_layer_edges, gen_layered,
                            oracle_k_clique, oracle_k_colorability,
                            oracle_st_reach, oracle_nonemptyset)
@@ -246,9 +244,9 @@ def test_criterion_09_attack_drivers():
 def test_criterion_10_invariant_initialization():
     toy = make_schema(input_relations={"U": 1}, aux_relations={"A": 1})
     db = make_state(toy.input_only(), 5, {"U": {(1,), (3,)}})
-    ok_empty = is_invariant_init(EmptyInit(toy), db, "all")
-    ok_copy = is_invariant_init(CopyInputInit(toy, {"A": "U"}), db, "all")
-    rejected = not is_invariant_init(FixedElementInit(toy, "A", 0), db, "all")
+    ok_empty = is_invariant_init(lambda d: assemble_state(toy, d, {}, {}), db)
+    ok_copy = is_invariant_init(lambda d: assemble_state(toy, d, {"A": d.relations["U"]}, {}), db)
+    rejected = not is_invariant_init(lambda d: assemble_state(toy, d, {"A": {(0,)}}, {}), db)
 
     # function-valued invariant init on a complete 1-layered graph: every
     # layer pair is swappable, so no auxiliary function value may land in
@@ -258,13 +256,16 @@ def test_criterion_10_invariant_initialization():
     layer = (1, 2, 3)
     edges = {(0, a) for a in layer} | {(a, 4) for a in layer}
     gdb = make_state(sch.input_only(), 5, {"E": edges}, constants={"s": 0, "t": 4})
-    init = ConstFunctionInit(sch, "s")
-    ok_fun = is_invariant_init(init, gdb, "all")
-    state = init.build(gdb)
+
+    def init(d):  # g maps every element to the value of s
+        return assemble_state(sch, d, {}, {"g": {(i,): d.constants["s"] for i in range(d.n)}})
+
+    ok_fun = is_invariant_init(init, gdb)
+    state = init(gdb)
     no_layer_values = all(v not in layer for v in state.fun("g").values())
     # and the diverse-type experiment: all diverse layer tuples share a type
     diverse_ok = all(
-        diverse_tuples_share_type(init.build(
+        diverse_tuples_share_type(init(
             make_state(sch.input_only(), m + 2,
                        {"E": {(0, a) for a in range(1, m + 1)} | {(a, m + 1) for a in range(1, m + 1)}},
                        constants={"s": 0, "t": m + 1})),

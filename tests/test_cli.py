@@ -526,6 +526,31 @@ def test_replay_refuses_a_symbol_outside_the_schema(broken_file, tmp_path, capsy
                                        f"symbols outside the schema: [{name!r}]\n")
 
 
+
+@pytest.mark.parametrize("field, value, fragment", [
+    ("domain", -2, "domain size must not be negative, got -2"),
+    ("domain", True, "domain must be an integer, got True"),
+    ("relations", {"U": [[0.0]]}, "tuple elements must be integers, got [0.0]"),
+    ("relations", {"U": [[True]]}, "tuple elements must be integers, got [True]"),
+])
+def test_replay_refuses_an_initial_state_that_is_not_plain_ints(broken_file, tmp_path, capsys,
+                                                                field, value, fragment):
+    # each of these read as a state, where the divergence does not reproduce
+    assert main(["verify", broken_file, "--oracle", "non-empty-set",
+                 "--domain", "3", "--maxlen", "4", "--exhaustive", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    doc["counterexample"]["initial"][field] = value
+    f = tmp_path / "verdict.json"
+    f.write_text(json.dumps(doc))
+    assert main(["replay", str(f), broken_file, "--oracle", "non-empty-set"]) == 2
+    assert_one_line_error(capsys, "verdict.json: malformed counterexample: " + fragment)
+
+
+def test_verify_exhaustive_and_random_exclude_each_other(nes_file, capsys):
+    assert main(["verify", nes_file, "--exhaustive", "--random", "5"]) == 2
+    assert_one_line_error(capsys, "--exhaustive and --random exclude each other")
+
+
 def test_verify_missing_program_file(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.dynp"), "--oracle", "non-empty-set"]) == 2
     assert_one_line_error(capsys, "nope.dynp")

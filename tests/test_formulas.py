@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dynqf.errors import EvalError, ResourceLimitError
-from dynqf.formulas import (And, App, Const, Eq, FALSE, Ite, Not, Or, RelAtom,
-                            TRUE, Var, atom, children, classify_syntax,
-                            count_terms_up_to_depth, eq, equality_type_of,
-                            eval_formula, eval_term, map_atoms, nesting_depth,
-                            rebuild, rel_atoms, subst, terms_up_to_depth)
+from dynqf.formulas import (And, App, Const, Eq, EqualityType, FALSE, Ite, Not, Or,
+                            RelAtom, TRUE, Var, atom, children, classify_syntax,
+                            count_terms_up_to_depth, eq, eval_formula, eval_term,
+                            map_atoms, nesting_depth, rebuild, rel_atoms, subst,
+                            terms_up_to_depth)
 from dynqf.parser import parse_formula
 from dynqf.schema import make_schema
 from dynqf.state import make_state, transport
@@ -175,15 +175,15 @@ def test_conjunctive_and_negation_free_iff_positive_chain():
 
 
 def test_equality_types():
-    assert equality_type_of((7, 7, 9)).blocks == ((0, 1), (2,))
-    assert equality_type_of((1, 2, 3)).blocks == ((0,), (1,), (2,))
-    assert equality_type_of(()).blocks == ()
+    assert EqualityType.from_key((7, 7, 9)).blocks == ((0, 1), (2,))
+    assert EqualityType.from_key((1, 2, 3)).blocks == ((0,), (1,), (2,))
+    assert EqualityType.from_key(()).blocks == ()
 
 
 @given(st.lists(st.integers(0, 4), max_size=6), st.permutations(range(5)))
 def test_equality_type_invariant_under_injection(tup, perm):
     mapped = tuple(perm[x] for x in tup)
-    assert equality_type_of(tup) == equality_type_of(mapped)
+    assert EqualityType.from_key(tup) == EqualityType.from_key(mapped)
 
 
 def test_terms_no_functions():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from functools import partial
 
 import pytest
 
@@ -9,13 +10,12 @@ from dynqf.cli import main
 from dynqf.corpus import builtin_program
 from dynqf.errors import DynqfError, RejectedSequenceError, SchemaError
 from dynqf.parser import parse_program
-from dynqf.program import (ConstFunctionInit, CopyInputInit, DynamicProgram, EmptyInit,
-                           FixedElementInit, InitSpec, ProgramInit, UpdateRule,
-                           _reference_apply, apply, empty_input_db, init_state,
+from dynqf.program import (EXHAUSTIVE_CAP, DynamicProgram, InitSpec, UpdateRule,
+                           _reference_apply, apply, assemble_state, empty_input_db, init_state,
                            is_invariant_init, run)
 from dynqf.schema import make_schema
 from dynqf.serialize import state_to_dict
-from dynqf.state import delete, ins, make_state
+from dynqf.state import delete, ins, make_state, transport
 from test_compiler import _shipped_with_transforms
 
 
@@ -287,32 +287,62 @@ def toy_db(n, members=()):
     return make_state(TOY.input_only(), n, {"U": {(m,) for m in members}})
 
 
+# the recipes of criterion 10, as functions from an input database to a state
+def empty_init(schema):
+    return lambda db: assemble_state(schema, db, {}, {})
+
+
+def copy_init(schema):  # A copies U
+    return lambda db: assemble_state(schema, db, {"A": db.relations["U"]}, {})
+
+
+def fixed_element_init(schema):  # A marks element 0, whatever the input
+    return lambda db: assemble_state(schema, db, {"A": {(0,)}}, {})
+
+
+def const_s_init(schema):  # g maps every element to the value of s
+    return lambda db: assemble_state(schema, db, {}, {"g": {(i,): db.constants["s"] for i in range(db.n)}})
+
+
 def test_empty_init_is_invariant():
-    assert is_invariant_init(EmptyInit(TOY), toy_db(4, (1,)), "all")
+    assert is_invariant_init(empty_init(TOY), toy_db(4, (1,)))
 
 
 def test_copy_input_init_is_invariant():
-    init = CopyInputInit(TOY, {"A": "U"})
-    assert is_invariant_init(init, toy_db(4, (1, 2)), "all")
+    assert is_invariant_init(copy_init(TOY), toy_db(4, (1, 2)))
 
 
 def test_fixed_element_init_is_rejected():
-    init = FixedElementInit(TOY, "A", 0)
-    assert not is_invariant_init(init, toy_db(3), "all")
+    assert not is_invariant_init(fixed_element_init(TOY), toy_db(3))
 
 
 def test_const_function_init_is_invariant():
     sch = make_schema(input_relations={"E": 2}, aux_functions={"g": 1}, constants=("s", "t"))
     db = make_state(sch.input_only(), 4, {"E": {(0, 1)}}, constants={"s": 0, "t": 3})
-    assert is_invariant_init(ConstFunctionInit(sch, "s"), db, "all")
+    assert is_invariant_init(const_s_init(sch), db)
 
 
 def test_oracle_init_of_list_program_is_not_invariant():
     # the replay order bakes element identities into the list
     p = nes()
-    assert not is_invariant_init(ProgramInit(p), make_state(
+    assert not is_invariant_init(partial(init_state, p), make_state(
         p.schema.input_only(), 3,
-        {"U": frozenset({(0,), (1,)})}, {}, {}), "all")
+        {"U": frozenset({(0,), (1,)})}, {}, {}))
+
+
+def test_invariance_beyond_the_exhaustive_cap_tries_200_permutations_seeded_with_0():
+    n = EXHAUSTIVE_CAP + 1
+    db = toy_db(n, (1, 5))
+    assert not is_invariant_init(fixed_element_init(TOY), db)
+    seen = [[], []]
+    for log in seen:
+        def build(d, log=log):
+            log.append(d)
+            return empty_init(TOY)(d)
+        assert is_invariant_init(build, db)
+    first = dict(enumerate(random.Random(0).sample(range(n), n)))
+    assert len(seen[0]) == 201 and seen[0] == seen[1]
+    assert seen[0][:2] == [db, transport(db, first)]
 
 
 # -- initial states, pinned ----------------------------------------------------
@@ -350,11 +380,11 @@ def test_schema_initializers_build_the_criterion_10_states():
     edges = {(0, a) for a in (1, 2, 3)} | {(a, 4) for a in (1, 2, 3)}
     gdb = make_state(sch.input_only(), 5, {"E": edges}, constants={"s": 0, "t": 4})
     built = {k: state_to_dict(s) for k, s in {
-        "empty": EmptyInit(toy).build(db),
-        "copy": CopyInputInit(toy, {"A": "U"}).build(db),
-        "fixed": FixedElementInit(toy, "A", 0).build(db),
-        "const": ConstFunctionInit(sch, "s").build(gdb),
-        "empty-fun": EmptyInit(sch).build(gdb),
+        "empty": empty_init(toy)(db),
+        "copy": copy_init(toy)(db),
+        "fixed": fixed_element_init(toy)(db),
+        "const": const_s_init(sch)(gdb),
+        "empty-fun": empty_init(sch)(gdb),
     }.items()}
     u = [[1], [3]]
     assert built["empty"]["relations"] == {"A": [], "U": u}

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dynqf.corpus import builtin_program, corpus_names, strawman_program
+from dynqf.errors import DynqfError
 from dynqf.program import empty_input_db, init_state, run
 from dynqf.queries import oracle_nonemptyset
 from dynqf.schema import make_schema
@@ -29,6 +30,23 @@ def test_state_json_roundtrip(data):
     s = make_state(SCHEMA, n, {"E": edges, "Q": {()} if q else set()},
                    {"g": g}, {"s": 0})
     assert state_from_dict(state_to_dict(s), SCHEMA) == s
+
+
+
+@pytest.mark.parametrize("field, value, fragment", [
+    ("domain", 3.0, "domain must be an integer, got 3.0"),
+    ("relations", {"E": [[0, True]]}, "tuple elements must be integers, got [0, True]"),
+    ("functions", {"g": [[[0.0], 0], [[1], 1], [[2], 2]]}, "function arguments must be integers, got [0.0]"),
+    ("functions", {"g": [[[0], 0], [[1], False], [[2], 2]]}, "function values must be integers, got [0, False, 2]"),
+    ("constants", {"s": 1.0}, "constants must be integers, got [1.0]"),
+])
+def test_a_state_document_holds_plain_ints(field, value, fragment):
+    doc = state_to_dict(make_state(SCHEMA, 3, constants={"s": 1}))
+    assert state_from_dict(doc, SCHEMA) == make_state(SCHEMA, 3, constants={"s": 1})
+    doc[field] = value
+    with pytest.raises(DynqfError) as exc:
+        state_from_dict(doc, SCHEMA)
+    assert str(exc.value) == fragment
 
 
 def test_equal_states_serialize_identically():

@@ -235,6 +235,14 @@ def test_a_domain_above_the_limit_is_refused_before_it_is_built():
             make_state(sch, n)
 
 
+
+def test_a_negative_domain_is_refused():
+    assert make_state(SET, 0).n == 0
+    for n in (-1, -3):
+        with pytest.raises(DomainError, match=f"^domain size must not be negative, got {n}$"):
+            make_state(SET, n)
+
+
 WITH_BUILTIN_REL = parse_program("""
 program with_builtin_rel
 input   { U/1 }

@@ -21,7 +21,7 @@ from dynqf.symmetry import Orbits, interchangeable
 from dynqf.transforms import deletion_depth, eliminate_repeated_variables, relations_to_functions
 from dynqf.lower_bounds import (_fold, _mods_on, attack_star_deletion, attack_subset_gadget,
                                 cq_adversary, diverse_saturation, embedding_positions, higman_pair,
-                                k_similar, neighborhood, neighborhood_vector, subsequence,
+                                k_similar, neighborhood, subsequence,
                                 substructure_property)
 from dynqf.verify import (CheckConfig, Counterexample, Verdict, check_maintenance,
                           validate_counterexample)
@@ -960,25 +960,6 @@ def test_k_similar_past_the_term_enumeration_cap():
         assert k_similar(s, (0,), t, (pi[0],), k) == {x: pi[x] for x in nb}
 
 
-def test_neighborhood_vector():
-    sch = make_schema(input_relations={"E": 2}, builtin_functions={"e": 1})
-    s = make_state(sch, 3, {}, {"e": {(0,): 1, (1,): 2, (2,): 2}})
-    vec, et = neighborhood_vector(s, (0,), 1)
-    assert vec == (0, 1)
-    assert et.blocks == ((0,), (1,))
-    vec2, et2 = neighborhood_vector(s, (0, 0), 1)
-    assert vec2 == (0, 1, 0, 1)
-    assert et2.blocks == ((0, 2), (1, 3))
-
-
-def test_neighborhood_vector_no_functions():
-    sch = make_schema(input_relations={"E": 2})
-    s = make_state(sch, 3)
-    vec, et = neighborhood_vector(s, (0, 1), 2)
-    assert vec == (0, 1)
-    assert et.blocks == ((0,), (1,))
-
-
 # -- substructure property ---------------------------------------------------------------
 
 def test_substructure_identity_pairs_always_ok():
@@ -1203,11 +1184,11 @@ def test_diverse_saturation_reports_missing_tuples():
     sch = make_schema(input_relations={"U": 1}, aux_relations={"Q": 0, "R": 1})
     s = make_state(sch, 3, {"U": {(0,), (1,)}, "R": {(1,)}, "Q": {()}})
     depths = {"Q": 0, "R": 1}
-    assert diverse_saturation(s, None, depths) == [("R", (0,))]
+    assert diverse_saturation(s, depths) == [("R", (0,))]
     sat = make_state(sch, 3, {"U": {(0,), (1,)}, "R": {(0,), (1,)}, "Q": {()}})
-    assert diverse_saturation(sat, None, depths) == []
+    assert diverse_saturation(sat, depths) == []
     empty_q = make_state(sch, 3, {"U": {(0,)}, "R": {(0,)}})
-    assert ("Q", ()) in diverse_saturation(empty_q, None, depths)
+    assert ("Q", ()) in diverse_saturation(empty_q, depths)
 
 
 def test_cq_adversary_finds_witness():
