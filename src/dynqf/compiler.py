@@ -19,8 +19,15 @@ over the old state:
     literals filter as soon as their variables are bound;
   - frame: a disjunct R(x̄) for the target R, alone or under trigger-only
     guards, makes the result R ∪ Δ while a guard holds; Δ is built only
-    when some other disjunct's trigger-only guard holds, and an unchanged
-    relation stays the old frozenset object;
+    when some other disjunct's trigger-only guard holds, counting the
+    literals that its `x = t` bindings make trigger-only, and an unchanged
+    relation stays the old frozenset object.  A filter L | g beside R(x̄),
+    g trigger-only, splits the disjunct into R(x̄) & g, a guarded frame, and
+    R(x̄) & L & !g, so that R is scanned only while g is false.  With no
+    such frame, a disjunct R(x̄) & !G, where each disjunct of G binds all
+    of x̄, makes the result (R − G) ∪ Δ.  Such a G, or a Δ beside an
+    unguarded frame, that is one trigger tuple t is a membership test on t,
+    without a set;
   - factor: a literal !G in every disjunct, where each disjunct of G binds
     all of G's variables, is taken out of the disjuncts and applied once to
     their union: G is planned like a delta query into a set of its tuples,
@@ -454,40 +461,114 @@ class _Planner:
                 if all([lit in d for d in disjuncts[1:]])}
         common = {lit: gvars for lit, gvars in sets.items() if gvars}
         # frame: R(x̄) under trigger-only guards keeps R when one of them holds
-        guards, delta = [], []
+        guards, delta, base = [], [], old
         for d in [[lit for lit in d if lit not in common] for d in disjuncts]:
-            rest = [lit for lit in d if not lit.trig]
-            if len(rest) == 1 and rest[0].is_atom(target, tvars):
+            rest, f = [lit for lit in d if not lit.trig], self._beside(d, target, tvars)
+            g = f and f.kind is Or and next((k for k in f.kids if k.trig), None)
+            if g:  # R(x̄) & (L | g), g trigger-only, is R(x̄) & g or R(x̄) & L & !g
+                d = [lit for lit in d if lit is not f]
+                lhs = f.kids[1] if f.kids[0] is g else f.kids[0]
+                not_g = g.kids[0] if g.kind is Not else self._node(Not, None, (g,))
+                guards.append(self._guard(d + [g]))
+                delta.append(d + [lhs, not_g])
+            elif len(rest) == 1 and rest[0].is_atom(target, tvars):
                 guards.append(self._guard(d))
             else:
                 delta.append(d)
-        union = "%s if _s <= %s else %s | _s" % (old, old, old)
+        for d in [] if guards else delta:  # R(x̄) & !G, each disjunct of G binding x̄, keeps R − G
+            f = self._beside(d, target, tvars)
+            if f and self._negated_set(f, tvars) == tvars:
+                delta.remove(d)
+                guards.append(self._guard(d))
+                lines.append("    %s = %s" % (new, self._minus(old, f, tvars)))
+                base = new
+                break
+        union = "%s if _s <= %s else %s | _s" % (base, base, base)
         fresh = "%s if _s == %s else frozenset(_s)" % (old, old)
         frame = "True" if "True" in guards else " or ".join(dict.fromkeys(guards))
         if frame == "True":
-            with_s, without_s = union, old
+            with_s, without_s = union, base
         elif frame:
-            with_s, without_s = "(%s) if %s else (%s)" % (union, frame, fresh), old + " if " + frame + " else _E_"
+            with_s, without_s = "(%s) if %s else (%s)" % (union, frame, fresh), base + " if " + frame + " else _E_"
         else:
             with_s, without_s = fresh, "_E_"
+        # each Δ disjunct's guard includes what its bindings x = t make trigger-only
+        delta = [self._substituted(d) for d in delta]
         wakes = [self._guard(d) for d in delta]
         wake = "" if "True" in wakes else " or ".join(dict.fromkeys(wakes))
-        ind = "    "
+        one = frame == "True" and len(delta) == 1 and self._one_tuple(delta[0], tvars)
+        if one:  # Δ is one trigger tuple: a membership test, and no set
+            guard, tup = one
+            lines.append("    %s = %s | {%s} if %s%s not in %s else %s" % (new, base, tup, guard, tup, base, base))
+            delta = []
+        elif (wake or not delta) and without_s != new:  # the result unless Δ is built
+            lines.append("    %s = %s" % (new, without_s))
         if delta:  # Δ is built only when some disjunct's trigger-only guard holds
+            ind = "    "
             if wake:
                 lines.append("    if %s:" % wake)
                 ind = "        "
             lines.append(ind + "_s = set()")
             for d in delta:
-                if wake and len(delta) == 1:  # its guard is the wake condition
+                if wake and len(set(wakes)) == 1:  # its guard is the wake condition
                     d = [lit for lit in d if not lit.trig]
                 self._disjunct(d, tvars, ind)
             lines.append("%s%s = %s" % (ind, new, with_s))
-            if wake:
-                lines.append("    else:")
-        if not delta or wake:
-            lines.append("%s%s = %s" % (ind, new, without_s))
         self._common(new, tvars, common)
+
+    def _beside(self, d: list[_Node], target: str, tvars: tuple[str, ...]):
+        """The literal beside R(x̄), the target's old value, when these two are
+        the literals of the disjunct d that are not trigger-only; else None."""
+        rest = [lit for lit in d if not lit.trig]
+        if len(rest) == 2:
+            for atom, lit in (rest, rest[::-1]):
+                if atom.is_atom(target, tvars):
+                    return lit
+        return None
+
+    def _minus(self, base: str, lit: _Node, tvars: tuple[str, ...]) -> str:
+        """Code for base − G, for lit = !G where each disjunct of G binds all
+        of tvars: one trigger tuple is removed after a membership test, and
+        any other G is planned into a set."""
+        dnf = self._dnf(lit.kids[0])
+        one = len(dnf) == 1 and self._one_tuple(dnf[0], tvars)
+        if one:
+            guard, tup = one
+            return "%s - {%s} if %s%s in %s else %s" % (base, tup, guard, tup, base, base)
+        local = self._set(lit.kids[0], tvars)
+        return "%s - %s if %s and not %s.isdisjoint(%s) else %s" % (base, local, local, base, local, base)
+
+    def _substituted(self, lits: list[_Node]) -> list[_Node]:
+        """The literals with each variable that an equation x = t binds to a
+        trigger term t replaced by t in the others; those made true drop."""
+        done, bound = set(), set(self.mvars)
+        while True:
+            for lit in lits:
+                binding = lit.kind is Eq and lit not in done and self._binding(lit, bound)
+                if binding:
+                    break
+            else:
+                return [lit for lit in lits if lit.kind is not TrueConst]
+            done.add(lit)
+            names = {binding[1]: binding[2]}
+            lits = [k if k is lit else self._renamed(k, names) for k in lits]
+
+    def _one_tuple(self, lits: list[_Node], tvars: tuple[str, ...]):
+        """When the literals, their bindings substituted, bind every variable
+        of tvars to a trigger term and test nothing else that reads a
+        variable: code for their trigger-only guard followed by ` and `, or
+        "" if there is none, and code for the tuple.  None otherwise."""
+        lits, bound, terms = self._substituted(lits), set(self.mvars), {}
+        for lit in lits:
+            if not lit.trig:
+                binding = lit.kind is Eq and self._binding(lit, bound)
+                if not binding:
+                    return None
+                terms[binding[1]] = binding[2]
+        if set(terms) != set(tvars):
+            return None
+        guard = self._guard(lits)
+        return "" if guard == "True" else guard + " and ", _tup([self._expr(terms[v], _ATOM) for v in tvars])
 
     def _common(self, new: str, tvars: tuple[str, ...], common: Mapping[_Node, tuple]) -> None:
         """Apply the factored literals !G to the relation `new`.  The tuples

@@ -24,7 +24,7 @@ from .formulas import classify_syntax
 from .program import DynamicProgram, empty_input_db
 from .queries import oracle_nonemptyset, oracle_st_reach
 from .records import Record
-from .schema import Role
+from .schema import Role, Schema
 from .state import DEL, INS, Modification, State, check_modification, transport
 from .transforms import deletion_depth, eliminate_repeated_variables
 from .verify import CheckConfig, Counterexample, _finish_counterexample, _lean_oracle, _moves, _setup, _walk
@@ -417,10 +417,19 @@ def attack_subset_gadget(p: DynamicProgram, n2: int,
 
 # -- the conjunctive-fragment adversary ----------------------------------------------------
 
+def _unary_input(schema: Schema) -> str:
+    """The one unary input relation of the schema; a GuardError if there is not exactly one."""
+    unary_inputs = [r for r in schema.input_relations if schema.arity(r) == 1]
+    if len(unary_inputs) != 1:
+        raise GuardError("adversary expects exactly one unary input relation")
+    return unary_inputs[0]
+
+
 def diverse_saturation(s: State, depths: Mapping[str, int | None]) -> list[tuple[str, tuple[int, ...]]]:
-    """Diverse tuples over the current U that a correct conjunctive program
-    must keep in each finite-deletion-depth relation but this state lacks."""
-    u = sorted(x for (x,) in s.relations["U"])
+    """Diverse tuples over the current elements of the one unary input
+    relation that a correct conjunctive program must keep in each
+    finite-deletion-depth relation but this state lacks."""
+    u = sorted(x for (x,) in s.rel(_unary_input(s.schema)))
     out = []
     for sym in sorted(depths):
         d = depths[sym]
@@ -443,10 +452,7 @@ def cq_adversary(p: DynamicProgram, bound: int) -> Counterexample | None:
         if not classify_syntax(r.body).conjunctive:
             raise GuardError(f"rule for {r.target!r} under {r.kind} {r.trigger!r} "
                              "is not a conjunction of literals")
-    unary_inputs = [r for r in p.schema.input_relations if p.schema.arity(r) == 1]
-    if len(unary_inputs) != 1:
-        raise GuardError("adversary expects exactly one unary input relation")
-    u_rel = unary_inputs[0]
+    u_rel = _unary_input(p.schema)
     normalized = eliminate_repeated_variables(p)
     depths = deletion_depth(normalized)
     finite = [d for d in depths.values() if d is not None]

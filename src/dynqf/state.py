@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, DynqfError, SchemaError
@@ -52,16 +53,20 @@ class Layout:
         self.builtin_funs = dict(builtin_funs)
         self.rel_names, self.fun_names = payload_order(schema)
         self.rel_index = {name: i for i, name in enumerate(self.rel_names)}
-        self._input = None  # (layout of the input part, positions of its relations)
+        self._input = None  # (layout of the input part, the function selecting its relations)
 
     def input_state(self, rels: tuple) -> "State":
         """The input part of the state of this layout whose relations are rels."""
         if self._input is None:
             sch = self.schema
-            self._input = (layout_of(sch.input_only(), self.n, self.constants, {}, {}),
-                           [i for i, name in enumerate(self.rel_names) if sch.role(name) is Role.INPUT])
-        lay, positions = self._input
-        return State(lay, tuple([rels[i] for i in positions]))
+            positions = [i for i, name in enumerate(self.rel_names) if sch.role(name) is Role.INPUT]
+            if len(positions) > 1:
+                select = itemgetter(*positions)
+            else:  # an itemgetter of one position returns the relation, not a tuple
+                select = (lambda rels, i=positions[0]: (rels[i],)) if positions else (lambda rels: ())
+            self._input = (layout_of(sch.input_only(), self.n, self.constants, {}, {}), select)
+        lay, select = self._input
+        return State(lay, select(rels))
 
 
 _LAYOUTS: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()

@@ -151,7 +151,8 @@ def _finish_counterexample(p: DynamicProgram, oracle, cex: Counterexample) -> Co
 
 def _lean_oracle(oracle: Callable[[State], bool], ctx: LeanContext):
     """The oracle on lean states: it sees the input part of each state."""
-    return lambda lean: oracle(ctx.input_state(lean))
+    input_state = ctx.layout.input_state
+    return lambda lean: oracle(input_state(lean[0]))
 
 
 def _candidate_mods(p: DynamicProgram, n: int) -> list[Modification]:

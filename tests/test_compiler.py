@@ -63,6 +63,13 @@ SHAPES = {
     "common-negation-shared": ("delete", "U(a)", "B(x,y): !((x = a | x = f(a)) & A(x)) & !((y = a | y = f(a)) & A(y))"
                                                  " & (B(x,y) | (A(x) & B(y,y)))"),
     "common-negation-unbound": ("delete", "E(a,b)", "A(x): !(x = b | (A(x) & B(x,a))) & (A(x) | x = a | B(b,x))"),
+    "frame-minus-set": ("delete", "E(a,b)", "A(x): (A(x) & !((x = b & B(x,x)) | (x = f(a) & A(b))))"
+                                            " | (B(a,x) & A(a))"),
+    "frame-minus-tuple": ("delete", "E(a,b)", "B(x,y): (B(x,y) & !(x = a & A(a) & y = b)) | (x = b & B(a,y))"),
+    "filter-trigger-side": ("insert", "E(a,b)", "B(x,y): (B(x,y) & (x != a | A(a))) | (x = a & !A(a) & y = b)"),
+    "filter-negated-trigger-side": ("delete", "U(a)", "B(x,y): (B(x,y) & (!A(a) | y != a)) | (A(a) & B(y,x))"),
+    "wake-substituted": ("insert", "U(a)", "B(x,y): B(x,y) | (x = a & A(x) & B(y,x))"),
+    "delta-one-tuple": ("insert", "E(a,b)", "B(x,y): B(x,y) | (x = a & y = f(b) & A(x))"),
 }
 
 
@@ -179,7 +186,7 @@ def _shipped_with_transforms():
 
 # sha256 over the sources of those programs' appliers, in order; a planner
 # change that alters the generated code updates it and says why
-APPLIER_SOURCES_SHA256 = "241ed4cd342507c801b17411e61207baf9cd1c1e776e754e7d1f3818218956dd"
+APPLIER_SOURCES_SHA256 = "7d1ab9b8c49fd690c14c77dd101754fc4b34fd73f4aae06eba990a8d4a2fd96d"
 
 
 def test_applier_sources_are_pinned():
@@ -234,3 +241,61 @@ def test_common_negations_are_subtracted_or_tested_by_membership():
     # GONE(x) and GONE(y) of st-twopath-binary share one set
     deletion = source(builtin_program("st-twopath-binary").program, "del", "E")
     assert re.search(r"if \(t0,\) not in (_g\d+) and \(t1,\) not in \1:", deletion)
+
+
+def _enclosing_conditions(src: str, needle: str) -> list[str]:
+    """The conditions of the `if` lines around the one line holding needle,
+    innermost first, with the hoisted locals _h<i> written out."""
+    lines = src.splitlines()
+    (i,) = [i for i, line in enumerate(lines) if needle in line]
+    hoisted = dict(re.findall(r"^    (_h\d+) = (.*)$", src, re.M))
+    indent, conds = len(lines[i]) - len(lines[i].lstrip()), []
+    for line in reversed(lines[:i]):
+        depth = len(line) - len(line.lstrip())
+        if depth < indent:
+            indent = depth
+            if line.lstrip().startswith("if "):
+                conds.append(line.strip()[3:-1])
+    for _ in range(len(hoisted)):
+        conds = [re.sub(r"\b_h\d+\b", lambda m: hoisted[m.group()], c) for c in conds]
+    return conds
+
+
+def test_a_frame_minus_a_bound_set_scans_nothing():
+    src = source(program("frame-minus-set"), "del", "E")
+    assert "for (t0,) in _R_A" not in src
+    assert re.search(r"_N_A = _R_A - (_g\d+) if \1 and not _R_A\.isdisjoint\(\1\) else _R_A\n", src)
+    assert "_N_A = _N_A if _s <= _N_A else _N_A | _s" in src
+    one = source(program("frame-minus-tuple"), "del", "E")
+    assert re.search(r"_N_B = _R_B - \{\(m0, m1\)\} if _h\d+ and \(m0, m1\) in _R_B else _R_B\n", one)
+    assert "for (t0, t1) in _R_B" not in one
+    # the deletion applier of s-twopath-ternary keeps First1, Last1, First2 and
+    # Last2 without a loop over them, and GONE(x) is one set for First1,
+    # Last1 and List1
+    deletion = source(builtin_program("s-twopath-ternary").program, "del", "E")
+    for name in ("First1", "Last1", "First2", "Last2"):
+        assert not re.search(r"for \([^)]*\) in _R_%s:" % name, deletion), name
+    gone = re.search(r"_N_First1 = _R_First1 - (_g\d+) if", deletion).group(1)
+    assert deletion.count(gone + " = set()") == 1
+    assert "_N_Last1 = _R_Last1 - %s if" % gone in deletion
+    assert "if (t0,) not in %s and (t1,) not in %s:" % (gone, gone) in deletion
+
+
+def test_a_filter_with_a_trigger_only_side_scans_only_without_it():
+    src = source(program("filter-trigger-side"), "ins", "E")
+    assert _enclosing_conditions(src, "for (t0, t1) in _R_B:") == ["not (m0,) in _R_A"]
+    negated = source(program("filter-negated-trigger-side"), "del", "U")
+    assert _enclosing_conditions(negated, "for (t0, t1) in _R_B:") == ["(m0,) in _R_A"]
+    # on insertion, s-twopath-ternary scans First2 only while a has no
+    # outgoing edge
+    insertion = source(builtin_program("s-twopath-ternary").program, "ins", "E")
+    assert _enclosing_conditions(insertion, "in _R_First2:") == ["not (m0,) in _R_Out"]
+
+
+def test_delta_blocks_wake_on_substituted_literals_and_one_tuple_needs_no_set():
+    src = source(program("wake-substituted"), "ins", "U")
+    assert "    if (m0,) in _R_A:\n        _s = set()\n        for (t1, _k0) in _R_B:" in src
+    one = source(program("delta-one-tuple"), "ins", "E")
+    assert "_s = set()" not in one
+    assert re.search(r"_N_B = _R_B \| \{\(m0, (_h\d+)\)\} if \(m0,\) in _R_A and \(m0, \1\) not in _R_B"
+                     r" else _R_B\n", one)

@@ -63,13 +63,19 @@ def test_run_honest_rejects_with_step():
     assert exc.value.step == 2
 
 
-def _differential_walk(p, s, rng, steps=25, guard=None):
+def _differential_walk(p, s, rng, steps=25, guard=None, honest=False):
+    """Random modifications of the first input relation, each applied by the
+    compiled applier and by the reference evaluator; honest walks insert
+    absent tuples and delete present ones."""
     rel = p.schema.input_relations[0]
     ar = p.schema.arity(rel)
     n = s.n
     for _ in range(steps):
         tup = tuple(rng.randrange(n) for _ in range(ar))
-        m = ins(rel, *tup) if rng.random() < 0.6 else delete(rel, *tup)
+        if honest:
+            m = delete(rel, *tup) if tup in s.rel(rel) else ins(rel, *tup)
+        else:
+            m = ins(rel, *tup) if rng.random() < 0.6 else delete(rel, *tup)
         if guard is not None and not guard(m, n, s.constants):
             continue
         fast = apply(p, s, m, compiled=True)
@@ -85,6 +91,11 @@ def test_compiled_and_reference_apply_agree():
         entry = builtin_program(name)
         guard = entry.instance_guard if entry.guard_name != "any" else None
         _differential_walk(entry.program, start(entry.program, 4), rng, guard=guard)
+    # long honest walks grow the successor and witness lists, so that
+    # deletions take list ends and links out of them
+    for name in ("s-twopath-ternary", "st-twopath-binary"):
+        p = builtin_program(name).program
+        _differential_walk(p, start(p, 5), rng, steps=200, honest=True)
 
 
 def test_compiled_and_reference_agree_on_ite_and_zero_ary_functions():
@@ -148,11 +159,13 @@ def test_compiled_and_reference_agree_on_random_programs():
 
     def seeded(rng, target, params, tparams, body):
         """Body reshaped into one of the forms the planner rewrites: t = t,
-        l & !l, R(y) & g with g over the trigger alone, and R(y) & !G with
-        G binding some target variables to the trigger."""
+        l & !l, R(y) & g with g over the trigger alone, R(y) & !G with
+        G binding some or all target variables to the trigger, and
+        R(y) & (L | g)."""
         vars = list(params + tparams)
         own = RelAtom(target, tuple(Var(v) for v in tparams))
-        form = rng.choice(["plain", "reflexive", "contradiction", "guarded-frame", "negation", "negations"])
+        form = rng.choice(["plain", "reflexive", "contradiction", "guarded-frame", "negation", "negations",
+                           "frame-minus", "trigger-side-filter"])
         if form == "reflexive":
             t = rand_term(rng, vars, 1)
             return And(Or(body, Eq(t, t)), Eq(t, t)) if rng.random() < 0.5 else Or(body, Not(Eq(t, t)))
@@ -173,6 +186,17 @@ def test_compiled_and_reference_agree_on_random_programs():
                 body = And(Not(And(Or(Eq(Var(y), u), Eq(Var(y), App("g", (u,)))),
                                    And(RelAtom("A", (Var(y),)), lit))), body)
             return Or(own, body) if rng.random() < 0.5 else body
+        if form == "frame-minus":  # R(y) & !G, where G binds every target variable
+            gamma = rand_formula(rng, vars, 0)
+            for y in tparams:
+                gamma = And(Eq(Var(y), rand_term(rng, list(params), 1)), gamma)
+            if rng.random() < 0.3:  # two disjuncts, so G is a set and not one tuple
+                gamma = Or(gamma, gamma)
+            return Or(And(own, Not(gamma)), body)
+        if form == "trigger-side-filter":  # R(y) & (L | g) with g over the trigger alone
+            g = rand_formula(rng, list(params), 1)
+            return Or(And(own, Or(rand_formula(rng, vars, 1), g) if rng.random() < 0.5
+                          else Or(g, rand_formula(rng, vars, 1))), body)
         return body
 
     rng = _random.Random(99)

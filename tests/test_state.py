@@ -295,3 +295,13 @@ def test_rel_reads_input_aux_and_builtin_relations():
         assert all(s.rel(name) is s.relations[name] for name in s.schema.relations)
         with pytest.raises(KeyError):
             s.rel("no_such_relation")
+
+
+@pytest.mark.parametrize("inputs", [{}, {"U": 1}, {"E": 2, "U": 1}, {"A0": 1, "E": 2, "U": 1}])
+def test_input_part_selects_the_input_relations_of_any_count(inputs):
+    sch = make_schema(input_relations=inputs, aux_relations={"B": 1, "Q": 0, "Z": 2}, constants=("s",))
+    rels = {name: {tuple(range(ar)), (1,) * ar} for name, ar in sch.relations.items()}
+    s = make_state(sch, 3, rels, constants={"s": 2})
+    part = s.input_part()
+    expected = make_state(sch.input_only(), 3, {name: rels[name] for name in inputs}, constants={"s": 2})
+    assert part == expected and part.rels == expected.rels and part.constants == {"s": 2}

@@ -1191,6 +1191,17 @@ def test_diverse_saturation_reports_missing_tuples():
     assert ("Q", ()) in diverse_saturation(empty_q, depths)
 
 
+def test_diverse_saturation_reads_the_one_unary_input_relation_by_any_name():
+    sch = make_schema(input_relations={"V": 1}, aux_relations={"Q": 0, "R": 1})
+    s = make_state(sch, 3, {"V": {(0,), (1,)}, "R": {(1,)}, "Q": {()}})
+    assert diverse_saturation(s, {"Q": 0, "R": 1}) == [("R", (0,))]
+    assert diverse_saturation(make_state(make_schema(input_relations={"V": 1}, aux_relations={"Q": 0}), 2,
+                                         {"V": {(0,)}}), {"Q": 0}) == [("Q", ())]
+    two = make_schema(input_relations={"U": 1, "V": 1}, aux_relations={"Q": 0})
+    with pytest.raises(GuardError, match="exactly one unary input relation"):
+        diverse_saturation(make_state(two, 2), {"Q": 0})
+
+
 def test_cq_adversary_finds_witness():
     p = strawman_program("cq-nonemptyset-naive")
     depths = deletion_depth(p)
