@@ -119,11 +119,18 @@ def k_similar(s: State, a_tuple: Sequence[int], t: State, b_tuple: Sequence[int]
         return None
     # pi is a bijection between the neighborhoods, so it preserves a relation
     # in both directions exactly when it maps the tuples inside its domain
-    # onto the tuples inside its image
+    # onto the tuples inside its image; pi is injective on tuples too, so it
+    # maps the first set onto the second when the two have the same size and
+    # the image of each tuple of the first lies in the relation of t
+    out_s, out_t = set(range(s.n)).difference(pi), set(range(t.n)).difference(image)
     for name in s.schema.relations:
-        inside = {tuple([pi[x] for x in r]) for r in s.relations[name] if all([x in pi for x in r])}
-        if inside != {r for r in t.relations[name] if all([y in image for y in r])}:
+        rt = t.relations[name]
+        inside = [r for r in s.relations[name] if out_s.isdisjoint(r)]
+        if len(inside) != sum([out_t.isdisjoint(r) for r in rt]):
             return None
+        for r in inside:
+            if tuple([pi[x] for x in r]) not in rt:
+                return None
     return pi
 
 
@@ -142,11 +149,12 @@ class PropertyReport(Record):
 def _mods_on(p: DynamicProgram, subset: Sequence[int], rng: random.Random,
              length: int) -> list[Modification]:
     rels, elements = p.schema.input_relations, list(subset)
+    choice, arity = rng.choice, p.schema.arity
     out = []
     for _ in range(length):
-        rel = rng.choice(rels)
-        tup = tuple(rng.choice(elements) for _ in range(p.schema.arity(rel)))
-        out.append(Modification(rel, tup, rng.choice((INS, DEL))))
+        rel = choice(rels)
+        tup = tuple([choice(elements) for _ in range(arity(rel))])
+        out.append(Modification(rel, tup, choice((INS, DEL))))
     return out
 
 
@@ -169,10 +177,14 @@ def substructure_property(p: DynamicProgram, cfg: CheckConfig,
     similar) substructures, driven by pi-respecting modification sequences,
     stay isomorphic (resp. 0-similar).
 
-    Samples mix whole-state transports (always admissible) with subset pairs
-    inside a single reachable state (admissible when the restrictions happen
-    to be isomorphic).  A violation means the evaluator itself is broken,
-    so any failure is fatal for the build.
+    Samples mix whole-state transports with subset pairs inside a single
+    reachable state.  A transport t = pi(s) is admitted by construction: pi
+    maps a and the constants isomorphically onto b and t's constants, so it
+    is a k-similarity at every depth and beta = pi(alpha).  Only same-state
+    pairs are searched, and admitted when the restrictions happen to be
+    isomorphic (resp. similar).  The end check runs on every sample.  A
+    violation means the evaluator itself is broken, so any failure is fatal
+    for the build.
 
     The walks and the alpha and beta runs step on lean payloads and build a
     `State` only at their ends.  Their steps skip `check_modification`:
@@ -206,26 +218,22 @@ def substructure_property(p: DynamicProgram, cfg: CheckConfig,
             pi_full = dict(enumerate(perm))
             t = transport(s, pi_full)
             size = rng.randint(1, max(1, n - 1))
-            a_set = sorted(rng.sample(range(n), size))
-            pairs = [(x, pi_full[x]) for x in a_set]
+            a_tup = tuple(sorted(rng.sample(range(n), size)))
+            b_tup = tuple([pi_full[x] for x in a_tup])
+            pi = pi_full  # an isomorphism of s onto t, so similar at every depth
         else:
             t = s
             size = rng.randint(1, min(3, max(1, n - 1)))
-            a_set = sorted(rng.sample(range(n), size))
+            a_tup = tuple(sorted(rng.sample(range(n), size)))
             b_set = sorted(rng.sample(range(n), size))
             order = list(range(size))
             rng.shuffle(order)
-            pairs = [(a_set[i], b_set[order[i]]) for i in range(size)]
-        a_tup = tuple(x for x, _ in pairs)
-        b_tup = tuple(y for _, y in pairs)
-        if len(set(b_tup)) != len(b_tup):
-            skipped += 1
-            continue
-        pi = (k_similar(s, a_tup, t, b_tup, similarity_depth) if with_functions
-              else _restriction_isomorphism(s, a_tup, t, b_tup))
-        if pi is None:
-            skipped += 1
-            continue
+            b_tup = tuple([b_set[i] for i in order])
+            pi = (k_similar(s, a_tup, t, b_tup, similarity_depth) if with_functions
+                  else _restriction_isomorphism(s, a_tup, t, b_tup))
+            if pi is None:
+                skipped += 1
+                continue
         alpha = _mods_on(p, a_tup, rng, rng.randint(1, cfg.max_len))
         beta = _pi_of_mods(alpha, pi)
         s_end = ctx.from_lean(_fold(ctx, lean, alpha))

@@ -19,10 +19,10 @@ from dynqf.serialize import counterexample_to_dict, trace_digest, verdict_to_dic
 from dynqf.state import DEL, INS, Modification, ins, is_honest, make_state, transport
 from dynqf.symmetry import Orbits, interchangeable
 from dynqf.transforms import deletion_depth, eliminate_repeated_variables, relations_to_functions
-from dynqf.lower_bounds import (_fold, _mods_on, attack_star_deletion, attack_subset_gadget,
-                                cq_adversary, diverse_saturation, embedding_positions, higman_pair,
-                                k_similar, neighborhood, subsequence,
-                                substructure_property)
+from dynqf.lower_bounds import (_fold, _mods_on, _term_pairs, attack_star_deletion,
+                                attack_subset_gadget, cq_adversary, diverse_saturation,
+                                embedding_positions, higman_pair, k_similar, neighborhood,
+                                subsequence, substructure_property)
 from dynqf.verify import (CheckConfig, Counterexample, Verdict, check_maintenance,
                           validate_counterexample)
 from dynqf.verify import (_candidate_mods, _finish_counterexample, _lean_oracle, _move_slots, _moves,
@@ -1025,6 +1025,139 @@ def test_restriction_isomorphism_matches_probes():
         assert _restriction_isomorphism(s, a, t, b) == expected == k_similar(s, a, t, b, 0)
         outcomes["none" if expected is None else "map"] += 1
     assert min(outcomes.values()) > 100
+
+
+@pytest.mark.parametrize("name", ["non-empty-set", "st-twopath-binary", "s-twopath-ternary",
+                                  "reach-1layer-qf"])
+def test_transports_are_similar_at_every_depth(name):
+    # the suites admit a transport without a search: pi maps a and the
+    # constants of s onto b and the constants of pi(s) at every depth;
+    # the states come from the suite's own walks and folds, and the depths
+    # are 0 and the one the lower-bound benchmark uses on reach-1layer-qf
+    entry = builtin_program(name)
+    p, n = entry.program, 7 if name == "reach-1layer-qf" else 5
+    guard = entry.instance_guard if entry.guard_name != "any" else None
+    cfg = CheckConfig(domain_size=n, max_len=4, honest_only=True, guard=guard)
+    k = builtin_program("reach-1layer-qf").program.nesting_depth()
+    s0, lean0, ctx = _setup(p, empty_input_db(p, n))
+    moves, start, flip = _moves(p, cfg, s0)
+    rng = random.Random(37)
+    for _ in range(30):
+        s = ctx.from_lean(_fold(ctx, lean0, [moves[i] for i in _walk(start, flip, rng, rng.randint(0, 8))]))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pi = dict(enumerate(perm))
+        t = transport(s, pi)
+        a = tuple(rng.sample(range(n), rng.randint(1, n)))
+        for depth in (0, cfg.max_len * k + k):
+            found = k_similar(s, a, t, tuple(pi[x] for x in a), depth)
+            assert found is not None, (s, pi, a, depth)
+            assert {*a, *s.constants.values()} <= found.keys()
+            assert all(pi[x] == y for x, y in found.items())
+
+
+def _k_similar_by_sets(s, a_tuple, t, b_tuple, k):
+    """k_similar with its relation test written as a comparison of two built
+    sets: the image of the tuples of s inside the domain of the term-pair map
+    against the tuples of t inside its image."""
+    pi = _term_pairs(s, a_tuple, t, b_tuple, k)
+    if pi is None:
+        return None
+    image = set(pi.values())
+    if len(image) != len(pi):
+        return None
+    for name in s.schema.relations:
+        inside = {tuple(pi[x] for x in r) for r in s.relations[name] if all(x in pi for x in r)}
+        if inside != {r for r in t.relations[name] if all(y in image for y in r)}:
+            return None
+    return pi
+
+
+def _disturbed(s, rng):
+    """s with one tuple of one non-built-in relation toggled."""
+    sch = s.schema
+    name = rng.choice(sorted(r for r in sch.relations if sch.role(r) is not Role.BUILTIN))
+    tup = tuple(rng.randrange(s.n) for _ in range(sch.arity(name)))
+    rels = {r: s.relations[r] ^ ({tup} if r == name else set()) for r in sch.relations}
+    return make_state(sch, s.n, rels, s.functions, s.constants)
+
+
+def test_k_similar_matches_the_set_comparison():
+    rng = random.Random(4242)
+    sch = make_schema(input_relations={"E": 2}, aux_relations={"Z": 0, "U": 1, "V": 1, "T": 3},
+                      builtin_relations={"L": 2}, aux_functions={"f": 1}, constants=("s",))
+    outcomes = {"map": 0, "none": 0, "whole domain": 0, "same state": 0}
+    cases = []
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        rels = {}
+        for name, ar in sch.relations.items():
+            # a density of 0 leaves a relation empty, and V is always empty in s
+            density = 0 if name == "V" else rng.choice((0, 0.3, 0.6))
+            rels[name] = {tup for tup in itertools.product(range(n), repeat=ar) if rng.random() < density}
+        s = make_state(sch, n, rels, {"f": {(x,): rng.randrange(n) for x in range(n)}},
+                       {"s": rng.randrange(n)})
+        a = tuple(rng.choice(range(n)) for _ in range(rng.randint(1, n)))
+        draw = rng.random()
+        if draw < 0.4:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            t, b = transport(s, dict(enumerate(perm))), tuple(perm[x] for x in a)
+        elif draw < 0.7:
+            t, b = s, tuple(rng.choice(range(n)) for _ in a)
+        else:
+            t, b = _disturbed(s, rng), a
+        if rng.random() < 0.5:
+            t = _disturbed(t, rng)
+        cases.append((s, a, t, b))
+    # reachable states of a function encoding with a base: built-in functions
+    # and a 0-ary query relation, compared with themselves and with transports
+    p = relations_to_functions(builtin_program("reach-1layer-qf").program)
+    cfg = CheckConfig(domain_size=5, max_len=4, honest_only=True,
+                      guard=builtin_program("reach-1layer-qf").instance_guard)
+    s0, lean0, ctx = _setup(p, empty_input_db(p, 5))
+    moves, start, flip = _moves(p, cfg, s0)
+    for _ in range(60):
+        s = ctx.from_lean(_fold(ctx, lean0, [moves[i] for i in _walk(start, flip, rng, rng.randint(0, 8))]))
+        a = tuple(rng.sample(range(5), rng.randint(1, 3)))
+        perm = list(range(5))
+        rng.shuffle(perm)
+        cases.append((s, a, s, tuple(rng.sample(range(5), len(a)))))
+        cases.append((s, a, transport(s, dict(enumerate(perm))), tuple(perm[x] for x in a)))
+    for s, a, t, b in cases:
+        for k in range(3):
+            expected = _k_similar_by_sets(s, a, t, b, k)
+            assert k_similar(s, a, t, b, k) == expected, (s, a, t, b, k)
+            outcomes["none" if expected is None else "map"] += 1
+            if expected is not None and len(expected) == s.n:
+                outcomes["whole domain"] += 1
+            if t is s:
+                outcomes["same state"] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_a_broken_engine_is_a_violation(monkeypatch):
+    # an engine that ignores every move on element 0 does not commute with
+    # permutations, so the end check catches it on transports too, which the
+    # suite admits without a search
+    honest = LeanContext.apply
+    monkeypatch.setattr(LeanContext, "apply",
+                        lambda self, lean, m: lean if 0 in m.tuple else honest(self, lean, m))
+    strategies = []
+    for seed in range(4):
+        cfg = CheckConfig(domain_size=5, max_len=4, seed=seed, samples=200, honest_only=True)
+        rep = substructure_property(builtin_program("st-twopath-binary").program, cfg)
+        assert rep.status == "violation", rep
+        w = rep.witness
+        pi = dict(zip(w["a_tuple"], w["b_tuple"]))
+        beta = []
+        for move in w["alpha"]:
+            kind, rest = move.split(" ")
+            rel, args = rest[:-1].split("(")
+            beta.append(str(Modification(rel, tuple(pi[int(x)] for x in args.split(",")), kind)))
+        assert w["beta"] == beta
+        strategies.append(w["strategy"])
+    assert "transport" in strategies, strategies
 
 
 FOLD_PROGRAMS = {
