@@ -571,18 +571,18 @@ class _Planner:
         return "" if guard == "True" else guard + " and ", _tup([self._expr(terms[v], _ATOM) for v in tvars])
 
     def _common(self, new: str, tvars: tuple[str, ...], common: Mapping[_Node, tuple]) -> None:
-        """Apply the factored literals !G to the relation `new`.  The tuples
-        of G over its variables gvars are a set, subtracted when gvars are all
-        of tvars and otherwise tested by membership in one pass, which runs
-        only while some set is not empty."""
+        """Apply the factored literals !G to the relation `new`.  When G's
+        variables gvars are all of tvars, G is subtracted as `_minus` does;
+        otherwise its tuples over gvars are a set, tested by membership in one
+        pass, which runs only while some such set is not empty."""
         subtract, tested, filters, lines = [], {}, [], self.lines
         for lit, gvars in common.items():
-            local = self._set(lit.kids[0], gvars)
             if gvars == tvars:
-                subtract.append(local)
-            else:
-                tested[local] = None
-                filters.append(_tup(gvars) + " not in " + local)
+                subtract.append(self._minus(new, lit, tvars))
+                continue
+            local = self._set(lit.kids[0], gvars)
+            tested[local] = None
+            filters.append(_tup(gvars) + " not in " + local)
         if filters:
             tup = _tup(tvars)
             lines.extend(["    if %s:" % " or ".join(tested), "        _f = set()",
@@ -590,9 +590,7 @@ class _Planner:
                           "            if %s:" % " and ".join(filters),
                           "                _f.add(%s)" % tup,
                           "        if len(_f) < len(%s):" % new, "            %s = frozenset(_f)" % new])
-        for local in subtract:
-            lines.append("    if %s and not %s.isdisjoint(%s):" % (local, new, local))
-            lines.append("        %s = %s - %s" % (new, new, local))
+        lines.extend(["    %s = %s" % (new, code) for code in subtract])
 
     def _function(self, target: str, tvars: tuple[str, ...], body: _Node) -> None:
         new, lines = "_NF_" + target, self.lines

@@ -27,6 +27,7 @@ walks and replay defined here, live in lower_bounds.py.
 """
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from typing import Callable
@@ -226,6 +227,13 @@ def check_maintenance(p: DynamicProgram, oracle: Callable[[State], bool],
     start is a longer empty start.  Under any other init kind it does, and
     the verdict says so in a note.  An `ok` that took no step, because no
     modification was admissible, says so in a note too.
+
+    The exhaustive search runs with the cyclic garbage collector paused, and
+    the caller's setting is restored however the search ends.  Its seen set
+    holds every image of every orbit, which the collector would otherwise
+    walk again and again, for up to nearly half the time of a deep run (the
+    README lists the deep rows); the search makes no reference cycle, so
+    reference counting frees all it holds.
     """
     bounds = {"domain_size": cfg.domain_size, "max_len": cfg.max_len, "mode": cfg.mode,
               "honest_only": cfg.honest_only}
@@ -255,8 +263,21 @@ def check_maintenance(p: DynamicProgram, oracle: Callable[[State], bool],
             verdict = _random_check(p, db, ctx, lean0, lean_oracle, moves, start, flip, cfg, bounds)
         else:
             from .symmetry import interchangeable
-            verdict = _orbit_bfs(p, db, ctx, lean0, lean_oracle, _move_slots(moves, ctx, cfg.honest_only),
-                                 interchangeable(oracle, s0, moves), cfg, bounds)
+            slots, free = _move_slots(moves, ctx, cfg.honest_only), interchangeable(oracle, s0, moves)
+            # The cyclic collector would walk the growing seen set again and
+            # again, though the search makes no reference cycle: seen, the
+            # parent map, the frontiers and the Orbits tables hold only tuples,
+            # frozensets, ints, Modifications, lists and dicts, none of which
+            # refers back to its container, so reference counting frees them.
+            # A cycle that a caller's oracle or guard makes waits until the
+            # search returns, when the caller's setting is restored.
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                verdict = _orbit_bfs(p, db, ctx, lean0, lean_oracle, slots, free, cfg, bounds)
+            finally:
+                if collecting:
+                    gc.enable()
         verdict.seed = cfg.seed if cfg.mode == "random" else None
         if verdict.counterexample:
             verdict.counterexample.seed = verdict.seed
@@ -329,8 +350,8 @@ def _orbit_bfs(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracl
     cap = float("inf") if cfg.state_cap is None else cfg.state_cap
     seen = {lean0}
     # state -> (parent, move, support, orbit size): one tuple per found state
-    # and no other new object, since each object per state that the garbage
-    # collector tracks slows the whole search
+    # and no other new object, since every object per state adds to the
+    # memory that ends deeper runs
     parents = {lean0: (None, None, frozenset(), 1)}
     frontier = [lean0]
     steps = 0

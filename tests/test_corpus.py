@@ -157,6 +157,16 @@ def test_deep_exhaustive_ternary_regression_n5():
     assert (verdict.status, verdict.checked_states, verdict.checked_steps) == ("ok", 33531, 98650)
 
 
+def test_deep_exhaustive_binary_regression_n5():
+    # st-twopath-binary's whole space at n=5, len <= 5, where the covered
+    # states outnumber the representatives that the search expands more than
+    # 5 to 1
+    entry = builtin_program("st-twopath-binary")
+    cfg = CheckConfig(domain_size=5, max_len=5, honest_only=True)
+    verdict = check_maintenance(entry.program, entry.oracle, cfg)
+    assert (verdict.status, verdict.checked_states, verdict.checked_steps) == ("ok", 68864, 382700)
+
+
 def test_engine_survives_dishonest_modifications():
     # no correctness claim without honesty, but evaluation must stay total
     entry = builtin_program("non-empty-set")

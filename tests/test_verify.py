@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import random
 import time
@@ -691,6 +692,72 @@ def test_n6_comes_into_reach():
     e = builtin_program("st-twopath-binary")
     v = check_maintenance(e.program, e.oracle, CheckConfig(domain_size=6, max_len=4))
     assert (v.status, v.checked_states, v.checked_steps) == ("ok", 66760, 281088)
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's setting after the test."""
+    collecting = gc.isenabled()
+    yield
+    (gc.enable if collecting else gc.disable)()
+
+
+def _recording(oracle, log, fail_at=None):
+    """The oracle, still a query, logging gc.isenabled() on each call and
+    raising on call number fail_at."""
+    @functools.wraps(oracle)
+    def recorded(g):
+        log.append(gc.isenabled())
+        if len(log) == fail_at:
+            raise RuntimeError("oracle failed")
+        return oracle(g)
+    return recorded
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("name,oracle,cfg,status", [
+    ("st-twopath-binary", None, CheckConfig(domain_size=4, max_len=3), "ok"),
+    ("unary-twopath-naive", oracle_st_twopath, CheckConfig(domain_size=4, max_len=4), "counterexample"),
+    ("non-empty-set", None, CheckConfig(domain_size=4, max_len=3, state_cap=10), "resource"),
+    ("st-twopath-binary", None, CheckConfig(domain_size=4, max_len=3), "raises"),
+])
+def test_the_search_pauses_the_collector_and_restores_the_callers_setting(collector, collecting, name,
+                                                                         oracle, cfg, status):
+    # the oracle sees the caller's setting on the initial state, which is
+    # checked before the search, and the collector off during the search
+    p, default = PROGRAMS[name]
+    log = []
+    oracle = _recording(oracle or default, log, fail_at=5 if status == "raises" else None)
+    (gc.enable if collecting else gc.disable)()
+    if status == "raises":
+        with pytest.raises(RuntimeError, match="oracle failed"):
+            check_maintenance(p, oracle, cfg)
+    else:
+        v = check_maintenance(p, oracle, cfg)
+        assert v.status == status
+        assert status != "resource" or v.notes[0].startswith("state cap 10 reached at depth")
+    assert log[0] is collecting and False in log[1:]
+    assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize("state_cap", [None, 50])
+@pytest.mark.parametrize("name", ["non-empty-set", "st-twopath-binary", "s-twopath-ternary",
+                                  "reach-1layer-qf", "unary-twopath-naive", "binary-reach2-naive"])
+def test_the_exhaustive_search_makes_no_reference_cycle(collector, name, state_cap):
+    # what the search leaves is freed by reference counting alone, so a
+    # collection right after it finds nothing, counterexamples finished and
+    # self-validated included
+    p, oracle = PROGRAMS[name]
+    strawman = name.endswith("-naive")
+    guard = None if strawman else builtin_program(name).instance_guard
+    cfg = CheckConfig(domain_size=4, max_len=4, guard=guard, state_cap=state_cap)
+    gc.collect()
+    gc.disable()
+    v = check_maintenance(p, oracle, cfg)
+    gc.enable()
+    assert gc.collect() == 0
+    assert v.status == ("resource" if state_cap else "counterexample" if strawman else "ok")
+    assert not strawman or state_cap or v.counterexample.trace_digest
 
 
 def test_oracles_are_marked_as_queries():
