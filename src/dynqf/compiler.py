@@ -36,9 +36,9 @@ over the old state:
     binds, tested by membership in a pass that runs only while the set is
     not empty.  Other filters stay in the loops;
   - past _DNF_CAP disjuncts, a scan of the domain tests the whole body.
-In the hot loops a state travels as its payload alone, the lean pair
-(rels, funs) that the appliers read and return; `to_lean` and `from_lean`
-take it out of a State and wrap it in one.
+In the hot loops a state travels as its payload alone, the flat tuple of
+relations and then function vectors that a State holds and the appliers read
+and return; `to_lean` takes it out of a State and `from_lean` wraps it in one.
 """
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ from .formulas import (And, App, Const, Eq, FalseConst, Ite, Not, Or, RelAtom,
 from .schema import Role
 from .state import DEL, INS, Layout, Modification, State, flatten, layout_of, payload_order
 
-LeanState = tuple[tuple, tuple]  # (rel frozensets, fun value vectors)
+LeanState = tuple  # a State's payload: rel frozensets, then fun value vectors
 
 
 class LeanContext:
@@ -77,22 +77,18 @@ class LeanContext:
     # -- states and their payloads ------------------------------------------------
 
     def to_lean(self, s: State) -> LeanState:
-        return s.rels, s.funs
+        return s.payload
 
     def from_lean(self, lean: LeanState) -> State:
-        return State(self.layout, *lean)
+        return State(self.layout, lean)
 
-    def input_state(self, lean: LeanState) -> State:
-        """The input part of a lean state; equal to from_lean(lean).input_part()."""
-        return self.layout.input_state(lean[0])
-
-    # -- operations on lean states ----------------------------------------------
+    # -- operations on payloads --------------------------------------------------
 
     def apply(self, lean: LeanState, m: Modification) -> LeanState:
         return self._appliers[(m.kind, m.relation)](lean, m.tuple)
 
     def query(self, lean: LeanState) -> bool:
-        return () in lean[0][self.query_index]
+        return () in lean[self.query_index]
 
 
 # -- code generation ----------------------------------------------------------------
@@ -456,10 +452,12 @@ class _Planner:
             disjuncts = [[body]]
         # a negated condition in every disjunct that binds its variables is
         # applied once, to their union, as a set; other filters stay in the
-        # loops, where they prune as soon as their variables are bound
+        # loops, where they prune as soon as their variables are bound.  A lone
+        # disjunct R(x̄) & !G, G binding x̄, is left to the frame-minus rewrite
         sets = {lit: self._negated_set(lit, tvars) for lit in (disjuncts[0] if disjuncts else [])
                 if all([lit in d for d in disjuncts[1:]])}
-        common = {lit: gvars for lit, gvars in sets.items() if gvars}
+        lone = len(disjuncts) == 1 and self._beside(disjuncts[0], target, tvars)
+        common = {lit: g for lit, g in sets.items() if g and (lit is not lone or g != tvars)}
         # frame: R(x̄) under trigger-only guards keeps R when one of them holds
         guards, delta, base = [], [], old
         for d in [[lit for lit in d if lit not in common] for d in disjuncts]:
@@ -621,17 +619,16 @@ class _Planner:
             else:
                 self._function(target, tvars, body)
         rels, funs = payload_order(sch)
-        head = ["def _applier(_state, _m):", "    %s = _state[0]" % _tup(["_R_" + n for n in rels])]
-        if funs:
-            head.append("    %s = _state[1]" % _tup(["_F_" + n for n in funs]))
+        payload = _tup(["_R_" + n for n in rels] + ["_F_" + n for n in funs])
+        head = ["def _applier(_state, _m):", "    %s = _state" % payload]
         if mvars:
             head.append("    %s = _m" % _tup(list(mvars)))
         old = "_R_" + trigger
         update = (old + " if _m in " + old + " else " + old + " | {_m}" if self.kind == INS
                   else old + " - {_m} if _m in " + old + " else " + old)
         head.append("    _N_" + trigger + " = " + update)
-        new = _tup(["_N_" + n if sch.role(n) is Role.AUX or n == trigger else "_R_" + n for n in rels])
-        tail = ["    return %s, %s" % (new, _tup(["_NF_" + n for n in funs]))]
+        new = ["_N_" + n if sch.role(n) is Role.AUX or n == trigger else "_R_" + n for n in rels]
+        tail = ["    return " + _tup(new + ["_NF_" + n for n in funs])]
         return "\n".join(head + self.pre + self.lines + tail) + "\n"
 
 

@@ -476,7 +476,7 @@ def cq_adversary(p: DynamicProgram, bound: int) -> Counterexample | None:
     def dfs(seq: list[Modification]) -> Counterexample | None:
         if len(seq) >= bound:
             return None
-        for e in sorted(walk(seq)[0][u]):
+        for e in sorted(walk(seq)[u]):
             nxt = seq + [Modification(u_rel, e, DEL)]
             found = first(nxt) or dfs(nxt)
             if found:

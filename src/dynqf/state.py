@@ -3,11 +3,11 @@
 A `State` is a layout plus a payload.  The layout is what every state of one
 shape shares: the schema, the domain 0..n-1, the constants, the built-in
 interpretations and the order of the payload's symbols.  Equal layouts are
-one object.  The payload is what modifications change: `rels`, the input
-and aux relations as frozensets, and `funs`, the aux functions as value
-vectors in mixed-radix argument order, both in layout order.  The compiled
+one object.  The payload is what modifications change, one flat tuple: the
+input and aux relations as frozensets, then the aux functions as value
+vectors in mixed-radix argument order, each in layout order.  The compiled
 appliers read and return payloads directly.  `relations` and `functions`
-are dicts over every symbol, derived from the two; both are built only when
+are dicts over every symbol, derived from it; both are built only when
 read, and `rel` reads one relation without building `relations`.
 `make_state` builds a state from dicts.
 """
@@ -55,18 +55,18 @@ class Layout:
         self.rel_index = {name: i for i, name in enumerate(self.rel_names)}
         self._input = None  # (layout of the input part, the function selecting its relations)
 
-    def input_state(self, rels: tuple) -> "State":
-        """The input part of the state of this layout whose relations are rels."""
+    def input_state(self, payload: tuple) -> "State":
+        """The input part of the state of this layout with this payload."""
         if self._input is None:
             sch = self.schema
             positions = [i for i, name in enumerate(self.rel_names) if sch.role(name) is Role.INPUT]
             if len(positions) > 1:
                 select = itemgetter(*positions)
             else:  # an itemgetter of one position returns the relation, not a tuple
-                select = (lambda rels, i=positions[0]: (rels[i],)) if positions else (lambda rels: ())
+                select = (lambda pl, i=positions[0]: (pl[i],)) if positions else (lambda pl: ())
             self._input = (layout_of(sch.input_only(), self.n, self.constants, {}, {}), select)
         lay, select = self._input
-        return State(lay, select(rels))
+        return State(lay, select(payload))
 
 
 _LAYOUTS: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
@@ -91,11 +91,11 @@ class State(Record):
     after construction; they compare and hash by layout and payload.
     """
 
-    __slots__ = ("layout", "rels", "funs", "schema", "domain", "constants", "_relations", "_functions")
-    _fields = ("layout", "rels", "funs")
+    __slots__ = ("layout", "payload", "schema", "domain", "constants", "_relations", "_functions")
+    _fields = ("layout", "payload")
 
-    def __init__(self, layout: Layout, rels: tuple, funs: tuple = ()):
-        self.layout, self.rels, self.funs = layout, rels, funs
+    def __init__(self, layout: Layout, payload: tuple):
+        self.layout, self.payload = layout, payload
         self.__post_init__()
 
     def __post_init__(self):
@@ -106,17 +106,17 @@ class State(Record):
         self._relations = self._functions = None
 
     def __hash__(self):
-        return hash((self.layout, self.rels, self.funs))
+        return hash((self.layout, self.payload))
 
     def __eq__(self, other):
         return (isinstance(other, State) and self.layout is other.layout
-                and self.rels == other.rels and self.funs == other.funs)
+                and self.payload == other.payload)
 
     @property
     def relations(self) -> dict[str, frozenset[tuple[int, ...]]]:
         if self._relations is None:
             lay = self.layout
-            self._relations = dict(zip(lay.rel_names, self.rels), **lay.builtin_rels)
+            self._relations = dict(zip(lay.rel_names, self.payload), **lay.builtin_rels)
         return self._relations
 
     @property
@@ -124,7 +124,7 @@ class State(Record):
         if self._functions is None:
             lay = self.layout
             self._functions = {name: unflatten(vec, lay.n, self.schema.arity(name))
-                               for name, vec in zip(lay.fun_names, self.funs)}
+                               for name, vec in zip(lay.fun_names, self.payload[len(lay.rel_names):])}
             self._functions.update(lay.builtin_funs)
         return self._functions
 
@@ -136,7 +136,7 @@ class State(Record):
         """The relation `name`, input, aux or built-in; a KeyError for any
         other name."""
         i = self.layout.rel_index.get(name)
-        return self.layout.builtin_rels[name] if i is None else self.rels[i]
+        return self.layout.builtin_rels[name] if i is None else self.payload[i]
 
     def fun(self, name: str) -> dict[tuple[int, ...], int]:
         return self.functions[name]
@@ -150,7 +150,7 @@ class State(Record):
 
     def input_part(self) -> "State":
         """The state restricted to input relations plus constants."""
-        return self.layout.input_state(self.rels)
+        return self.layout.input_state(self.payload)
 
 
 # The largest domain a state may have, and the largest function table, that
@@ -233,8 +233,8 @@ def make_state(
     builtin = {name for name, role in schema.roles.items() if role is Role.BUILTIN}
     lay = layout_of(schema, n, consts, {k: v for k, v in rels.items() if k in builtin},
                     {k: v for k, v in funs.items() if k in builtin})
-    return State(lay, tuple(rels[name] for name in lay.rel_names),
-                 tuple(flatten(funs[name], n, schema.arity(name)) for name in lay.fun_names))
+    return State(lay, (*[rels[name] for name in lay.rel_names],
+                       *[flatten(funs[name], n, schema.arity(name)) for name in lay.fun_names]))
 
 
 def default_function(n: int, arity: int) -> dict[tuple[int, ...], int]:
@@ -355,5 +355,5 @@ def transport(s: State, pi: Mapping[int, int]) -> State:
                           {name: image(r) for name, r in lay.builtin_rels.items()},
                           {name: {tuple([p[e] for e in args]): p[v] for args, v in table.items()}
                            for name, table in lay.builtin_funs.items()})
-    return State(image_lay, tuple([image(r) for r in s.rels]),
-                 tuple([image_vector(vec, p, sch.arity(name)) for name, vec in zip(lay.fun_names, s.funs)]))
+    funs = [image_vector(v, p, sch.arity(f)) for f, v in zip(lay.fun_names, s.payload[len(lay.rel_names):])]
+    return State(image_lay, (*[image(r) for r in s.payload[:len(lay.rel_names)]], *funs))

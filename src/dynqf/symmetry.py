@@ -1,7 +1,7 @@
 """Symmetry of the exhaustive search, after Ip & Dill (1996) and Emerson &
 Sistla (1996) but without a canonical form: `interchangeable` finds the free
 elements when every permutation of them is a symmetry of the search, and
-`Orbits` lists the images of a state under those permutations, one relation
+`Orbits` lists the images of a payload under those permutations, one entry
 at a time under all of them, with aux images memoized per support.  The
 search loop itself is `verify._orbit_bfs`; with no free element every orbit
 is the state alone and that loop is the plain search.  `verify` imports this
@@ -68,8 +68,8 @@ class _Image(dict):
 
 
 class Orbits:
-    """Orbits of lean states under the permutations of the free elements;
-    with none, each orbit is the state alone.
+    """Orbits of payloads under the permutations of the free elements; with
+    none, each orbit is the payload alone.
 
     A state reached from the initial one by moves that name, among the free
     elements, only those of its *support* s1 < ... < sj is fixed by every
@@ -80,9 +80,9 @@ class Orbits:
     other than the identity, their tuple maps (filled on first lookup, so a
     large sparse domain costs only the tuples that occur; equal image tuples
     are one object) and a memo of aux images, keyed by the relation.
-    Images are built one relation at a time: an input relation's under all
-    the permutations at once, an aux relation's from the memo or else built
-    and interned, so equal aux relations of images are one object."""
+    Images are built one payload entry at a time, under all permutations at
+    once: an aux relation's from the memo or else built and interned, so equal
+    aux relations of images are one object, and a function's by image_vector."""
 
     def __init__(self, ctx: LeanContext, free: tuple[int, ...]):
         lay, sch = ctx.layout, ctx.layout.schema
@@ -109,8 +109,8 @@ class Orbits:
         """lean and its images under the coset permutations of its stabilizer;
         an image may repeat when the stabilizer is larger."""
         perms, maps, memo = self.cosets.get(support) or self._cosets(support)
-        (rels, funs), interned, columns = lean, self.interned, []
-        for r, fs, is_aux in zip(rels, maps, self.aux):
+        interned, columns = self.interned, []
+        for r, fs, is_aux in zip(lean, maps, self.aux):  # the relations, the payload's first entries
             if fs is None or not r:  # its own image
                 columns.append([r] * len(perms))
             elif is_aux:
@@ -120,6 +120,6 @@ class Orbits:
                 columns.append(images)
             else:
                 columns.append([frozenset(map(f, r)) for f in fs])
-        fun_images = (zip(*[[image_vector(v, p, k) for p in perms] for v, k in zip(funs, self.fun_arities)])
-                      if funs else [funs] * len(perms))
-        return [lean, *zip(zip(*columns), fun_images)]
+        for v, k in zip(lean[len(self.aux):], self.fun_arities):
+            columns.append([image_vector(v, p, k) for p in perms])
+        return [lean, *zip(*columns)]

@@ -151,9 +151,9 @@ def _finish_counterexample(p: DynamicProgram, oracle, cex: Counterexample) -> Co
 # -- lean oracles --------------------------------------------------------------------
 
 def _lean_oracle(oracle: Callable[[State], bool], ctx: LeanContext):
-    """The oracle on lean states: it sees the input part of each state."""
+    """The oracle on payloads: it sees the input part of each state."""
     input_state = ctx.layout.input_state
-    return lambda lean: oracle(input_state(lean[0]))
+    return lambda lean: oracle(input_state(lean))
 
 
 def _candidate_mods(p: DynamicProgram, n: int) -> list[Modification]:
@@ -242,6 +242,8 @@ def check_maintenance(p: DynamicProgram, oracle: Callable[[State], bool],
     elif cfg.mode != "exhaustive":
         raise DynqfError(f"unknown mode {cfg.mode!r}")
     check_domain_size(cfg.domain_size)  # before the estimate, whose advice cannot help there
+    if cfg.max_len < 0 or (cfg.mode == "random" and cfg.samples < 0):
+        raise DynqfError(f"bounds must not be negative, got max_len={cfg.max_len}, samples={cfg.samples}")
     # quick pre-estimate so hopeless exhaustive searches fail fast: a state
     # admits one honest move per (relation, tuple), or two dishonest ones
     per_tuple = 1 if cfg.honest_only else 2
@@ -359,10 +361,9 @@ def _orbit_bfs(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracl
         new_frontier = []
         for st in frontier:
             support, size = parents[st][2:]
-            rels = st[0]
             taken = 0
             for i, tup, if_present, if_absent, names in slots:
-                for m in (if_present if tup in rels[i] else if_absent):
+                for m in (if_present if tup in st[i] else if_absent):
                     succ = ctx.apply(st, m)
                     taken += 1
                     if succ in seen:

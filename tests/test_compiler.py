@@ -126,13 +126,13 @@ def test_unchanged_relations_stay_the_same_object():
     a, b = ctx.rel_index["A"], ctx.rel_index["B"]
     lean = ctx.apply(ctx.to_lean(s), ins("U", 1))
     lean = ctx.apply(lean, ins("E", 0, 1))
-    assert lean[0][a] == {(1,)} and lean[0][b] == {(0, 1)}
+    assert lean[a] == {(1,)} and lean[b] == {(0, 1)}
     again = ctx.apply(lean, ins("U", 1))  # frame: the delta {(1,)} is already in A
-    assert again[0][a] is lean[0][a]
-    assert again[0][b] is lean[0][b]
+    assert again[a] is lean[a]
+    assert again[b] is lean[b]
     absent = ctx.apply(lean, delete("E", 2, 2))  # B(x,y) & !(x = a & y = b) drops nothing
-    assert absent[0][b] is lean[0][b]
-    assert ctx.apply(lean, ins("U", 2))[0][a] == {(1,), (2,)}
+    assert absent[b] is lean[b]
+    assert ctx.apply(lean, ins("U", 2))[a] == {(1,), (2,)}
 
 
 def test_contexts_of_one_program_share_code():
@@ -154,7 +154,33 @@ def test_generated_source_is_visible_to_inspect_and_tracebacks():
     with pytest.raises(ValueError) as exc:
         fn(((), ()), (0,))
     frame = traceback.extract_tb(exc.value.__traceback__)[-1]
-    assert frame.filename == "<applier frame_or:ins U>" and frame.line.endswith("= _state[0]")
+    assert frame.filename == "<applier frame_or:ins U>" and frame.line.endswith("= _state")
+
+
+def test_an_applier_unpacks_and_returns_one_payload_tuple():
+    for name, kind, trigger, src in _sources():
+        lines = src.splitlines()
+        assert lines[1].endswith(") = _state") and src.count("_state") == 2, (name, kind, trigger)
+        assert lines[-1].startswith("    return (") and lines[-1].endswith(")"), (name, kind, trigger)
+        assert "), (" not in lines[-1] and src.count("return ") == 1, (name, kind, trigger)
+
+
+@pytest.mark.parametrize("transform", [None, "rel2fun"])
+def test_a_state_and_its_payload_are_one_object(transform):
+    from dynqf.transforms import relations_to_functions
+    p = builtin_program("st-twopath-binary").program
+    if transform:
+        p = relations_to_functions(p)
+    s = init_state(p, empty_input_db(p, 4, {"s": 0, "t": 1}))
+    ctx = context_for_state(p, s)
+    assert ctx.to_lean(s) is s.payload
+    assert len(s.payload) == len(ctx.layout.rel_names) + len(ctx.layout.fun_names)
+    assert bool(ctx.layout.fun_names) == bool(transform)
+    lean = ctx.apply(ctx.apply(s.payload, ins("E", 0, 2)), ins("E", 2, 1))
+    t = ctx.from_lean(lean)
+    assert t.payload is lean and ctx.to_lean(t) is lean
+    assert t == apply(p, apply(p, s, ins("E", 0, 2)), ins("E", 2, 1))
+    assert t.functions.keys() >= set(ctx.layout.fun_names) and ctx.query(lean) == t.query_value("Q")
 
 
 def _sources():
@@ -186,7 +212,7 @@ def _shipped_with_transforms():
 
 # sha256 over the sources of those programs' appliers, in order; a planner
 # change that alters the generated code updates it and says why
-APPLIER_SOURCES_SHA256 = "2446b6865fbd36f806e98519c5d360516e72607934fdc46aba40163627ebafb8"
+APPLIER_SOURCES_SHA256 = "c9de4298b18b5a58294b9578064b514de1574e8998b8e4780f0cc065affbefd8"
 
 
 def test_applier_sources_are_pinned():
@@ -279,6 +305,16 @@ def test_a_frame_minus_a_bound_set_scans_nothing():
     assert deletion.count(gone + " = set()") == 1
     assert "_N_Last1 = _R_Last1 - %s if" % gone in deletion
     assert "if (t0,) not in %s and (t1,) not in %s:" % (gone, gone) in deletion
+
+
+def test_a_lone_frame_minus_one_tuple_assigns_the_relation_once():
+    # In(x) & !(x = b & a = s) is one disjunct: In less one tuple is one
+    # line, with no bare frame assignment before it
+    deletion = source(builtin_program("st-twopath-binary").program, "del", "E")
+    for name, m in (("In", "m1"), ("Out", "m0")):
+        assert re.search(r"\n    _N_%s = _R_%s - \{\(%s,\)\} if _h\d+ and \(%s,\) in _R_%s else _R_%s\n"
+                         % (name, name, m, m, name, name), deletion), name
+        assert "_N_%s = _R_%s\n" % (name, name) not in deletion
 
 
 def test_a_filter_with_a_trigger_only_side_scans_only_without_it():

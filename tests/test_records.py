@@ -77,7 +77,7 @@ _BODY = ("Or(left=RelAtom(symbol='E', args=(Var(name='x'), Const(name='s'))), "
 _RULE = f"UpdateRule(target='Q', kind='ins', trigger='E', params=('u', 'v'), target_params=(), body={_BODY})"
 _PROGRAM = (f"DynamicProgram(name='p', schema={_SCHEMA}, rules={{('Q', 'ins', 'E'): {_RULE}}}, "
             "query_symbol='Q', init=InitSpec(kind='empty', base=None, table=None))")
-_STATE = "State(layout=<dynqf.state.Layout object>, rels=(frozenset({(0, 1)}), frozenset()), funs=((0, 1),))"
+_STATE = "State(layout=<dynqf.state.Layout object>, payload=(frozenset({(0, 1)}), frozenset(), (0, 1)))"
 _CEX = (f"Counterexample(program_name='p', initial={_STATE}, "
         "sequence=(Modification(relation='E', tuple=(0, 1), kind='ins'),), step=1, expected=True, "
         "produced=False, seed=None, trace_digest='')")
@@ -100,7 +100,7 @@ GOLDEN = {
     "Modification": "Modification(relation='E', tuple=(1, 0), kind='del')",
     "Schema": _SCHEMA,
     "LayeredSpec": "LayeredSpec(sizes=(2, 1), with_st=True)",
-    "Layered": ("Layered(state=State(layout=<dynqf.state.Layout object>, rels=(frozenset(),), funs=()), "
+    "Layered": ("Layered(state=State(layout=<dynqf.state.Layout object>, payload=(frozenset(),)), "
                 "layers=((0,),))"),
     "Script": ("Script(domain=3, relations={'E': {(0, 1)}}, constants={'s': 0}, "
                "modifications=[Modification(relation='E', tuple=(0, 1), kind='ins')])"),
@@ -202,7 +202,7 @@ def test_own_hash_rules():
     p = instances()["DynamicProgram"]
     assert hash(p) == hash((p.name, p.schema, p.query_symbol))
     s = instances()["State"]
-    assert hash(s) == hash((s.layout, s.rels, s.funs))
+    assert hash(s) == hash((s.layout, s.payload))
     assert s == make_state(SCHEMA, 2, {"E": [(0, 1)]}, constants={"s": 0})
 
 

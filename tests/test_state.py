@@ -278,7 +278,7 @@ def test_relations_are_built_when_read_and_equal_the_eager_dict():
     for s in _reachable_states():
         assert s._relations is None
         lay = s.layout
-        eager = dict(zip(lay.rel_names, s.rels), **lay.builtin_rels)
+        eager = dict(zip(lay.rel_names, s.payload), **lay.builtin_rels)
         assert s.relations == eager and sorted(s.relations) == sorted(s.schema.relations)
         assert s.relations is s.relations
     assert "Le" in init_state(WITH_BUILTIN_REL, empty_input_db(WITH_BUILTIN_REL, 3)).layout.builtin_rels
@@ -304,4 +304,4 @@ def test_input_part_selects_the_input_relations_of_any_count(inputs):
     s = make_state(sch, 3, rels, constants={"s": 2})
     part = s.input_part()
     expected = make_state(sch.input_only(), 3, {name: rels[name] for name in inputs}, constants={"s": 2})
-    assert part == expected and part.rels == expected.rels and part.constants == {"s": 2}
+    assert part == expected and part.payload == expected.payload and part.constants == {"s": 2}

@@ -316,6 +316,18 @@ def test_random_mode_at_max_len_0_checks_only_the_initial_state():
     assert (v.checked_states, v.checked_steps) == (1, 0)
 
 
+@pytest.mark.parametrize("bounds", [dict(max_len=-1), dict(max_len=-1, mode="random", samples=5),
+                                    dict(max_len=2, mode="random", samples=-3)])
+def test_negative_bounds_are_an_input_error_in_both_modes(bounds):
+    # no search can honour them, so no verdict is returned, not even a vacuous ok
+    e = builtin_program("non-empty-set")
+    with pytest.raises(DynqfError, match="^bounds must not be negative, got max_len=-?\\d+, samples=-?\\d+$"):
+        check_maintenance(e.program, e.oracle, CheckConfig(domain_size=3, **bounds))
+    # a negative sample count is not read by the exhaustive search
+    v = check_maintenance(e.program, e.oracle, CheckConfig(domain_size=3, max_len=1, samples=-3))
+    assert v.status == "ok"
+
+
 def test_random_mode_counts_each_state_it_compares_with_the_oracle():
     # the initial state and each stepped state, once: 16 moves start a walk,
     # so the prefixes of at most 2 moves are stored and compared once each
@@ -368,7 +380,7 @@ def _reference_bfs_check(p, oracle, cfg):
             first[lean] = len(orbit)
 
     def divergence(lean, seq, steps):
-        exp, got = oracle(ctx.input_state(lean)), ctx.query(lean)
+        exp, got = oracle(ctx.layout.input_state(lean)), ctx.query(lean)
         if exp == got:
             return None
         c = Counterexample(p.name, db, tuple(seq), len(seq), exp, got, None,
@@ -386,7 +398,7 @@ def _reference_bfs_check(p, oracle, cfg):
         for st in frontier:
             taken = 0
             for m in mods:
-                present = m.tuple in st[0][ctx.rel_index[m.relation]]
+                present = m.tuple in st[ctx.rel_index[m.relation]]
                 if cfg.honest_only and present == (m.kind == "ins"):
                     continue
                 succ = ctx.apply(st, m)
@@ -623,7 +635,7 @@ def test_orbit_is_the_image_set_under_every_permutation(name, n, n_free):
         lean, support = lean0, set()
         for _ in range(rng.randrange(7 if n_free < 5 else 3)):
             i, tup, if_present, if_absent = rng.choice(slots)
-            lean = ctx.apply(lean, (if_present if tup in lean[0][i] else if_absent)[0])
+            lean = ctx.apply(lean, (if_present if tup in lean[i] else if_absent)[0])
             support.update(set(tup).intersection(free))
         orbit = orbits.orbit(lean, frozenset(support))
         s = ctx.from_lean(lean)
@@ -633,7 +645,7 @@ def test_orbit_is_the_image_set_under_every_permutation(name, n, n_free):
         brute = {ctx.to_lean(transport(s, {**{e: e for e in s.domain}, **perm}))
                  for perm in _free_permutations(free, used)}
         assert orbit[0] is lean and set(orbit) == brute
-        for rels, _ in orbit[1:]:
+        for rels in orbit[1:]:
             for r in filter(None, [rels[i] for i in aux]):
                 assert objects.setdefault(r, r) is r  # equal ones are one object
 
@@ -826,7 +838,7 @@ def test_input_state_equals_input_part_on_reachable_states(name):
         reached |= {ctx.apply(lean, m) for lean in reached for m in mods
                     if is_honest(ctx.from_lean(lean), m)}
     for lean in reached:
-        view, full = ctx.input_state(lean), ctx.from_lean(lean).input_part()
+        view, full = ctx.layout.input_state(lean), ctx.from_lean(lean).input_part()
         assert view == full and hash(view) == hash(full)
 
 
