@@ -34,7 +34,8 @@ over the old state:
     once per applier, and the set is subtracted (R − G), or, when G binds
     only some target variables and each of its disjuncts tests more than it
     binds, tested by membership in a pass that runs only while the set is
-    not empty.  Other filters stay in the loops;
+    not empty.  A lone disjunct R(x̄) & !G, G binding x̄, is left to the
+    frame rewrite above.  Other filters stay in the loops;
   - past _DNF_CAP disjuncts, a scan of the domain tests the whole body.
 In the hot loops a state travels as its payload alone, the flat tuple of
 relations and then function vectors that a State holds and the appliers read
