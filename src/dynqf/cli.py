@@ -165,7 +165,7 @@ def cmd_verify(args) -> int:
 
 def cmd_attack(args) -> int:
     from .lower_bounds import attack_star_deletion, attack_subset_gadget, cq_adversary
-    _require_at_least(args, n=1, bound=0)
+    _require_at_least(args, n=1, bound=1)
     p = _load_program(args.program)
     if args.driver == "star-deletion":
         cex = attack_star_deletion(p, args.n)

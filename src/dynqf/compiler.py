@@ -36,7 +36,11 @@ over the old state:
     binds, tested by membership in a pass that runs only while the set is
     not empty.  A lone disjunct R(x̄) & !G, G binding x̄, is left to the
     frame rewrite above.  Other filters stay in the loops;
-  - past _DNF_CAP disjuncts, a scan of the domain tests the whole body.
+  - past _DNF_CAP disjuncts, a scan of the domain tests the whole body;
+  - locals, last: a tuple of trigger terms is built once, into a local, and
+    the trigger parameters in order are `_m` itself; a local with one use
+    outside a loop is written at that use, and `not` of a local is written
+    out; a scan that adds the scanned tuple unchanged adds it, `_t`, itself.
 In the hot loops a state travels as its payload alone, the flat tuple of
 relations and then function vectors that a State holds and the appliers read
 and return; `to_lean` takes it out of a State and `from_lean` wraps it in one.
@@ -44,7 +48,7 @@ and return; `to_lean` takes it out of a State and `from_lean` wraps it in one.
 from __future__ import annotations
 
 import linecache
-import weakref
+import re
 from typing import Mapping, Sequence
 
 from .formulas import (And, App, Const, Eq, FalseConst, Ite, Not, Or, RelAtom,
@@ -97,17 +101,17 @@ class LeanContext:
 _TRUE_REL = frozenset({()})
 _EMPTY_REL = frozenset()
 _DNF_CAP = 16  # disjuncts per relational rule; past it, the rule scans the domain
-_CODE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _LEAVES = (Var, Const, TrueConst, FalseConst)
 _BOOLS = (TrueConst, FalseConst)
 _HOIST = -1  # in _Planner.parents: hoist this node
-_OR, _AND, _NOT, _CMP, _ATOM = range(5)  # precedence of generated expressions
+_OR, _AND, _NOT, _CMP, _ATOM, _LOCAL = range(6)  # precedence of generated expressions; a local
+_TOKEN = re.compile("\x00(_[hu]\\d+) (\\d)\x00")  # a use of a local, and the precedence it needs
 
 
 def _applier_code(program, kind: str, trigger: str):
     """The code object defining `_applier` for (kind, trigger), compiled once
-    per program; its source is registered with linecache for tracebacks."""
-    codes = _CODE_CACHE.setdefault(program, {})
+    per program, on the program; its source is registered with linecache."""
+    codes = program._compiled
     code = codes.get((kind, trigger))
     if code is None:
         src = _Planner(program, kind, trigger).source()
@@ -164,9 +168,11 @@ class _Planner:
         # parent, or _HOIST once it also has another parent or is a rule root
         self.parents: dict[int, int] = {}
         self.code: dict[int, tuple[str, int]] = {}  # trigger-only node id -> code or local, precedence
-        self.pre: list[str] = []        # the hoisted assignments
+        self.pre: list[tuple[str, str, int]] = []  # the hoisted locals: name, code, precedence
+        self.tuples: dict[str, str] = {}  # code of a tuple of trigger terms -> its local
         self.lines: list[str] = []      # the rules
         self.sets: dict[int, str] = {}  # node id -> the local holding its tuples
+        self.alias: dict[str, str] = {}  # variable -> its item of the scanned tuple `_t`
 
     # -- analysis and expressions ----------------------------------------------------
 
@@ -225,7 +231,7 @@ class _Planner:
         if kind is Not and kids[0].kind in (Eq, RelAtom) and not self._hoists(kids[0]):
             return self._render(kids[0], negate=True)
         if kind is Var:
-            return name, _ATOM
+            return self.alias.get(name, name), _ATOM
         if kind is Const:
             return "_C_" + name, _ATOM
         if kind is TrueConst or kind is FalseConst:
@@ -244,7 +250,7 @@ class _Planner:
             return ("_G_" if builtin else "_F_") + name + "[" + idx + "]", _ATOM
         if kind is RelAtom:
             op = " not in " if negate else " in "
-            return _tup(args) + op + ("_B_" if builtin else "_R_") + name, _CMP
+            return self._tuple(args, node.trig) + op + ("_B_" if builtin else "_R_") + name, _CMP
         if kind is Eq:
             return args[0] + (" != " if negate else " == ") + args[1], _CMP
         return "(%s if %s else %s)" % (args[1], args[0], args[2]), _ATOM  # Ite
@@ -255,18 +261,69 @@ class _Planner:
         return self.parents.get(node.id) == _HOIST
 
     def _expr(self, node: _Node, prec: int = _OR) -> str:
-        """Code for node, or the local that it is hoisted to, parenthesized
-        if it binds looser than prec."""
+        """Code for node, or a use of the local that it is hoisted to,
+        parenthesized if it binds looser than prec.  `not` of a local is
+        written out, as it costs no more than a local."""
         entry = self.code.get(node.id) if node.trig else self._render(node)
         if entry is None:
             entry = self._render(node)
-            if self._hoists(node):
-                local = "_h%d" % len(self.pre)
-                self.pre.append("    " + local + " = " + entry[0])
-                entry = (local, _ATOM)
+            if self._hoists(node) and not (node.kind is Not and self._hoists(node.kids[0])):
+                self.pre.append(("_h%d" % len(self.pre),) + entry)
+                entry = (self.pre[-1][0], _LOCAL)
             self.code[node.id] = entry
         code, own = entry
+        if own == _LOCAL:
+            return "\x00%s %d\x00" % (code, prec)
         return code if own >= prec else "(" + code + ")"
+
+    def _tuple(self, items: list[str], trig: bool = True) -> str:
+        """Code for a tuple of the code items: `_m` or `_t` when they are the
+        trigger parameters or the items of the scanned tuple in order, and
+        for other trigger terms a use of one local per distinct tuple."""
+        if items == list(self.mvars):
+            return "_m"
+        if self.alias and items == list(self.alias.values()):
+            return "_t"
+        code = _tup(items)
+        if not (trig and items) or "\x00" in code:  # a constant, or it reads a hoisted local
+            return code
+        local = self.tuples.setdefault(code, "_u%d" % len(self.tuples))
+        return "\x00%s %d\x00" % (local, _ATOM)
+
+    def _resolve(self) -> list[str]:
+        """The assignments of the locals, tuples first, and then the rules,
+        with each local that has one use outside a loop written at that use
+        and each unused one dropped.  A local's code uses only older locals."""
+        locals_ = [(name, code, _ATOM) for code, name in self.tuples.items()] + self.pre
+        uses: dict[str, list[bool]] = {name: [] for name, _, _ in locals_}  # name -> in a loop?
+        loops = []  # the depths of the open `for` lines
+        for line in self.lines:
+            depth = len(line) - len(line.lstrip())
+            while loops and loops[-1] >= depth:
+                loops.pop()
+            for name, _ in _TOKEN.findall(line):
+                uses[name].append(bool(loops))
+            if line.lstrip().startswith("for "):
+                loops.append(depth)
+        for _, code, _ in locals_:
+            for name, _ in _TOKEN.findall(code):
+                uses[name].append(False)
+        inline = {}
+        for name, code, own in reversed(locals_):
+            if uses[name] == [False]:
+                inline[name] = code, own
+            elif not uses[name]:
+                for used, _ in _TOKEN.findall(code):
+                    uses[used].remove(False)
+
+        def write(m) -> str:
+            if m[1] not in inline:
+                return m[1]
+            code, own = inline[m[1]]
+            code = _TOKEN.sub(write, code)
+            return code if own >= int(m[2]) else "(" + code + ")"
+        defs = ["    %s = %s" % (name, code) for name, code, _ in locals_ if uses[name] and name not in inline]
+        return [_TOKEN.sub(write, line) for line in defs + self.lines]
 
     # -- planning ------------------------------------------------------------------------
 
@@ -362,11 +419,16 @@ class _Planner:
                         targets.append("_k%d" % temps)
                         conds.append("_k%d == %s" % (temps, self._expr(a, _ATOM)))
                         temps += 1
-                self.lines.append(ind + "for " + _tup(targets) + " in _R_" + gen.name + ":")
+                if targets == list(tvars):  # the scanned tuple is the one to add
+                    self.alias = {v: "_t[%d]" % j for j, v in enumerate(tvars)}
+                loop = "_t" if self.alias else _tup(targets)
+                self.lines.append(ind + "for " + loop + " in _R_" + gen.name + ":")
             ind += "    "
         ind = self._if(ind, conds)
-        self.lines.append(ind + out + ".add(" + _tup([self._expr(subst[v], _ATOM) if v in subst else v
-                                                      for v in tvars]) + ")")
+        items = [self._expr(subst[v], _ATOM) if v in subst else self.alias.get(v, v) for v in tvars]
+        trig = all([v in subst and subst[v].trig for v in tvars])
+        self.lines.append(ind + out + ".add(" + self._tuple(items, trig) + ")")
+        self.alias = {}
 
     def _if(self, ind: str, conds: list[str]) -> str:
         """Open one `if` for the pending conditions; the indent inside it."""
@@ -567,7 +629,7 @@ class _Planner:
         if set(terms) != set(tvars):
             return None
         guard = self._guard(lits)
-        return "" if guard == "True" else guard + " and ", _tup([self._expr(terms[v], _ATOM) for v in tvars])
+        return "" if guard == "True" else guard + " and ", self._tuple([self._expr(terms[v], _ATOM) for v in tvars])
 
     def _common(self, new: str, tvars: tuple[str, ...], common: Mapping[_Node, tuple]) -> None:
         """Apply the factored literals !G to the relation `new`.  When G's
@@ -581,13 +643,12 @@ class _Planner:
                 continue
             local = self._set(lit.kids[0], gvars)
             tested[local] = None
-            filters.append(_tup(gvars) + " not in " + local)
+            filters.append(_tup(["_t[%d]" % tvars.index(v) for v in gvars]) + " not in " + local)
         if filters:
-            tup = _tup(tvars)
             lines.extend(["    if %s:" % " or ".join(tested), "        _f = set()",
-                          "        for %s in %s:" % (tup, new),
+                          "        for _t in %s:" % new,
                           "            if %s:" % " and ".join(filters),
-                          "                _f.add(%s)" % tup,
+                          "                _f.add(_t)",
                           "        if len(_f) < len(%s):" % new, "            %s = frozenset(_f)" % new])
         lines.extend(["    %s = %s" % (new, code) for code in subtract])
 
@@ -630,10 +691,7 @@ class _Planner:
         head.append("    _N_" + trigger + " = " + update)
         new = ["_N_" + n if sch.role(n) is Role.AUX or n == trigger else "_R_" + n for n in rels]
         tail = ["    return " + _tup(new + ["_NF_" + n for n in funs])]
-        return "\n".join(head + self.pre + self.lines + tail) + "\n"
-
-
-_CTX_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()  # program -> {layout: context}
+        return "\n".join(head + self._resolve() + tail) + "\n"
 
 
 def lean_context(program, n: int, constants: Mapping[str, int],
@@ -641,7 +699,7 @@ def lean_context(program, n: int, constants: Mapping[str, int],
     """The context of program on its states over 0..n-1 with these constants
     and built-in interpretations."""
     lay = layout_of(program.schema, n, constants, builtin_rels, builtin_funs)
-    contexts = _CTX_CACHE.setdefault(program, {})
+    contexts = program._compiled  # by layout, beside the code objects
     ctx = contexts.get(lay)
     if ctx is None:
         ctx = contexts[lay] = LeanContext(program, lay)
@@ -649,7 +707,7 @@ def lean_context(program, n: int, constants: Mapping[str, int],
 
 
 def context_for_state(program, s: State) -> LeanContext:
-    ctx = _CTX_CACHE.get(program, {}).get(s.layout)
+    ctx = program._compiled.get(s.layout)
     if ctx is None:
         lay = s.layout
         ctx = lean_context(program, lay.n, lay.constants, lay.builtin_rels, lay.builtin_funs)

@@ -195,6 +195,8 @@ def substructure_property(p: DynamicProgram, cfg: CheckConfig,
     if cfg.max_len < 1:
         raise DynqfError(f"the substructure suite needs max_len >= 1 for its alpha runs, "
                          f"got {cfg.max_len}")
+    if cfg.samples < 0:
+        raise DynqfError(f"samples must not be negative, got {cfg.samples}")
     rng = random.Random(cfg.seed)
     if with_functions and similarity_depth is None:
         # one similarity level per potentially consumed nesting step, plus one
@@ -336,7 +338,7 @@ def attack_star_deletion(p: DynamicProgram, n: int,
     """
     _check_relational_candidate(p, "star-deletion", "unary", 1)
     if n < 1:
-        return None
+        raise DynqfError(f"star-deletion needs n >= 1, got {n}")
     size = n + 2
     db = empty_input_db(p, size)  # s = 0, t = size-1, layer = 1..n
     layer = list(range(1, n + 1))
@@ -373,7 +375,7 @@ def attack_subset_gadget(p: DynamicProgram, n2: int,
     different reachability that the candidate must answer identically."""
     _check_relational_candidate(p, "subset-gadget", "at most binary", 2)
     if n2 < 1:
-        return None
+        raise DynqfError(f"subset-gadget needs n2 >= 1, got {n2}")
     if n2 > 4:
         raise ResourceLimitError("subset gadget grows as 2**n2; refusing n2", 2 ** n2)
     n_a = 2 ** n2
@@ -456,6 +458,8 @@ def cq_adversary(p: DynamicProgram, bound: int) -> Counterexample | None:
     saturate U with one element more than the candidate's maximum finite
     deletion depth, then search honest deletion-only sequences for a step
     where the query bit disagrees with the oracle."""
+    if bound < 1:
+        raise DynqfError(f"cq-adversary needs bound >= 1, got {bound}")
     for r in p.rules.values():
         if not classify_syntax(r.body).conjunctive:
             raise GuardError(f"rule for {r.target!r} under {r.kind} {r.trigger!r} "

@@ -10,7 +10,7 @@ from .compiler import context_for_state
 from .errors import DomainError, ProgramError, RejectedSequenceError, SchemaError
 from .formulas import (App, Formula, RelAtom, Term, Var, eval_formula, eval_term,
                        nesting_depth, symbols_used, vars_and_symbols)
-from .records import Frozen
+from .records import Frozen, setfield
 from .schema import Role, Schema
 from .state import (DEL, INS, Modification, State, check_modification,
                     is_honest, make_state, transport)
@@ -70,11 +70,13 @@ def decode_table(table: tuple) -> tuple[dict, dict]:
 
 
 class DynamicProgram(Frozen):
-    __slots__ = ("name", "schema", "rules", "query_symbol", "init", "__weakref__")
+    __slots__ = ("name", "schema", "rules", "query_symbol", "init", "_compiled", "__weakref__")
 
     def __init__(self, name: str, schema: Schema, rules: dict[tuple[str, str, str], UpdateRule],
                  query_symbol: str, init: InitSpec):
         self._set_fields(name, schema, rules, query_symbol, init)
+        # not a field: the compiler's code objects by (kind, trigger) and contexts by layout
+        setfield(self, "_compiled", {})
 
     def __hash__(self):  # programs are compared structurally but hashed loosely
         return hash((self.name, self.schema, self.query_symbol))

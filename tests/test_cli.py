@@ -563,6 +563,7 @@ def test_verify_missing_program_file(tmp_path, capsys):
     (["attack", "{nes}", "--driver", "star-deletion", "--n", "0"], "--n"),
     (["attack", "{nes}", "--driver", "cq-adversary", "--bound", "-1"], "--bound"),
     (["transform", "{nes}", "--pass", "rel2fun", "--check", "--maxlen", "-1"], "--maxlen"),
+    (["attack", "{nes}", "--driver", "cq-adversary", "--bound", "0"], "--bound"),
 ])
 def test_out_of_range_bounds_are_rejected(nes_file, capsys, argv, flag):
     assert main([a.format(nes=nes_file) for a in argv]) == 2

@@ -115,7 +115,7 @@ def test_trigger_only_parts_are_computed_once_per_applier():
     hoisted = [line.split(" = ", 1)[1] for line in src.splitlines() if line.lstrip().startswith("_h")]
     assert len(hoisted) == len(set(hoisted))
     # In(a), read by the rules for Q, First, Last and List, is tested once
-    assert src.count("(m0,) in _R_In") == 1
+    assert src.count(_local(src, "(m0,)") + " in _R_In") == 1
     assert "_dom" not in src
 
 
@@ -212,7 +212,7 @@ def _shipped_with_transforms():
 
 # sha256 over the sources of those programs' appliers, in order; a planner
 # change that alters the generated code updates it and says why
-APPLIER_SOURCES_SHA256 = "c9de4298b18b5a58294b9578064b514de1574e8998b8e4780f0cc065affbefd8"
+APPLIER_SOURCES_SHA256 = "229d014cd3cbe427ae2ee648d2a2b774470be92a3e23f57cef787af2adc3e661"
 
 
 def test_applier_sources_are_pinned():
@@ -223,6 +223,44 @@ def test_applier_sources_are_pinned():
                 digest.update(_Planner(p, kind, trigger).source().encode())
                 count += 1
     assert (count, digest.hexdigest()) == (40, APPLIER_SOURCES_SHA256)
+
+
+def test_trigger_tuples_are_built_once_and_scanned_tuples_reused():
+    insertion = source(builtin_program("s-twopath-ternary").program, "ins", "E")
+    assert insertion.count("(m0,)") == 1 and insertion.count("(m0, m1)") == 1  # its unpacking
+    assert "_s.add(_m)" in insertion and _local(insertion, "(m0,)") + " in _R_In" in insertion
+    # a local with one use outside a loop is written at that use
+    assert not re.search(r"= not _h\d+\n", insertion)
+    assert "    for _t in _R_Last2:\n        if _t[0] != m0:\n            _s.add(_t)\n" in insertion
+    # a local whose one use is inside a scan stays hoisted
+    scan = source(program("contradictory-disjunct"), "ins", "E")
+    local = _local(scan, "(m1,) in _R_A")
+    assert "for (t0,) in _R_A:\n        if not ((t0,) in _R_A and %s):" % local in scan
+
+
+def test_contexts_and_code_live_on_their_program():
+    import gc
+    import weakref
+    from dynqf.records import Record
+    from pathlib import Path
+    import dynqf
+    text = (Path(dynqf.__file__).parent / "corpus_data" / "st_twopath_binary.dynp").read_text()
+    p, q = parse_program(text, "a"), parse_program(text, "b")
+    assert p == q and p._compiled is not q._compiled and "_compiled" not in p._fields
+    s = init_state(q, empty_input_db(q, 4))
+    ctx = context_for_state(p, s)
+    calls = []
+    eq = Record.__eq__
+    Record.__eq__ = lambda a, b: calls.append(1) or eq(a, b)
+    try:
+        assert context_for_state(q, s) is not ctx and context_for_state(p, s) is ctx
+    finally:
+        Record.__eq__ = eq
+    assert calls == [] and repr(p) == repr(q)
+    dead = weakref.ref(p)
+    del p, ctx
+    gc.collect()
+    assert dead() is None
 
 
 def test_no_applier_compares_a_value_with_itself():
@@ -246,7 +284,7 @@ def test_a_guarded_frame_copies_nothing():
     deletion = source(builtin_program("st-twopath-binary").program, "del", "E")
     for name in ("First", "Last", "In", "Out"):
         assert "for (t0,) in _R_%s:" % name not in deletion
-    assert deletion.count("for (t0, t1) in _N_List:") == 1
+    assert deletion.count("for _t in _N_List:") == 1
 
 
 def test_common_negations_are_subtracted_or_tested_by_membership():
@@ -255,26 +293,32 @@ def test_common_negations_are_subtracted_or_tested_by_membership():
     # !(x = a & A(x)) becomes a set, tested in one pass; !(y = f(a)) only
     # binds, so its set would never be empty, and it filters in the loops
     partial = source(program("common-negation-partial"), "del", "U")
-    assert "    if _g0:\n        _f = set()\n        for (t0, t1) in _N_B:\n            if (t0,) not in _g0:" in partial
-    assert "for (t0, t1) in _R_B:\n        if t1 != _h0:" in partial
+    assert "    if _g0:\n        _f = set()\n        for _t in _N_B:\n            if (_t[0],) not in _g0:" in partial
+    assert "for _t in _R_B:\n        if _t[1] != _h0:" in partial
     # a G with a disjunct that binds nothing filters in the loops
     unbound = source(program("common-negation-unbound"), "del", "E")
     assert "_N_A - _g" not in unbound and "for (t0,) in _N_A" not in unbound and "_dom" not in unbound
-    assert "for (t0,) in _R_A:\n        if not (t0 == m1 or (t0,) in _R_A and (t0, m0) in _R_B):" in unbound
+    assert "for _t in _R_A:\n        if not (_t[0] == m1 or _t in _R_A and (_t[0], m0) in _R_B):" in unbound
     # a filter that is not a negated set stays in the loops
     lone = source(program("frame-and-not"), "del", "E")
-    assert "for (t0, t1) in _R_B:" in lone and "_f = set()" not in lone
+    assert "for _t in _R_B:" in lone and "_f = set()" not in lone
     # GONE(x) and GONE(y) of st-twopath-binary share one set
     deletion = source(builtin_program("st-twopath-binary").program, "del", "E")
-    assert re.search(r"if \(t0,\) not in (_g\d+) and \(t1,\) not in \1:", deletion)
+    assert re.search(r"if \(_t\[0\],\) not in (_g\d+) and \(_t\[1\],\) not in \1:", deletion)
+
+
+def _local(src: str, code: str) -> str:
+    """The local that src assigns code to."""
+    (name,) = re.findall(r"^    (_[hu]\d+) = %s$" % re.escape(code), src, re.M)
+    return name
 
 
 def _enclosing_conditions(src: str, needle: str) -> list[str]:
     """The conditions of the `if` lines around the one line holding needle,
-    innermost first, with the hoisted locals _h<i> written out."""
+    innermost first, with the locals _h<i> and _u<i> written out."""
     lines = src.splitlines()
     (i,) = [i for i, line in enumerate(lines) if needle in line]
-    hoisted = dict(re.findall(r"^    (_h\d+) = (.*)$", src, re.M))
+    hoisted = dict(re.findall(r"^    (_[hu]\d+) = (.*)$", src, re.M))
     indent, conds = len(lines[i]) - len(lines[i].lstrip()), []
     for line in reversed(lines[:i]):
         depth = len(line) - len(line.lstrip())
@@ -283,7 +327,7 @@ def _enclosing_conditions(src: str, needle: str) -> list[str]:
             if line.lstrip().startswith("if "):
                 conds.append(line.strip()[3:-1])
     for _ in range(len(hoisted)):
-        conds = [re.sub(r"\b_h\d+\b", lambda m: hoisted[m.group()], c) for c in conds]
+        conds = [re.sub(r"\b_[hu]\d+\b", lambda m: hoisted[m.group()], c) for c in conds]
     return conds
 
 
@@ -293,7 +337,7 @@ def test_a_frame_minus_a_bound_set_scans_nothing():
     assert re.search(r"_N_A = _R_A - (_g\d+) if \1 and not _R_A\.isdisjoint\(\1\) else _R_A\n", src)
     assert "_N_A = _N_A if _s <= _N_A else _N_A | _s" in src
     one = source(program("frame-minus-tuple"), "del", "E")
-    assert re.search(r"_N_B = _R_B - \{\(m0, m1\)\} if _h\d+ and \(m0, m1\) in _R_B else _R_B\n", one)
+    assert "_N_B = _R_B - {_m} if (m0,) in _R_A and _m in _R_B else _R_B\n" in one
     assert "for (t0, t1) in _R_B" not in one
     # the deletion applier of s-twopath-ternary keeps First1, Last1, First2 and
     # Last2 without a loop over them, and GONE(x) is one set for First1,
@@ -304,7 +348,7 @@ def test_a_frame_minus_a_bound_set_scans_nothing():
     gone = re.search(r"_N_First1 = _R_First1 - (_g\d+) if", deletion).group(1)
     assert deletion.count(gone + " = set()") == 1
     assert "_N_Last1 = _R_Last1 - %s if" % gone in deletion
-    assert "if (t0,) not in %s and (t1,) not in %s:" % (gone, gone) in deletion
+    assert "if (_t[0],) not in %s and (_t[1],) not in %s:" % (gone, gone) in deletion
 
 
 def test_a_lone_frame_minus_one_tuple_assigns_the_relation_once():
@@ -312,16 +356,17 @@ def test_a_lone_frame_minus_one_tuple_assigns_the_relation_once():
     # line, with no bare frame assignment before it
     deletion = source(builtin_program("st-twopath-binary").program, "del", "E")
     for name, m in (("In", "m1"), ("Out", "m0")):
-        assert re.search(r"\n    _N_%s = _R_%s - \{\(%s,\)\} if _h\d+ and \(%s,\) in _R_%s else _R_%s\n"
-                         % (name, name, m, m, name, name), deletion), name
+        u = _local(deletion, "(%s,)" % m)
+        assert re.search(r"\n    _N_%s = _R_%s - \{%s\} if _h\d+ and %s in _R_%s else _R_%s\n"
+                         % (name, name, u, u, name, name), deletion), name
         assert "_N_%s = _R_%s\n" % (name, name) not in deletion
 
 
 def test_a_filter_with_a_trigger_only_side_scans_only_without_it():
     src = source(program("filter-trigger-side"), "ins", "E")
-    assert _enclosing_conditions(src, "for (t0, t1) in _R_B:") == ["not (m0,) in _R_A"]
+    assert _enclosing_conditions(src, "for _t in _R_B:") == ["not (m0,) in _R_A"]
     negated = source(program("filter-negated-trigger-side"), "del", "U")
-    assert _enclosing_conditions(negated, "for (t0, t1) in _R_B:") == ["(m0,) in _R_A"]
+    assert _enclosing_conditions(negated, "for _t in _R_B:") == ["_m in _R_A"]
     # on insertion, s-twopath-ternary scans First2 only while a has no
     # outgoing edge
     insertion = source(builtin_program("s-twopath-ternary").program, "ins", "E")
@@ -330,7 +375,7 @@ def test_a_filter_with_a_trigger_only_side_scans_only_without_it():
 
 def test_delta_blocks_wake_on_substituted_literals_and_one_tuple_needs_no_set():
     src = source(program("wake-substituted"), "ins", "U")
-    assert "    if (m0,) in _R_A:\n        _s = set()\n        for (t1, _k0) in _R_B:" in src
+    assert "    if _m in _R_A:\n        _s = set()\n        for (t1, _k0) in _R_B:" in src
     one = source(program("delta-one-tuple"), "ins", "E")
     assert "_s = set()" not in one
     assert re.search(r"_N_B = _R_B \| \{\(m0, (_h\d+)\)\} if \(m0,\) in _R_A and \(m0, \1\) not in _R_B"

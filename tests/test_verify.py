@@ -328,6 +328,27 @@ def test_negative_bounds_are_an_input_error_in_both_modes(bounds):
     assert v.status == "ok"
 
 
+def test_sizes_that_give_vacuous_results_are_input_errors():
+    # each would report a pass or "no witness" without looking at anything
+    cfg = CheckConfig(domain_size=4, max_len=3, samples=-5, seed=1, honest_only=True)
+    with pytest.raises(DynqfError, match="^samples must not be negative, got -5$"):
+        substructure_property(builtin_program("st-twopath-binary").program, cfg)
+    unary = strawman_program("unary-twopath-naive")
+    binary = strawman_program("binary-reach2-naive")
+    cq = strawman_program("cq-nonemptyset-naive")
+    for size in (0, -3):
+        with pytest.raises(DynqfError, match="^star-deletion needs n >= 1, got %d$" % size):
+            attack_star_deletion(unary, size)
+    for size in (0, -1):
+        with pytest.raises(DynqfError, match="^subset-gadget needs n2 >= 1, got %d$" % size):
+            attack_subset_gadget(binary, size)
+    for bound in (0, -2):
+        with pytest.raises(DynqfError, match="^cq-adversary needs bound >= 1, got %d$" % bound):
+            cq_adversary(cq, bound)
+    # the smallest sizes still run, and find no witness
+    assert attack_star_deletion(unary, 1) is None and attack_subset_gadget(binary, 1) is None
+
+
 def test_random_mode_counts_each_state_it_compares_with_the_oracle():
     # the initial state and each stepped state, once: 16 moves start a walk,
     # so the prefixes of at most 2 moves are stored and compared once each
@@ -1376,9 +1397,10 @@ def test_subset_gadget_attack_finds_witness():
     assert cex.sequence[-1].kind == "ins"
 
 
-def test_subset_gadget_zero_returns_none():
+def test_subset_gadget_refuses_zero_and_one_returns_none():
     p = strawman_program("binary-reach2-naive")
-    assert attack_subset_gadget(p, 0) is None
+    with pytest.raises(DynqfError, match="n2 >= 1"):
+        attack_subset_gadget(p, 0)
     # one B-node: no homogeneous pair, and the construction replays cleanly
     assert attack_subset_gadget(p, 1) is None
 
