@@ -37,10 +37,10 @@ over the old state:
     not empty.  A lone disjunct R(x̄) & !G, G binding x̄, is left to the
     frame rewrite above.  Other filters stay in the loops;
   - past _DNF_CAP disjuncts, a scan of the domain tests the whole body;
-  - locals, last: a tuple of trigger terms is built once, into a local, and
-    the trigger parameters in order are `_m` itself; a local with one use
-    outside a loop is written at that use, and `not` of a local is written
-    out; a scan that adds the scanned tuple unchanged adds it, `_t`, itself.
+  - a tuple of trigger terms is hoisted like a compound term, and the
+    trigger parameters in order are `_m` itself; `not` of a hoisted local is
+    written at its uses; a scan that adds the scanned tuple unchanged adds
+    it, `_t`, itself.
 In the hot loops a state travels as its payload alone, the flat tuple of
 relations and then function vectors that a State holds and the appliers read
 and return; `to_lean` takes it out of a State and `from_lean` wraps it in one.
@@ -48,7 +48,6 @@ and return; `to_lean` takes it out of a State and `from_lean` wraps it in one.
 from __future__ import annotations
 
 import linecache
-import re
 from typing import Mapping, Sequence
 
 from .formulas import (And, App, Const, Eq, FalseConst, Ite, Not, Or, RelAtom,
@@ -104,8 +103,7 @@ _DNF_CAP = 16  # disjuncts per relational rule; past it, the rule scans the doma
 _LEAVES = (Var, Const, TrueConst, FalseConst)
 _BOOLS = (TrueConst, FalseConst)
 _HOIST = -1  # in _Planner.parents: hoist this node
-_OR, _AND, _NOT, _CMP, _ATOM, _LOCAL = range(6)  # precedence of generated expressions; a local
-_TOKEN = re.compile("\x00(_[hu]\\d+) (\\d)\x00")  # a use of a local, and the precedence it needs
+_OR, _AND, _NOT, _CMP, _ATOM = range(5)  # precedence of generated expressions
 
 
 def _applier_code(program, kind: str, trigger: str):
@@ -168,7 +166,7 @@ class _Planner:
         # parent, or _HOIST once it also has another parent or is a rule root
         self.parents: dict[int, int] = {}
         self.code: dict[int, tuple[str, int]] = {}  # trigger-only node id -> code or local, precedence
-        self.pre: list[tuple[str, str, int]] = []  # the hoisted locals: name, code, precedence
+        self.pre: list[str] = []        # the hoisted assignments
         self.tuples: dict[str, str] = {}  # code of a tuple of trigger terms -> its local
         self.lines: list[str] = []      # the rules
         self.sets: dict[int, str] = {}  # node id -> the local holding its tuples
@@ -261,69 +259,38 @@ class _Planner:
         return self.parents.get(node.id) == _HOIST
 
     def _expr(self, node: _Node, prec: int = _OR) -> str:
-        """Code for node, or a use of the local that it is hoisted to,
-        parenthesized if it binds looser than prec.  `not` of a local is
-        written out, as it costs no more than a local."""
+        """Code for node, or the local that it is hoisted to, parenthesized
+        if it binds looser than prec.  `not` of a local is not hoisted again."""
         entry = self.code.get(node.id) if node.trig else self._render(node)
         if entry is None:
             entry = self._render(node)
             if self._hoists(node) and not (node.kind is Not and self._hoists(node.kids[0])):
-                self.pre.append(("_h%d" % len(self.pre),) + entry)
-                entry = (self.pre[-1][0], _LOCAL)
+                entry = (self._hoist(entry[0]), _ATOM)
             self.code[node.id] = entry
         code, own = entry
-        if own == _LOCAL:
-            return "\x00%s %d\x00" % (code, prec)
         return code if own >= prec else "(" + code + ")"
+
+    def _hoist(self, code: str) -> str:
+        """A new local holding code, computed before the rules."""
+        local = "_h%d" % len(self.pre)
+        self.pre.append("    " + local + " = " + code)
+        return local
 
     def _tuple(self, items: list[str], trig: bool = True) -> str:
         """Code for a tuple of the code items: `_m` or `_t` when they are the
         trigger parameters or the items of the scanned tuple in order, and
-        for other trigger terms a use of one local per distinct tuple."""
+        for other trigger terms one local per distinct tuple."""
         if items == list(self.mvars):
             return "_m"
         if self.alias and items == list(self.alias.values()):
             return "_t"
         code = _tup(items)
-        if not (trig and items) or "\x00" in code:  # a constant, or it reads a hoisted local
+        if not (trig and items):
             return code
-        local = self.tuples.setdefault(code, "_u%d" % len(self.tuples))
-        return "\x00%s %d\x00" % (local, _ATOM)
-
-    def _resolve(self) -> list[str]:
-        """The assignments of the locals, tuples first, and then the rules,
-        with each local that has one use outside a loop written at that use
-        and each unused one dropped.  A local's code uses only older locals."""
-        locals_ = [(name, code, _ATOM) for code, name in self.tuples.items()] + self.pre
-        uses: dict[str, list[bool]] = {name: [] for name, _, _ in locals_}  # name -> in a loop?
-        loops = []  # the depths of the open `for` lines
-        for line in self.lines:
-            depth = len(line) - len(line.lstrip())
-            while loops and loops[-1] >= depth:
-                loops.pop()
-            for name, _ in _TOKEN.findall(line):
-                uses[name].append(bool(loops))
-            if line.lstrip().startswith("for "):
-                loops.append(depth)
-        for _, code, _ in locals_:
-            for name, _ in _TOKEN.findall(code):
-                uses[name].append(False)
-        inline = {}
-        for name, code, own in reversed(locals_):
-            if uses[name] == [False]:
-                inline[name] = code, own
-            elif not uses[name]:
-                for used, _ in _TOKEN.findall(code):
-                    uses[used].remove(False)
-
-        def write(m) -> str:
-            if m[1] not in inline:
-                return m[1]
-            code, own = inline[m[1]]
-            code = _TOKEN.sub(write, code)
-            return code if own >= int(m[2]) else "(" + code + ")"
-        defs = ["    %s = %s" % (name, code) for name, code, _ in locals_ if uses[name] and name not in inline]
-        return [_TOKEN.sub(write, line) for line in defs + self.lines]
+        local = self.tuples.get(code)
+        if local is None:
+            local = self.tuples[code] = self._hoist(code)
+        return local
 
     # -- planning ------------------------------------------------------------------------
 
@@ -691,7 +658,7 @@ class _Planner:
         head.append("    _N_" + trigger + " = " + update)
         new = ["_N_" + n if sch.role(n) is Role.AUX or n == trigger else "_R_" + n for n in rels]
         tail = ["    return " + _tup(new + ["_NF_" + n for n in funs])]
-        return "\n".join(head + self._resolve() + tail) + "\n"
+        return "\n".join(head + self.pre + self.lines + tail) + "\n"
 
 
 def lean_context(program, n: int, constants: Mapping[str, int],

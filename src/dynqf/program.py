@@ -75,7 +75,9 @@ class DynamicProgram(Frozen):
     def __init__(self, name: str, schema: Schema, rules: dict[tuple[str, str, str], UpdateRule],
                  query_symbol: str, init: InitSpec):
         self._set_fields(name, schema, rules, query_symbol, init)
-        # not a field: the compiler's code objects by (kind, trigger) and contexts by layout
+        # not a field: the compiler's code objects by (kind, trigger) and contexts by
+        # layout; a Layout equals only itself, never a tuple.  A context refers back
+        # to its program, so a dropped program waits for the cyclic collector
         setfield(self, "_compiled", {})
 
     def __hash__(self):  # programs are compared structurally but hashed loosely
