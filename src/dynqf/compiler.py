@@ -422,16 +422,6 @@ class _Planner:
 
     # -- rules -------------------------------------------------------------------------
 
-    def _binds(self, lits: list[_Node], names: set) -> bool:
-        """Do the equations among lits bind every variable of names, one after
-        another, starting from the trigger parameters?"""
-        bound, eqs = set(self.mvars), [lit for lit in lits if lit.kind is Eq]
-        while True:
-            found = [b[1] for b in [self._binding(lit, bound) for lit in eqs] if b]
-            if not found:
-                return names <= bound
-            bound.update(found)
-
     def _negated_set(self, lit: _Node, tvars: tuple[str, ...]):
         """For lit = !G where each disjunct of G binds all of G's variables:
         those variables in target order.  None otherwise, and None when G
@@ -440,7 +430,7 @@ class _Planner:
         if lit.trig or lit.kind is not Not:
             return None
         names, dnf = self._free(lit.kids[0]), self._dnf(lit.kids[0])
-        if dnf is None or not all([self._binds(d, names) for d in dnf]):
+        if dnf is None or not all([names <= self._bind(d)[1].keys() for d in dnf]):
             return None
         gvars = tuple(v for v in tvars if v in names)
         if gvars != tvars and not all([any([k.trig or k.kind is not Eq for k in d]) for d in dnf]):
@@ -521,7 +511,7 @@ class _Planner:
         else:
             with_s, without_s = fresh, "_E_"
         # each Δ disjunct's guard includes what its bindings x = t make trigger-only
-        delta = [self._substituted(d) for d in delta]
+        delta = [self._bind(d)[0] for d in delta]
         wakes = [self._guard(d) for d in delta]
         wake = "" if "True" in wakes else " or ".join(dict.fromkeys(wakes))
         one = frame == "True" and len(delta) == 1 and self._one_tuple(delta[0], tvars)
@@ -566,34 +556,30 @@ class _Planner:
         local = self._set(lit.kids[0], tvars)
         return "%s - %s if %s and not %s.isdisjoint(%s) else %s" % (base, local, local, base, local, base)
 
-    def _substituted(self, lits: list[_Node]) -> list[_Node]:
+    def _bind(self, lits: list[_Node]) -> tuple[list[_Node], dict[str, _Node]]:
         """The literals with each variable that an equation x = t binds to a
-        trigger term t replaced by t in the others; those made true drop."""
-        done, bound = set(), set(self.mvars)
+        trigger term t replaced by t in the others, those made true dropped,
+        and those variables with their terms.  The equations themselves stay,
+        and bindings chain: once x is replaced, y = u(x) binds y."""
+        done, terms, bound = set(), {}, set(self.mvars)
         while True:
             for lit in lits:
                 binding = lit.kind is Eq and lit not in done and self._binding(lit, bound)
                 if binding:
                     break
             else:
-                return [lit for lit in lits if lit.kind is not TrueConst]
+                return [lit for lit in lits if lit.kind is not TrueConst], terms
             done.add(lit)
-            names = {binding[1]: binding[2]}
-            lits = [k if k is lit else self._renamed(k, names) for k in lits]
+            terms[binding[1]] = binding[2]
+            lits = [k if k is lit else self._renamed(k, {binding[1]: binding[2]}) for k in lits]
 
     def _one_tuple(self, lits: list[_Node], tvars: tuple[str, ...]):
-        """When the literals, their bindings substituted, bind every variable
-        of tvars to a trigger term and test nothing else that reads a
-        variable: code for their trigger-only guard followed by ` and `, or
-        "" if there is none, and code for the tuple.  None otherwise."""
-        lits, bound, terms = self._substituted(lits), set(self.mvars), {}
-        for lit in lits:
-            if not lit.trig:
-                binding = lit.kind is Eq and self._binding(lit, bound)
-                if not binding:
-                    return None
-                terms[binding[1]] = binding[2]
-        if set(terms) != set(tvars):
+        """When the literals bind every variable of tvars to a trigger term
+        and test nothing else that reads a variable: code for their
+        trigger-only guard followed by ` and `, or "" if there is none, and
+        code for the tuple.  None otherwise."""
+        lits, terms = self._bind(lits)
+        if terms.keys() != set(tvars) or len({lit for lit in lits if not lit.trig}) > len(terms):
             return None
         guard = self._guard(lits)
         return "" if guard == "True" else guard + " and ", self._tuple([self._expr(terms[v], _ATOM) for v in tvars])
@@ -665,17 +651,16 @@ def lean_context(program, n: int, constants: Mapping[str, int],
                  builtin_rels: Mapping[str, frozenset], builtin_funs: Mapping[str, Mapping]) -> LeanContext:
     """The context of program on its states over 0..n-1 with these constants
     and built-in interpretations."""
-    lay = layout_of(program.schema, n, constants, builtin_rels, builtin_funs)
+    return _context(program, layout_of(program.schema, n, constants, builtin_rels, builtin_funs))
+
+
+def context_for_state(program, s: State) -> LeanContext:
+    return _context(program, s.layout)
+
+
+def _context(program, lay: Layout) -> LeanContext:
     contexts = program._compiled  # by layout, beside the code objects
     ctx = contexts.get(lay)
     if ctx is None:
         ctx = contexts[lay] = LeanContext(program, lay)
-    return ctx
-
-
-def context_for_state(program, s: State) -> LeanContext:
-    ctx = program._compiled.get(s.layout)
-    if ctx is None:
-        lay = s.layout
-        ctx = lean_context(program, lay.n, lay.constants, lay.builtin_rels, lay.builtin_funs)
     return ctx

@@ -1,5 +1,5 @@
-"""The shipped dynamic programs: loading, base initializers, instance
-guards, class tags, and documented per-state invariants."""
+"""The shipped dynamic programs: loading, instance guards, class tags, and
+documented per-state invariants.  Their bases are in program.BASES."""
 from __future__ import annotations
 
 from pathlib import Path
@@ -8,11 +8,11 @@ from typing import Callable, Mapping
 from .errors import DynqfError, SchemaError
 from .formulas import classify_syntax
 from .parser import parse_program
-from .program import BASE_REGISTRY, DynamicProgram
+from .program import DynamicProgram
 from .queries import (oracle_nonemptyset, oracle_s_twopath, oracle_st_reach,
                       oracle_st_twopath)
 from .records import Frozen, setfield
-from .schema import Role, Schema
+from .schema import Role
 from .state import Modification, State
 
 # An instance guard admits or rejects a modification given the domain size
@@ -40,27 +40,6 @@ GUARDS: dict[str, InstanceGuard] = {
     "any": guard_any,
     "1-layered-st": guard_1layered,
 }
-
-
-# -- base initializers ----------------------------------------------------------
-
-def _succ_pred_tables(n: int) -> tuple[dict, dict]:
-    succ = {(i,): min(i + 1, n - 1) for i in range(n)}
-    pred = {(i,): max(i - 1, 0) for i in range(n)}
-    return succ, pred
-
-
-def _reach1layer_base(schema: Schema, n: int):
-    succ, pred = _succ_pred_tables(n)
-    return {"C": {(0,)}}, {"Succ": succ, "Pred": pred}
-
-
-def _s_twopath_base(schema: Schema, n: int):
-    return {"Empty1": {()}}, {}
-
-
-BASE_REGISTRY.update(reach1layer_base=_reach1layer_base, st_base=BASE_REGISTRY["default"],
-                     s_twopath_base=_s_twopath_base)
 
 
 class ClassTags(Frozen):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .compiler import context_for_state
@@ -114,6 +115,9 @@ def validate_program(p: DynamicProgram) -> None:
     sch = p.schema
     if p.query_symbol not in sch.relations or sch.role(p.query_symbol) is not Role.AUX:
         raise ProgramError(f"query symbol {p.query_symbol!r} must be an aux relation")
+    if sch.arity(p.query_symbol):
+        raise ProgramError(f"query symbol {p.query_symbol!r} must be 0-ary, "
+                           f"not of arity {sch.arity(p.query_symbol)}")
     if not sch.input_relations:
         raise ProgramError("program has no input relations")
     expected = {
@@ -152,18 +156,18 @@ def validate_program(p: DynamicProgram) -> None:
 
 # -- one-step and many-step semantics --------------------------------------------
 
-def apply(p: DynamicProgram, s: State, m: Modification, compiled: bool = True) -> State:
+def apply(p: DynamicProgram, s: State, m: Modification) -> State:
     """The successor state: input updated by `m`, every aux symbol recomputed
     from its rule against the *old* state (simultaneous semantics), built-in
-    part and constants untouched."""
+    part and constants untouched.  The program's compiled applier computes
+    it; `_reference_apply` is the definition it is tested against."""
     check_modification(p.schema, s.n, m)
-    if compiled:
-        ctx = context_for_state(p, s)
-        return ctx.from_lean(ctx.apply(ctx.to_lean(s), m))
-    return _reference_apply(p, s, m)
+    ctx = context_for_state(p, s)
+    return ctx.from_lean(ctx.apply(ctx.to_lean(s), m))
 
 
 def _reference_apply(p: DynamicProgram, s: State, m: Modification) -> State:
+    """`apply` by evaluating each rule body at every tuple of the domain."""
     relations = dict(s.relations)
     functions = dict(s.functions)
     relations[m.relation] = (s.relations[m.relation] | {m.tuple} if m.kind == INS
@@ -195,7 +199,6 @@ def run(
     s0: State,
     seq: Sequence[Modification],
     honest_only: bool = False,
-    compiled: bool = True,
 ) -> list[State]:
     """Left fold of apply; returns every intermediate state, s0 first.
 
@@ -207,7 +210,7 @@ def run(
         cur = trace[-1]
         if honest_only and not is_honest(cur, m):
             raise RejectedSequenceError(f"{m} is not honest here", i)
-        trace.append(apply(p, cur, m, compiled=compiled))
+        trace.append(apply(p, cur, m))
     return trace
 
 
@@ -217,18 +220,32 @@ def run(
 # oracle replay: builder(schema, n) -> (relations, functions), dicts by symbol
 # name; a symbol it leaves out takes make_state's default.
 BaseBuilder = Callable[[Schema, int], tuple[dict, dict]]
-BASE_REGISTRY: dict[str, BaseBuilder] = {"default": lambda schema, n: ({}, {})}
+
+
+def _reach1layer_base(schema: Schema, n: int):
+    """The counter C = {0}, and the clamped successor and predecessor."""
+    return {"C": {(0,)}}, {"Succ": {(i,): min(i + 1, n - 1) for i in range(n)},
+                           "Pred": {(i,): max(i - 1, 0) for i in range(n)}}
+
+
+# every base, by the name an `init` line gives it; no module adds to it
+BASES: Mapping[str, BaseBuilder] = MappingProxyType({
+    "default": lambda schema, n: ({}, {}),
+    "st_base": lambda schema, n: ({}, {}),
+    "s_twopath_base": lambda schema, n: ({"Empty1": {()}}, {}),
+    "reach1layer_base": _reach1layer_base,
+})
 
 
 def base_builder(name: str | None) -> BaseBuilder:
-    """The base registered under `name` ("default" for None); a name
+    """The base named `name` in BASES ("default" for None); a name
     `rel2fun__<inner>` is the function encoding of the base `<inner>`."""
     name = name or "default"
     if name.startswith("rel2fun__"):
         from .transforms import rel2fun_base
         return rel2fun_base(base_builder(name[len("rel2fun__"):]))
     try:
-        return BASE_REGISTRY[name]
+        return BASES[name]
     except KeyError:
         raise ProgramError(f"unknown base initializer {name!r}") from None
 

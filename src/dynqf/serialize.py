@@ -66,6 +66,8 @@ def modification_to_list(m: Modification) -> list:
 
 def modification_from_list(entry: Sequence) -> Modification:
     kind, relation, tup = entry
+    if type(relation) is not str:
+        raise DynqfError(f"relation must be a name, got {relation!r}")
     return Modification(relation, _ints(tup, "tuple elements"), kind)
 
 

@@ -141,12 +141,9 @@ class State(Record):
     def fun(self, name: str) -> dict[tuple[int, ...], int]:
         return self.functions[name]
 
-    def query_value(self, symbol: str):
-        """Value of a 0-ary query symbol as a bool, else the relation itself."""
-        r = self.rel(symbol)
-        if self.schema.arity(symbol) == 0:
-            return () in r
-        return r
+    def query_value(self, symbol: str) -> bool:
+        """The value of a 0-ary relation, such as a program's query symbol."""
+        return () in self.rel(symbol)
 
     def input_part(self) -> "State":
         """The state restricted to input relations plus constants."""

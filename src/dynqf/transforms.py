@@ -9,7 +9,7 @@ from .errors import TransformError
 from .formulas import (App, Const, Eq, EqualityType, Formula, Ite, RelAtom, Var,
                        map_atoms, repeats_var, subst, symbols_used)
 from .program import (BaseBuilder, DynamicProgram, InitSpec, UpdateRule, decode_table,
-                      encode_table, validate_program)
+                      encode_table, frame_rule, validate_program)
 from .schema import Role, Schema
 from .state import DEL, INS, check_table_size
 
@@ -183,10 +183,7 @@ def relations_to_functions(p: DynamicProgram) -> DynamicProgram:
     for cname in (C_TOP, C_BOT):
         for kind in (INS, DEL):
             for trigger in schema.input_relations:
-                ar = p.schema.arity(trigger)
-                params = tuple(f"u{i+1}" for i in range(ar))
-                rules[(cname, kind, trigger)] = UpdateRule(cname, kind, trigger, params, (),
-                                                           App(cname, ()))
+                rules[(cname, kind, trigger)] = frame_rule(schema, cname, kind, trigger)
     if p.init.kind == "table":
         raise TransformError("relations-to-functions does not support table initialization")
     init = InitSpec(p.init.kind, base="rel2fun__" + (p.init.base or "default"))

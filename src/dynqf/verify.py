@@ -89,8 +89,8 @@ class Counterexample(Record):
 
 
 class Verdict(Record):
-    """The outcome of a check; `status` is "ok", "counterexample",
-    "inconclusive" or "resource".
+    """The outcome of a check; `status` is "ok", "counterexample" or
+    "resource".
 
     An exhaustive check counts what its search covered, whatever the status.
     `checked_states` counts each state checked against the oracle (and the

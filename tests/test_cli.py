@@ -55,6 +55,18 @@ def test_run_prints_query_per_step(nes_file, tmp_path, capsys):
     assert "step 1 [ins U(0)]: Q = True" in out
 
 
+def test_run_dump_aux_prints_relations_and_function_tables(tmp_path, capsys):
+    f = tmp_path / "last.dynp"
+    f.write_text("program last\ninput { U/1 }\naux { Q/0, A/1, fun f/1 }\nquery Q\ninit empty\n"
+                 "default frame\non insert U(a):\n  Q(): true\n  A(x): A(x) | x = a\n  f(x) := a\n")
+    script = tmp_path / "s.txt"
+    script.write_text("domain 3\nins U(1)\n")
+    assert main(["run", str(f), str(script), "--dump-aux"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "init: Q = False", "    A = []", "    Q = []", "    f = [((0,), 0), ((1,), 1), ((2,), 2)]",
+        "step 1 [ins U(1)]: Q = True", "    A = [(1,)]", "    Q = [()]", "    f = [((0,), 1), ((1,), 1), ((2,), 1)]"]
+
+
 def test_run_json_trace(nes_file, tmp_path, capsys):
     script = tmp_path / "s.txt"
     script.write_text("domain 3\nins U(0)\ndel U(0)\n")
@@ -365,6 +377,20 @@ def test_transform_dedup_writes_file_and_checks(tmp_path, capsys, nes_file):
                  "--domain", "3", "--maxlen", "4", "--exhaustive"]) == 0
 
 
+def test_transform_dedup_vars_prints_the_program_and_skips_the_check_outside_the_corpus(tmp_path, capsys):
+    f = tmp_path / "loops.dynp"
+    f.write_text("program loops\ninput { U/1 }\naux { Q/0, R/2 }\nquery Q\ninit empty\n"
+                 "on insert U(u):\n  Q(): R(u,u)\n  R(x,y): R(x,y) | (x = u & y = u)\n"
+                 "on delete U(u):\n  Q(): Q()\n  R(x,y): R(x,y)\n")
+    assert main(["transform", str(f), "--pass", "dedup-vars", "--check"]) == 0
+    out = capsys.readouterr().out
+    text, _, last = out.rstrip("\n").rpartition("\n")
+    assert last == "differential check skipped: not a corpus program"
+    q = parse_program(text)
+    assert q.name == "loops_dedup" and q.schema.relations["R_12"] == 1
+    assert "R_12(u)" in text and "R(u,u)" not in text
+
+
 def test_transform_rel2fun_name_clash_is_an_input_error(tmp_path, capsys):
     f = tmp_path / "clash.dynp"
     f.write_text("program clash\ninput { E/1, f_C/1 }\naux { Q/0, C/1 }\nquery Q\n"
@@ -496,6 +522,7 @@ def test_replay_document_that_is_not_an_object(broken_file, tmp_path, capsys, do
     ("expected", "yes", "expected must be true or false, got 'yes'"),
     ("produced", 1, "produced must be true or false, got 1"),
     ("sequence", [["ins", "U", ["a"]], ["del", "U", [0]]], "tuple elements must be integers, got ['a']"),
+    ("sequence", [["ins", ["U"], [0]], ["del", "U", [0]]], "relation must be a name, got ['U']"),
 ])
 def test_replay_document_with_a_malformed_field(broken_file, tmp_path, capsys, field, value, fragment):
     assert main(["verify", broken_file, "--oracle", "non-empty-set",
@@ -544,6 +571,23 @@ def test_replay_refuses_an_initial_state_that_is_not_plain_ints(broken_file, tmp
     f.write_text(json.dumps(doc))
     assert main(["replay", str(f), broken_file, "--oracle", "non-empty-set"]) == 2
     assert_one_line_error(capsys, "verdict.json: malformed counterexample: " + fragment)
+
+
+@pytest.mark.parametrize("mode", [[], ["--random", "5"]], ids=["exhaustive", "random"])
+@pytest.mark.parametrize("body, fragment", [
+    ("aux { Q/0 }\nquery Q\ninit empty\n", "program has no input relations"),
+    ("input { E/2 }\naux { Q/0 }\nquery Q\ninit empty\non insert E(a,a):\n  Q(): true\n"
+     "on delete E(a,b):\n  Q(): false\n", "Q: trigger/target variables must be distinct"),
+    # every check reads the query as one bit: a unary Q used to end a verify
+    # in a counterexample that failed its own replay
+    ("input { U/1 }\naux { Q/1 }\nquery Q\ninit empty\non insert U(a):\n  Q(x): Q(x) | x = a\n"
+     "on delete U(a):\n  Q(x): Q(x) & x != a\n", "query symbol 'Q' must be 0-ary, not of arity 1"),
+], ids=["no-input", "repeated-trigger-variable", "unary-query"])
+def test_a_program_that_fails_validation_is_an_input_error(tmp_path, capsys, body, fragment, mode):
+    f = tmp_path / "bad.dynp"
+    f.write_text("program bad\n" + body)
+    assert main(["verify", str(f), "--oracle", "non-empty-set", "--domain", "3", "--maxlen", "2"] + mode) == 2
+    assert_one_line_error(capsys, fragment)
 
 
 def test_verify_exhaustive_and_random_exclude_each_other(nes_file, capsys):

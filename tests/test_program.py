@@ -78,7 +78,7 @@ def _differential_walk(p, s, rng, steps=25, guard=None, honest=False):
             m = ins(rel, *tup) if rng.random() < 0.6 else delete(rel, *tup)
         if guard is not None and not guard(m, n, s.constants):
             continue
-        fast = apply(p, s, m, compiled=True)
+        fast = apply(p, s, m)
         slow = _reference_apply(p, s, m)
         assert fast == slow
         s = fast
@@ -225,7 +225,7 @@ def test_compiled_and_reference_agree_on_random_programs():
             rel = rng.choice(("E", "U"))
             tup = tuple(rng.randrange(n) for _ in range(sch.arity(rel)))
             m = ins(rel, *tup) if rng.random() < 0.5 else delete(rel, *tup)
-            fast = apply(p, s, m, compiled=True)
+            fast = apply(p, s, m)
             slow = _reference_apply(p, s, m)
             assert fast == slow, (trial, m)
             s = fast

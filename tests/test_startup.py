@@ -50,6 +50,21 @@ print(json.dumps({"status": verdict.status,
                   "dynqf": sorted(m for m in sys.modules if m.startswith("dynqf."))}))
 """
 
+# each shipped program's initial state, built in a process that imports only
+# the parser and the program module: its base must not depend on the corpus
+BASES_CHILD = """
+import json, sys
+from pathlib import Path
+from dynqf.parser import parse_program
+from dynqf.program import empty_input_db, init_state
+data = Path(sys.modules["dynqf"].__file__).parent / "corpus_data"
+sizes = {}
+for name in ("non_empty_set", "reach_1layer_qf", "s_twopath_ternary", "st_twopath_binary"):
+    p = parse_program((data / (name + ".dynp")).read_text(), name)
+    sizes[name] = sum(map(len, init_state(p, empty_input_db(p, 4)).relations.values()))
+print(json.dumps({"sizes": sizes, "dynqf": sorted(m for m in sys.modules if m.startswith("dynqf."))}))
+"""
+
 
 def _env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
@@ -94,9 +109,18 @@ def test_cli_attack_still_runs_in_a_fresh_process():
     assert "witness found" in done.stdout and "self-validation: True" in done.stdout
 
 
+def test_shipped_bases_resolve_without_the_corpus_module():
+    report = _child(BASES_CHILD)
+    assert "dynqf.corpus" not in report["dynqf"]
+    # reach-1layer-qf's base sets C = {0}, and s-twopath-ternary's sets Empty1
+    assert report["sizes"] == {"non_empty_set": 0, "reach_1layer_qf": 1,
+                               "s_twopath_ternary": 1, "st_twopath_binary": 0}
+
+
 if __name__ == "__main__":
     test_cli_process_loads_no_code_generating_module()
     test_cli_verify_loads_no_lower_bound_transform_or_printer_module()
     test_a_random_check_loads_only_the_checker()
     test_cli_attack_still_runs_in_a_fresh_process()
+    test_shipped_bases_resolve_without_the_corpus_module()
     print("test_startup: all passed")

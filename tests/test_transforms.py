@@ -6,7 +6,7 @@ from dynqf.corpus import builtin_program
 from dynqf.errors import TransformError
 from dynqf.formulas import And, RelAtom, atom, classify_syntax
 from dynqf.parser import parse_program
-from dynqf.program import apply, empty_input_db, init_state
+from dynqf.program import _reference_apply, apply, empty_input_db, init_state
 from dynqf.schema import Role
 from dynqf.state import INS, DEL, Modification, is_honest
 from dynqf.transforms import (C_TOP, deletion_depth, dependency_graph,
@@ -102,6 +102,31 @@ def test_dedup_differential_exhaustive():
     # 3 honest choices at every state: 1 + 3 + ... + 3^5 prefixes
     checked = paired_differential(p, q, 3, 5)
     assert checked == 364
+
+
+TABLE_SRC = """
+program loops
+input { E/2 }
+aux   { Q/0, R/2 }
+query Q
+init  table { R = (0,0) (1,2) (2,2) }
+on insert E(a,b):
+  Q(): R(b,b)
+  R(x,y): R(x,y) | (x = a & y = b)
+on delete E(a,b):
+  Q(): R(a,a) & a != b
+  R(x,y): R(x,y) & !(x = a & y = b)
+"""
+
+
+def test_dedup_carries_an_init_table_to_the_fresh_relations():
+    p = parse_program(TABLE_SRC)
+    q = eliminate_repeated_variables(p)
+    # R_12 holds the tuples of R whose two positions are equal, collapsed
+    s = init_state(q, empty_input_db(q, 3))
+    assert s.rel("R_12") == {(0,), (2,)} and s.rel("R") == {(0, 0), (1, 2), (2, 2)}
+    # 9 honest choices at every state: 1 + 9 + 81 + 729 prefixes
+    assert paired_differential(p, q, 3, 3) == 820
 
 
 def test_dedup_rejects_function_programs():
@@ -283,14 +308,14 @@ def seeded_walks_agree(p1, p2, n, seed, walks=20, length=8):
     rng = random.Random(seed)
     rel = p1.schema.input_relations[0]
     tuples = list(itertools.product(range(n), repeat=p1.schema.arity(rel)))
-    for compiled in (True, False):
+    for step in (apply, _reference_apply):
         for _ in range(walks):
             a = init_state(p1, empty_input_db(p1, n))
             b = init_state(p2, empty_input_db(p2, n))
             for _ in range(length):
                 t = rng.choice(tuples)
                 m = Modification(rel, t, DEL if t in a.rel(rel) else INS)
-                a, b = apply(p1, a, m, compiled=compiled), apply(p2, b, m, compiled=compiled)
+                a, b = step(p1, a, m), step(p2, b, m)
                 assert a.query_value(p1.query_symbol) == b.query_value(p2.query_symbol)
 
 

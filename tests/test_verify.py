@@ -12,7 +12,8 @@ from dynqf.corpus import GUARDS, builtin_program, corpus_source, strawman_progra
 from dynqf.errors import DynqfError, GuardError, ResourceLimitError
 from dynqf.formulas import And, Not, Or, eval_term, terms_up_to_depth
 from dynqf.parser import parse_program
-from dynqf.program import DynamicProgram, UpdateRule, apply, empty_input_db, init_state, run
+from dynqf.program import (DynamicProgram, UpdateRule, _reference_apply, apply, empty_input_db,
+                           init_state, run)
 from dynqf.queries import (ORACLES, is_query, oracle_k_clique, oracle_nonemptyset,
                            oracle_st_reach, oracle_st_twopath)
 from dynqf.schema import Role, make_schema
@@ -1268,10 +1269,12 @@ FOLD_PROGRAMS = {
 
 
 def _fold_to_state(p, s, seq):
-    """The suites' lean fold from s, checked against run, compiled and not."""
+    """The suites' lean fold from s, checked against run and against the reference evaluator."""
     ctx = context_for_state(p, s)
     end = ctx.from_lean(_fold(ctx, ctx.to_lean(s), seq))
-    reference = run(p, s, seq, compiled=False)[-1]
+    reference = s
+    for m in seq:
+        reference = _reference_apply(p, reference, m)
     assert end == run(p, s, seq)[-1] == reference
     assert end.functions == reference.functions
     return end
