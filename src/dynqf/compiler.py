@@ -10,7 +10,11 @@ over the old state:
   - simplify while interning: `t = t` folds to true, and true and false are
     carried through Not, And, Or and Ite;
   - hoist: a compound subformula or term over the trigger parameters alone
-    is computed once per call, in a local shared by all rules of the applier;
+    is computed once per call, in a local shared by all rules of the
+    applier, when it is a rule body, a part of two different nodes of the
+    rule bodies, or read as a part of a node that reads a variable.  Parents
+    are recorded from the interned bodies before planning, so a node that
+    planning builds to try a rewrite and drops changes no source;
   - a relational rule body goes to DNF, its trigger-only parts and negations
     opaque, and a disjunct holding !(l1 & ... & lk) and every li is dropped;
     in each disjunct, trigger-only literals guard, `x = t` binds x (putting
@@ -27,7 +31,8 @@ over the old state:
     such frame, a disjunct R(x̄) & !G, where each disjunct of G binds all
     of x̄, makes the result (R − G) ∪ Δ.  Such a G, or a Δ beside an
     unguarded frame, that is one trigger tuple t is a membership test on t,
-    without a set;
+    without a set, and on the old R the test is the local of R(t) when that
+    atom is hoisted;
   - factor: a literal !G in every disjunct, where each disjunct of G binds
     all of G's variables, is taken out of the disjuncts and applied once to
     their union: G is planned like a delta query into a set of its tuples,
@@ -62,7 +67,6 @@ class LeanContext:
     """The compiled appliers of one program on the states of one layout."""
 
     def __init__(self, program, layout: Layout):
-        self.program = program
         self.layout = layout
         self.rel_index = layout.rel_index
         self.query_index = layout.rel_index[program.query_symbol]
@@ -162,10 +166,12 @@ class _Planner:
         self.trigger = trigger
         self.mvars = tuple("m%d" % i for i in range(self.schema.arity(trigger)))
         self.nodes: dict[tuple, _Node] = {}  # (kind, name, kid ids) -> node
-        # id of a trigger-only compound node -> the id of its one trigger-only
-        # parent, or _HOIST once it also has another parent or is a rule root
+        # id of a trigger-only compound node of the rule bodies -> the id of its
+        # one trigger-only parent there, or _HOIST once it also has another
+        # parent or is a rule body; and _HOIST for any such node once it is
+        # read as a part of a node that reads a variable
         self.parents: dict[int, int] = {}
-        self.code: dict[int, tuple[str, int]] = {}  # trigger-only node id -> code or local, precedence
+        self.code: dict[int, str] = {}  # hoisted node id -> its local
         self.pre: list[str] = []        # the hoisted assignments
         self.tuples: dict[str, str] = {}  # code of a tuple of trigger terms -> its local
         self.lines: list[str] = []      # the rules
@@ -204,14 +210,20 @@ class _Planner:
             n = self.nodes[key] = _Node()
             n.id, n.kind, n.name, n.kids, n.fv = len(self.nodes), kind, name, kids, None
             n.trig = name in self.mvars if kind is Var else all([k.trig for k in kids])
-            for k in kids:
-                if k.trig and k.kind not in _LEAVES:
-                    self._parent(k.id, n.id if n.trig else _HOIST)
         return n
 
-    def _parent(self, nid: int, parent: int) -> None:
-        if self.parents.setdefault(nid, parent) != parent:
-            self.parents[nid] = _HOIST
+    def _record_parents(self, node: _Node, seen: set[int]) -> None:
+        """Record the parent of each trigger-only compound part of node, a
+        rule body, and of its parts, visiting each node once."""
+        if node.id in seen:
+            return
+        seen.add(node.id)
+        for k in node.kids:
+            if k.trig and k.kind not in _LEAVES:
+                parent = node.id if node.trig else _HOIST
+                if self.parents.setdefault(k.id, parent) != parent:
+                    self.parents[k.id] = _HOIST
+            self._record_parents(k, seen)
 
     def _free(self, node: _Node) -> set[str]:
         """The variables of node that are not trigger parameters."""
@@ -234,12 +246,13 @@ class _Planner:
             return "_C_" + name, _ATOM
         if kind is TrueConst or kind is FalseConst:
             return str(kind is TrueConst), _ATOM
+        expr = self._expr if node.trig else self._part
         if kind is Not:
-            return "not " + self._expr(kids[0], _NOT), _NOT
+            return "not " + expr(kids[0], _NOT), _NOT
         if kind is And or kind is Or:
             prec, op = (_AND, " and ") if kind is And else (_OR, " or ")
-            return self._expr(kids[0], prec) + op + self._expr(kids[1], prec), prec
-        args = [self._expr(k, _ATOM) for k in kids]
+            return expr(kids[0], prec) + op + expr(kids[1], prec), prec
+        args = [expr(k, _ATOM) for k in kids]
         builtin = name is not None and self.schema.role(name) is Role.BUILTIN
         if kind is App:
             idx = args[0] if args else "0"
@@ -254,21 +267,28 @@ class _Planner:
         return "(%s if %s else %s)" % (args[1], args[0], args[2]), _ATOM  # Ite
 
     def _hoists(self, node: _Node) -> bool:
-        """Is node trigger-only and a literal of its rule, or shared by two
-        different parents?"""
+        """Is node trigger-only and compound, and a rule body, a part of two
+        different nodes of the bodies, or read as a part of a node that
+        reads a variable?"""
         return self.parents.get(node.id) == _HOIST
 
     def _expr(self, node: _Node, prec: int = _OR) -> str:
         """Code for node, or the local that it is hoisted to, parenthesized
         if it binds looser than prec.  `not` of a local is not hoisted again."""
-        entry = self.code.get(node.id) if node.trig else self._render(node)
-        if entry is None:
-            entry = self._render(node)
-            if self._hoists(node) and not (node.kind is Not and self._hoists(node.kids[0])):
-                entry = (self._hoist(entry[0]), _ATOM)
-            self.code[node.id] = entry
-        code, own = entry
+        if node.id in self.code:
+            return self.code[node.id]
+        code, own = self._render(node)
+        if self._hoists(node) and not (node.kind is Not and self._hoists(node.kids[0])):
+            code, own = self._hoist(code), _ATOM
+            self.code[node.id] = code
         return code if own >= prec else "(" + code + ")"
+
+    def _part(self, node: _Node, prec: int = _ATOM) -> str:
+        """Code for node as a part of a node that reads a variable, and so
+        is computed once per tuple: a trigger-only compound node is hoisted."""
+        if node.trig and node.kind not in _LEAVES:
+            self.parents[node.id] = _HOIST
+        return self._expr(node, prec)
 
     def _hoist(self, code: str) -> str:
         """A new local holding code, computed before the rules."""
@@ -384,7 +404,7 @@ class _Planner:
                         free.remove(a.name)
                     else:
                         targets.append("_k%d" % temps)
-                        conds.append("_k%d == %s" % (temps, self._expr(a, _ATOM)))
+                        conds.append("_k%d == %s" % (temps, self._part(a)))
                         temps += 1
                 if targets == list(tvars):  # the scanned tuple is the one to add
                     self.alias = {v: "_t[%d]" % j for j, v in enumerate(tvars)}
@@ -392,8 +412,9 @@ class _Planner:
                 self.lines.append(ind + "for " + loop + " in _R_" + gen.name + ":")
             ind += "    "
         ind = self._if(ind, conds)
-        items = [self._expr(subst[v], _ATOM) if v in subst else self.alias.get(v, v) for v in tvars]
         trig = all([v in subst and subst[v].trig for v in tvars])
+        read = self._expr if trig else self._part
+        items = [read(subst[v], _ATOM) if v in subst else self.alias.get(v, v) for v in tvars]
         self.lines.append(ind + out + ".add(" + self._tuple(items, trig) + ")")
         self.alias = {}
 
@@ -514,10 +535,10 @@ class _Planner:
         delta = [self._bind(d)[0] for d in delta]
         wakes = [self._guard(d) for d in delta]
         wake = "" if "True" in wakes else " or ".join(dict.fromkeys(wakes))
-        one = frame == "True" and len(delta) == 1 and self._one_tuple(delta[0], tvars)
+        one = frame == "True" and len(delta) == 1 and self._one_tuple(delta[0], tvars, base, False)
         if one:  # Δ is one trigger tuple: a membership test, and no set
-            guard, tup = one
-            lines.append("    %s = %s | {%s} if %s%s not in %s else %s" % (new, base, tup, guard, tup, base, base))
+            tup, test = one
+            lines.append("    %s = %s | {%s} if %s else %s" % (new, base, tup, test, base))
             delta = []
         elif (wake or not delta) and without_s != new:  # the result unless Δ is built
             lines.append("    %s = %s" % (new, without_s))
@@ -549,10 +570,10 @@ class _Planner:
         of tvars: one trigger tuple is removed after a membership test, and
         any other G is planned into a set."""
         dnf = self._dnf(lit.kids[0])
-        one = len(dnf) == 1 and self._one_tuple(dnf[0], tvars)
+        one = len(dnf) == 1 and self._one_tuple(dnf[0], tvars, base, True)
         if one:
-            guard, tup = one
-            return "%s - {%s} if %s%s in %s else %s" % (base, tup, guard, tup, base, base)
+            tup, test = one
+            return "%s - {%s} if %s else %s" % (base, tup, test, base)
         local = self._set(lit.kids[0], tvars)
         return "%s - %s if %s and not %s.isdisjoint(%s) else %s" % (base, local, local, base, local, base)
 
@@ -573,16 +594,24 @@ class _Planner:
             terms[binding[1]] = binding[2]
             lits = [k if k is lit else self._renamed(k, {binding[1]: binding[2]}) for k in lits]
 
-    def _one_tuple(self, lits: list[_Node], tvars: tuple[str, ...]):
+    def _one_tuple(self, lits: list[_Node], tvars: tuple[str, ...], base: str, present: bool):
         """When the literals bind every variable of tvars to a trigger term
-        and test nothing else that reads a variable: code for their
-        trigger-only guard followed by ` and `, or "" if there is none, and
-        code for the tuple.  None otherwise."""
+        and test nothing else that reads a variable: code for the tuple, and
+        for their trigger-only guard and the test that the tuple is (present)
+        or is not in base, where on an old relation `_R_X` the local of a
+        hoisted atom X(t̄) is the test.  None otherwise."""
         lits, terms = self._bind(lits)
         if terms.keys() != set(tvars) or len({lit for lit in lits if not lit.trig}) > len(terms):
             return None
         guard = self._guard(lits)
-        return "" if guard == "True" else guard + " and ", self._tuple([self._expr(terms[v], _ATOM) for v in tvars])
+        terms = tuple([terms[v] for v in tvars])
+        tup = self._tuple([self._expr(t, _ATOM) for t in terms])
+        atom = base.startswith("_R_") and self._node(RelAtom, base[3:], terms)
+        if atom and self._hoists(atom):
+            test = ("" if present else "not ") + self._expr(atom, _NOT)
+        else:
+            test = tup + (" in " if present else " not in ") + base
+        return tup, test if guard == "True" else guard + " and " + test
 
     def _common(self, new: str, tvars: tuple[str, ...], common: Mapping[_Node, tuple]) -> None:
         """Apply the factored literals !G to the relation `new`.  When G's
@@ -620,13 +649,14 @@ class _Planner:
 
     def source(self) -> str:
         sch, trigger, mvars = self.schema, self.trigger, self.mvars
-        rules = []
+        rules, seen = [], set()
         for target in sch.aux_symbols:
             rule = self.program.rule(target, self.kind, trigger)
             tvars = tuple("t%d" % j for j in range(sch.arity(target)))
             body = self._intern(rule.body, dict(zip(rule.params + rule.target_params, mvars + tvars)))
             if body.trig and body.kind not in _LEAVES:
                 self.parents[body.id] = _HOIST
+            self._record_parents(body, seen)
             rules.append((target, tvars, body))
         for target, tvars, body in rules:
             if target in sch.relations:

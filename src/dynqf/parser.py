@@ -52,22 +52,20 @@ def position(text: str, index: int) -> tuple[int, int]:
 
 
 class TokenStream:
-    """A cursor over the tokens of `text`, or over `tokens`, a part of them
-    that starts with token number `base`.  `accept`, `expect` and `at`
+    """A cursor over the tokens of `text`.  `accept`, `expect` and `at`
     compare token strings only: no punctuation is a word, and no word or
     punctuation is an integer."""
 
-    def __init__(self, text: str, filename: str, tokens: list[str] | None = None, base: int = 0):
+    def __init__(self, text: str, filename: str):
         self.text = text
         self.filename = filename
-        self.tokens = tokenize(text, filename) if tokens is None else tokens
-        self.base = base
+        self.tokens = tokenize(text, filename)
         self.pos = 0
         self.cur = self.tokens[0]
 
     def error(self, message: str, at: int | None = None):
         """A ParseError at the token at index `at`, by default the current one."""
-        line, col = position(self.text, self.base + (self.pos if at is None else at))
+        line, col = position(self.text, self.pos if at is None else at)
         raise ParseError(message, line, col, self.filename)
 
     def advance(self) -> str:
@@ -203,19 +201,20 @@ class FormulaParser:
 
 
 def parse_formula(text: str, schema: Schema, vars: set[str] | None = None) -> Formula:
-    ts = TokenStream(text, "<formula>")
-    f = FormulaParser(ts, schema, vars or set()).formula()
-    if ts.cur:
-        ts.error(f"trailing input {ts.cur!r}")
-    return f
+    return _parse_whole(text, "<formula>", schema, vars, FormulaParser.formula)
 
 
 def parse_term(text: str, schema: Schema, vars: set[str] | None = None) -> Term:
-    ts = TokenStream(text, "<term>")
-    t = FormulaParser(ts, schema, vars or set()).term()
+    return _parse_whole(text, "<term>", schema, vars, FormulaParser.term)
+
+
+def _parse_whole(text: str, filename: str, schema: Schema, vars: set[str] | None, read):
+    """What read, a FormulaParser method, reads from all of text."""
+    ts = TokenStream(text, filename)
+    out = read(FormulaParser(ts, schema, vars or set()))
     if ts.cur:
         ts.error(f"trailing input {ts.cur!r}")
-    return t
+    return out
 
 
 # -- programs --------------------------------------------------------------------
@@ -232,7 +231,7 @@ def parse_program(text: str, filename: str = "<program>") -> DynamicProgram:
     bi_funs: dict[str, int] = {}
     constants: list[str] = []
     query: str | None = None
-    init: InitSpec | None = None
+    init, rows = InitSpec("empty"), None
     default_frame = False
 
     def parse_symbol_block(rels: dict[str, int], funs: dict[str, int] | None):
@@ -267,15 +266,13 @@ def parse_program(text: str, filename: str = "<program>") -> DynamicProgram:
         elif section == "query":
             query = ts.expect_ident()
         elif section == "init":
-            init = _parse_init(ts)
+            init, rows = _parse_init(ts)
 
     schema = make_schema(input_rels, aux_rels, aux_funs, bi_rels, bi_funs, tuple(constants))
     if query is None:
         ts.error("missing 'query' section")
-    if init is None:
-        init = InitSpec("empty")
-    if init.kind == "table":
-        init = _resolve_table(ts, init, schema)
+    if rows is not None:
+        init = InitSpec("table", table=_table(ts, rows, schema))
 
     rules: dict[tuple[str, str, str], UpdateRule] = {}
     while ts.at("on", "default"):
@@ -337,55 +334,54 @@ def parse_program(text: str, filename: str = "<program>") -> DynamicProgram:
     return program
 
 
-def _parse_init(ts: TokenStream) -> InitSpec:
+def _parse_init(ts: TokenStream):
+    """The InitSpec of an `init` section and, for a table, its rows, each
+    (symbol, index of its token, entries), an entry being (tuple, index of
+    the token after it, the value after `->` or None).  The rows are
+    resolved once the schema is known."""
     if ts.at("empty", "oracle"):
         kind = ts.advance()
-        base = None
-        if ts.at_ident() and not ts.at(*_SECTIONS, "on", "default"):
-            base = ts.advance()
-        return InitSpec(kind, base=base)
-    if ts.accept("table"):
-        # remember the token range; resolved once the schema is known
-        start = ts.pos
-        ts.expect("{")
-        depth = 1
-        while depth:
-            tok = ts.advance()
-            if not tok:
-                ts.error("unterminated table initializer")
-            if tok == "{":
-                depth += 1
-            elif tok == "}":
-                depth -= 1
-        return InitSpec("table", table=("pending", start, ts.pos))
-    ts.error("expected one of: empty, oracle, table")
+        base = ts.advance() if ts.at_ident() and not ts.at(*_SECTIONS, "on", "default") else None
+        return InitSpec(kind, base=base), None
+    if not ts.accept("table"):
+        ts.error("expected one of: empty, oracle, table")
+    ts.expect("{")
+    rows = []
+    while not ts.accept("}"):
+        if not ts.cur:
+            ts.error("unterminated table initializer")
+        sym_at, sym = ts.pos, ts.expect_ident()
+        ts.expect("=")
+        entries = []
+        while ts.at("("):
+            tup = tuple(ts.items(ts.expect_int))
+            entries.append((tup, ts.pos, ts.expect_int() if ts.accept("->") else None))
+        rows.append((sym, sym_at, entries))
+        ts.accept(";")
+    return InitSpec("table"), rows
 
 
-def _resolve_table(ts: TokenStream, init: InitSpec, schema: Schema) -> InitSpec:
-    _, start, end = init.table
-    sub = TokenStream(ts.text, ts.filename, ts.tokens[start:end] + [""], start)
-    sub.expect("{")
+def _table(ts: TokenStream, rows: list, schema: Schema) -> tuple:
+    """The encoded table of the rows: a relation row lists tuples, and a
+    function row maps each tuple `->` a value."""
     relations: dict[str, list[tuple[int, ...]]] = {}
     functions: dict[str, dict[tuple[int, ...], int]] = {}
-    while not sub.at("}"):
-        sym_at = sub.pos
-        sym = sub.expect_ident()
-        sub.expect("=")
+    for sym, sym_at, entries in rows:
         if sym in schema.relations:
-            entries = relations.setdefault(sym, [])
+            tuples = relations.setdefault(sym, [])
+            for tup, at, value in entries:
+                if value is not None:
+                    ts.error(f"'->' gives a function value, but {sym!r} is a relation", at)
+                tuples.append(tup)
         elif sym in schema.functions:
-            fentries = functions.setdefault(sym, {})
+            table = functions.setdefault(sym, {})
+            for tup, at, value in entries:
+                if value is None:
+                    ts.error(f"expected '->', found {ts.tokens[at]!r}", at)
+                table[tup] = value
         else:
-            sub.error(f"unknown symbol {sym!r} in table", sym_at)
-        while sub.at("("):
-            tup = sub.items(sub.expect_int)
-            if sym in schema.relations:
-                entries.append(tuple(tup))
-            else:
-                sub.expect("->")
-                fentries[tuple(tup)] = sub.expect_int()
-        sub.accept(";")
-    return InitSpec("table", table=encode_table(relations, functions))
+            ts.error(f"unknown symbol {sym!r} in table", sym_at)
+    return encode_table(relations, functions)
 
 
 # -- modification scripts -----------------------------------------------------------

@@ -77,8 +77,8 @@ class DynamicProgram(Frozen):
                  query_symbol: str, init: InitSpec):
         self._set_fields(name, schema, rules, query_symbol, init)
         # not a field: the compiler's code objects by (kind, trigger) and contexts by
-        # layout; a Layout equals only itself, never a tuple.  A context refers back
-        # to its program, so a dropped program waits for the cyclic collector
+        # layout; a Layout equals only itself, never a tuple.  No context refers back
+        # to its program, so reference counting frees a dropped program
         setfield(self, "_compiled", {})
 
     def __hash__(self):  # programs are compared structurally but hashed loosely

@@ -18,7 +18,6 @@ from .state import State, make_state
 ST_GRAPH_SCHEMA = make_schema(input_relations={"E": 2}, constants=("s", "t"))
 S_GRAPH_SCHEMA = make_schema(input_relations={"E": 2}, constants=("s",))
 PLAIN_GRAPH_SCHEMA = make_schema(input_relations={"E": 2})
-SET_SCHEMA = make_schema(input_relations={"U": 1})
 
 
 def graph_state(n: int, edges: Iterable[tuple[int, int]],

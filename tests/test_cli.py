@@ -367,7 +367,7 @@ def test_attack_cq_adversary(tmp_path, capsys):
     assert doc["step"] == len(doc["sequence"]) == 4
 
 
-def test_transform_dedup_writes_file_and_checks(tmp_path, capsys, nes_file):
+def test_transform_rel2fun_writes_file_and_checks(tmp_path, capsys, nes_file):
     out = tmp_path / "out.dynp"
     assert main(["transform", nes_file, "--pass", "rel2fun", "-o", str(out), "--check"]) == 0
     text = capsys.readouterr().out
@@ -571,6 +571,22 @@ def test_replay_refuses_an_initial_state_that_is_not_plain_ints(broken_file, tmp
     f.write_text(json.dumps(doc))
     assert main(["replay", str(f), broken_file, "--oracle", "non-empty-set"]) == 2
     assert_one_line_error(capsys, "verdict.json: malformed counterexample: " + fragment)
+
+
+@pytest.mark.parametrize("field, value, fragment", [
+    ("relations", {"U": [[0, 1]]}, "tuple (0, 1) has wrong arity for 'U'"),
+    ("relations", {"U": [[3]]}, "tuple (3,) of 'U' leaves the domain"),
+    ("constants", {"s": 0}, "constant interpretations do not match schema"),
+], ids=["wrong-arity", "out-of-domain", "extra-constant"])
+def test_replay_refuses_an_initial_state_outside_the_schema(broken_file, tmp_path, capsys, field, value, fragment):
+    assert main(["verify", broken_file, "--oracle", "non-empty-set",
+                 "--domain", "3", "--maxlen", "4", "--exhaustive", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)["counterexample"]
+    doc["initial"][field] = value
+    f = tmp_path / "cex.json"
+    f.write_text(json.dumps(doc))
+    assert main(["replay", str(f), broken_file, "--oracle", "non-empty-set"]) == 2
+    assert_one_line_error(capsys, "cex.json: malformed counterexample: " + fragment)
 
 
 @pytest.mark.parametrize("mode", [[], ["--random", "5"]], ids=["exhaustive", "random"])

@@ -11,8 +11,11 @@ import pytest
 from dynqf.compiler import _Planner, context_for_state, lean_context
 from dynqf.corpus import builtin_program
 from dynqf.errors import TransformError
+from dynqf.formulas import And, App, Const, Eq, FALSE, Ite, Not, Or, RelAtom, TRUE, Var
 from dynqf.parser import parse_program
-from dynqf.program import _reference_apply, apply, empty_input_db, init_state
+from dynqf.program import (DynamicProgram, InitSpec, UpdateRule, _reference_apply, apply,
+                           empty_input_db, init_state, validate_program)
+from dynqf.schema import make_schema
 from dynqf.state import DEL, INS, delete, ins
 
 HEADER = """
@@ -212,7 +215,7 @@ def _shipped_with_transforms():
 
 # sha256 over the sources of those programs' appliers, in order; a planner
 # change that alters the generated code updates it and says why
-APPLIER_SOURCES_SHA256 = "f481bbb59cde4f2982edd39060dee8fcd980637834557467e78e0d54c5b79319"
+APPLIER_SOURCES_SHA256 = "c36f97ba43a5ad86af07a37ba8a519b31b53eb7fb29afd163fd7c8fe608020d0"
 
 
 def test_applier_sources_are_pinned():
@@ -223,6 +226,50 @@ def test_applier_sources_are_pinned():
                 digest.update(_Planner(p, kind, trigger).source().encode())
                 count += 1
     assert (count, digest.hexdigest()) == (40, APPLIER_SOURCES_SHA256)
+
+
+class _Probing(_Planner):
+    """A planner that builds and drops nodes before each relational rule:
+    the negation of every node of the body, and each disjunct with its
+    bindings substituted and its negated sets tried."""
+
+    def _relation(self, target, tvars, body):
+        todo, seen = [body], set()
+        while todo:
+            node = todo.pop()
+            if node.id not in seen:
+                seen.add(node.id)
+                self._node(Not, None, (node,))
+                todo.extend(node.kids)
+        for d in self._dnf(body) or [[body]]:
+            self._bind(d)
+            for lit in d:
+                self._negated_set(lit, tvars)
+        super()._relation(target, tvars, body)
+
+
+def test_nodes_built_and_dropped_while_planning_change_no_source():
+    programs = [*_shipped_with_transforms(), *[program(shape) for shape in sorted(SHAPES)],
+                *[random_program(random.Random(i), f"gen{i}") for i in range(300)]]
+    for p in programs:
+        for trigger in sorted(p.schema.input_relations):
+            for kind in (INS, DEL):
+                assert _Probing(p, kind, trigger).source() == _Planner(p, kind, trigger).source(), \
+                    (p.name, kind, trigger)
+
+
+def test_a_one_tuple_test_on_the_old_relation_reads_the_hoisted_atom():
+    insertion = source(builtin_program("s-twopath-ternary").program, "ins", "E")
+    a = _local(insertion, "(m0,)")
+    out = _local(insertion, a + " in _R_Out")
+    assert "_N_Out = _R_Out | {%s} if not %s else _R_Out\n" % (a, out) in insertion
+    deletion = source(builtin_program("non-empty-set").program, "del", "U")
+    assert "_N_First = _R_First - {_m} if %s else _R_First\n" % _local(deletion, "_m in _R_First") in deletion
+    # a test on the new relation keeps its probe
+    both = source(program("bind-constant"), "ins", "U")
+    a, s = _local(both, "_m in _R_A"), _local(both, "(_C_s,)")
+    assert "_N_A = _R_A - {_m} if %s else _R_A\n" % a in both
+    assert "_N_A = _N_A | {%s} if %s and %s not in _N_A else _N_A\n" % (s, a, s) in both
 
 
 def test_trigger_tuples_are_built_once_and_scanned_tuples_reused():
@@ -261,6 +308,24 @@ def test_contexts_and_code_live_on_their_program():
     del p, ctx
     gc.collect()
     assert dead() is None
+
+
+def test_a_dropped_program_is_freed_without_the_cyclic_collector():
+    import gc
+    import weakref
+    p = program("frame-or")
+    s = init_state(p, empty_input_db(p, 3))
+    ctx = context_for_state(p, s)
+    ctx.apply(ctx.to_lean(s), ins("U", 1))
+    dead = weakref.ref(p)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del p, ctx
+        assert dead() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_no_applier_compares_a_value_with_itself():
@@ -386,3 +451,117 @@ def test_delta_blocks_wake_on_substituted_literals_and_one_tuple_needs_no_set():
     assert "_s = set()" not in one
     t = _local(one, "(m0, %s)" % _local(one, "_F_f[m1]"))
     assert "_N_B = _R_B | {%s} if %s in _R_A and %s not in _R_B else _R_B\n" % (t, _local(one, "(m0,)"), t) in one
+
+
+# -- random programs, for the differential and planner tests --------------------
+
+RANDOM_SCHEMA = make_schema(input_relations={"E": 2, "U": 1},
+                            aux_relations={"Q": 0, "A": 1, "B": 2},
+                            aux_functions={"g": 1, "c": 0},
+                            builtin_functions={"h": 1},
+                            constants=("s",))
+
+
+def _rand_term(rng, vars, depth):
+    choices = ["var", "const"]
+    if depth > 0:
+        choices += ["g", "h", "c", "ite"]
+    kind = rng.choice(choices)
+    if kind == "var":
+        return Var(rng.choice(vars))
+    if kind == "const":
+        return Const("s")
+    if kind in ("g", "h"):
+        return App(kind, (_rand_term(rng, vars, depth - 1),))
+    if kind == "c":
+        return App("c", ())
+    return Ite(_rand_formula(rng, vars, depth - 1),
+               _rand_term(rng, vars, depth - 1), _rand_term(rng, vars, depth - 1))
+
+
+def _rand_formula(rng, vars, depth):
+    atoms = [
+        lambda: RelAtom("E", (_rand_term(rng, vars, depth), _rand_term(rng, vars, depth))),
+        lambda: RelAtom("U", (_rand_term(rng, vars, depth),)),
+        lambda: RelAtom("A", (_rand_term(rng, vars, depth),)),
+        lambda: RelAtom("B", (_rand_term(rng, vars, depth), _rand_term(rng, vars, depth))),
+        lambda: RelAtom("Q", ()),
+        lambda: Eq(_rand_term(rng, vars, depth), _rand_term(rng, vars, depth)),
+        lambda: TRUE,
+        lambda: FALSE,
+    ]
+    if depth <= 0:
+        return rng.choice(atoms)()
+    kind = rng.choice(["atom", "not", "and", "or"])
+    if kind == "atom":
+        return rng.choice(atoms)()
+    if kind == "not":
+        return Not(_rand_formula(rng, vars, depth - 1))
+    left, right = _rand_formula(rng, vars, depth - 1), _rand_formula(rng, vars, depth - 1)
+    return And(left, right) if kind == "and" else Or(left, right)
+
+
+def _seeded(rng, target, params, tparams, body):
+    """Body reshaped into one of the forms the planner rewrites: t = t,
+    l & !l, R(y) & g with g over the trigger alone, R(y) & !G with
+    G binding some or all target variables to the trigger, and
+    R(y) & (L | g)."""
+    vars = list(params + tparams)
+    own = RelAtom(target, tuple(Var(v) for v in tparams))
+    form = rng.choice(["plain", "reflexive", "contradiction", "guarded-frame", "negation", "negations",
+                       "frame-minus", "trigger-side-filter"])
+    if form == "reflexive":
+        t = _rand_term(rng, vars, 1)
+        return And(Or(body, Eq(t, t)), Eq(t, t)) if rng.random() < 0.5 else Or(body, Not(Eq(t, t)))
+    if form == "contradiction":
+        lit = _rand_formula(rng, vars, 1)
+        return Or(body, And(And(lit, _rand_formula(rng, vars, 0)), Not(lit)))
+    if form == "guarded-frame":
+        return Or(And(own, _rand_formula(rng, list(params), 1)), body)
+    if form == "negation":
+        gamma = And(Eq(Var(rng.choice(tparams)), Var(rng.choice(params))), _rand_formula(rng, vars, 1))
+        for y in tparams:
+            if rng.random() < 0.5:
+                gamma = And(gamma, Eq(_rand_term(rng, list(params), 1), Var(y)))
+        return And(Not(gamma), Or(own, body) if rng.random() < 0.7 else body)
+    if form == "negations":  # one condition on each target variable
+        u, lit = Var(rng.choice(params)), _rand_formula(rng, list(params), 0)
+        for y in tparams:
+            body = And(Not(And(Or(Eq(Var(y), u), Eq(Var(y), App("g", (u,)))),
+                               And(RelAtom("A", (Var(y),)), lit))), body)
+        return Or(own, body) if rng.random() < 0.5 else body
+    if form == "frame-minus":  # R(y) & !G, where G binds every target variable
+        gamma = _rand_formula(rng, vars, 0)
+        for y in tparams:
+            gamma = And(Eq(Var(y), _rand_term(rng, list(params), 1)), gamma)
+        if rng.random() < 0.3:  # two disjuncts, so G is a set and not one tuple
+            gamma = Or(gamma, gamma)
+        return Or(And(own, Not(gamma)), body)
+    if form == "trigger-side-filter":  # R(y) & (L | g) with g over the trigger alone
+        g = _rand_formula(rng, list(params), 1)
+        return Or(And(own, Or(_rand_formula(rng, vars, 1), g) if rng.random() < 0.5
+                      else Or(g, _rand_formula(rng, vars, 1))), body)
+    return body
+
+
+def random_program(rng, name):
+    """A program over RANDOM_SCHEMA with random rule bodies, some of them
+    reshaped into the forms the planner rewrites."""
+    rules = {}
+    for trigger, t_ar in (("E", 2), ("U", 1)):
+        params = tuple(f"u{i}" for i in range(t_ar))
+        for kind in ("ins", "del"):
+            for target in ("Q", "A", "B", "g", "c"):
+                ar = RANDOM_SCHEMA.arity(target)
+                tparams = tuple(f"y{i}" for i in range(ar))
+                vars = list(params + tparams)
+                if target in RANDOM_SCHEMA.functions:
+                    body = _rand_term(rng, vars, 2)
+                else:
+                    body = _rand_formula(rng, vars, 2)
+                    if tparams:
+                        body = _seeded(rng, target, params, tparams, body)
+                rules[(target, kind, trigger)] = UpdateRule(target, kind, trigger, params, tparams, body)
+    p = DynamicProgram(name, RANDOM_SCHEMA, rules, "Q", InitSpec("empty"))
+    validate_program(p)
+    return p

@@ -270,6 +270,10 @@ _ERROR_CASES = [
      "<program>:5:26: unknown symbol 'F' in table"),
     ("program", _HEAD + "init table { E = (0, " + _LONG + ") }\n" + _RULES,
      "<program>:5:22: integer of 5000 digits is too long"),
+    ("program", _HEAD + "init table { E = (0, 1) -> 1 }\n" + _RULES,
+     "<program>:5:25: '->' gives a function value, but 'E' is a relation"),
+    ("program", _HEAD.replace("Q/0", "Q/0, fun f/1") + "init table { f = (0) -> 1 (1); E = (0, 1) }\n",
+     "<program>:5:30: expected '->', found ';'"),
     ("program", _HEAD + _RULES + "Q(): true\n", "<program>:9:1: duplicate rule for 'Q' under del 'E'"),
     ("program", _HEAD + _RULES + "  }", "<program>:9:3: unexpected '}'"),
     ("program", _HEAD + _RULES + "  foo", "<program>:9:3: unexpected 'foo'"),
@@ -294,7 +298,8 @@ _ERROR_CASES = [
 @pytest.mark.parametrize("kind, text, message", _ERROR_CASES, ids=[
     "bad-char-line-start", "bad-char-mid-line", "bad-char-line-end", "non-ascii-outside-comment",
     "non-ascii-in-comment", "long-int", "unterminated-table-newline", "unterminated-table-eof",
-    "table-entry", "table-unknown-symbol", "table-long-int", "duplicate-rule", "trailing-brace",
+    "table-entry", "table-unknown-symbol", "table-long-int", "table-relation-arrow",
+    "table-function-no-arrow", "duplicate-rule", "trailing-brace",
     "trailing-ident", "eof-no-newline", "eof-newline", "eof-after-comment", "script-bad-char",
     "script-non-ascii", "script-non-ascii-in-comment", "script-long-int", "script-trailing",
     "script-eof-no-newline", "script-eof-newline", "script-db-arity", "formula-trailing",

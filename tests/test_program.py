@@ -8,15 +8,16 @@ import pytest
 
 from dynqf.cli import main
 from dynqf.corpus import builtin_program
-from dynqf.errors import DynqfError, RejectedSequenceError, SchemaError
+from dynqf.errors import DynqfError, ProgramError, RejectedSequenceError, SchemaError
+from dynqf.formulas import App, FALSE, RelAtom, Var
 from dynqf.parser import parse_program
 from dynqf.program import (EXHAUSTIVE_CAP, DynamicProgram, InitSpec, UpdateRule,
                            _reference_apply, apply, assemble_state, empty_input_db, init_state,
-                           is_invariant_init, run)
+                           is_invariant_init, run, validate_program)
 from dynqf.schema import make_schema
 from dynqf.serialize import state_to_dict
 from dynqf.state import delete, ins, make_state, transport
-from test_compiler import _shipped_with_transforms
+from test_compiler import _shipped_with_transforms, random_program
 
 
 def nes():
@@ -108,117 +109,10 @@ def test_compiled_and_reference_agree_on_ite_and_zero_ary_functions():
 def test_compiled_and_reference_agree_on_random_programs():
     # the deepest engine differential: random rule bodies over a mixed
     # schema, random walks, compiled output must equal the reference
-    import random as _random
-    from dynqf.formulas import (And, App, Const, Eq, FALSE, Ite, Not, Or,
-                                RelAtom, TRUE, Var)
-    from dynqf.program import DynamicProgram, InitSpec, validate_program
-    from dynqf.schema import make_schema
-
-    sch = make_schema(input_relations={"E": 2, "U": 1},
-                      aux_relations={"Q": 0, "A": 1, "B": 2},
-                      aux_functions={"g": 1, "c": 0},
-                      builtin_functions={"h": 1},
-                      constants=("s",))
-
-    def rand_term(rng, vars, depth):
-        choices = ["var", "const"]
-        if depth > 0:
-            choices += ["g", "h", "c", "ite"]
-        kind = rng.choice(choices)
-        if kind == "var":
-            return Var(rng.choice(vars))
-        if kind == "const":
-            return Const("s")
-        if kind in ("g", "h"):
-            return App(kind, (rand_term(rng, vars, depth - 1),))
-        if kind == "c":
-            return App("c", ())
-        return Ite(rand_formula(rng, vars, depth - 1),
-                   rand_term(rng, vars, depth - 1), rand_term(rng, vars, depth - 1))
-
-    def rand_formula(rng, vars, depth):
-        atoms = [
-            lambda: RelAtom("E", (rand_term(rng, vars, depth), rand_term(rng, vars, depth))),
-            lambda: RelAtom("U", (rand_term(rng, vars, depth),)),
-            lambda: RelAtom("A", (rand_term(rng, vars, depth),)),
-            lambda: RelAtom("B", (rand_term(rng, vars, depth), rand_term(rng, vars, depth))),
-            lambda: RelAtom("Q", ()),
-            lambda: Eq(rand_term(rng, vars, depth), rand_term(rng, vars, depth)),
-            lambda: TRUE,
-            lambda: FALSE,
-        ]
-        if depth <= 0:
-            return rng.choice(atoms)()
-        kind = rng.choice(["atom", "not", "and", "or"])
-        if kind == "atom":
-            return rng.choice(atoms)()
-        if kind == "not":
-            return Not(rand_formula(rng, vars, depth - 1))
-        left, right = rand_formula(rng, vars, depth - 1), rand_formula(rng, vars, depth - 1)
-        return And(left, right) if kind == "and" else Or(left, right)
-
-    def seeded(rng, target, params, tparams, body):
-        """Body reshaped into one of the forms the planner rewrites: t = t,
-        l & !l, R(y) & g with g over the trigger alone, R(y) & !G with
-        G binding some or all target variables to the trigger, and
-        R(y) & (L | g)."""
-        vars = list(params + tparams)
-        own = RelAtom(target, tuple(Var(v) for v in tparams))
-        form = rng.choice(["plain", "reflexive", "contradiction", "guarded-frame", "negation", "negations",
-                           "frame-minus", "trigger-side-filter"])
-        if form == "reflexive":
-            t = rand_term(rng, vars, 1)
-            return And(Or(body, Eq(t, t)), Eq(t, t)) if rng.random() < 0.5 else Or(body, Not(Eq(t, t)))
-        if form == "contradiction":
-            lit = rand_formula(rng, vars, 1)
-            return Or(body, And(And(lit, rand_formula(rng, vars, 0)), Not(lit)))
-        if form == "guarded-frame":
-            return Or(And(own, rand_formula(rng, list(params), 1)), body)
-        if form == "negation":
-            gamma = And(Eq(Var(rng.choice(tparams)), Var(rng.choice(params))), rand_formula(rng, vars, 1))
-            for y in tparams:
-                if rng.random() < 0.5:
-                    gamma = And(gamma, Eq(rand_term(rng, list(params), 1), Var(y)))
-            return And(Not(gamma), Or(own, body) if rng.random() < 0.7 else body)
-        if form == "negations":  # one condition on each target variable
-            u, lit = Var(rng.choice(params)), rand_formula(rng, list(params), 0)
-            for y in tparams:
-                body = And(Not(And(Or(Eq(Var(y), u), Eq(Var(y), App("g", (u,)))),
-                                   And(RelAtom("A", (Var(y),)), lit))), body)
-            return Or(own, body) if rng.random() < 0.5 else body
-        if form == "frame-minus":  # R(y) & !G, where G binds every target variable
-            gamma = rand_formula(rng, vars, 0)
-            for y in tparams:
-                gamma = And(Eq(Var(y), rand_term(rng, list(params), 1)), gamma)
-            if rng.random() < 0.3:  # two disjuncts, so G is a set and not one tuple
-                gamma = Or(gamma, gamma)
-            return Or(And(own, Not(gamma)), body)
-        if form == "trigger-side-filter":  # R(y) & (L | g) with g over the trigger alone
-            g = rand_formula(rng, list(params), 1)
-            return Or(And(own, Or(rand_formula(rng, vars, 1), g) if rng.random() < 0.5
-                          else Or(g, rand_formula(rng, vars, 1))), body)
-        return body
-
-    rng = _random.Random(99)
+    rng = random.Random(99)
     for trial in range(60):
-        rules = {}
-        for trigger, t_ar in (("E", 2), ("U", 1)):
-            params = tuple(f"u{i}" for i in range(t_ar))
-            for kind in ("ins", "del"):
-                for target in ("Q", "A", "B", "g", "c"):
-                    ar = sch.arity(target)
-                    tparams = tuple(f"y{i}" for i in range(ar))
-                    vars = list(params + tparams)
-                    if target in sch.functions:
-                        body = rand_term(rng, vars, 2)
-                    else:
-                        body = rand_formula(rng, vars, 2)
-                        if tparams:
-                            body = seeded(rng, target, params, tparams, body)
-                    rules[(target, kind, trigger)] = UpdateRule(
-                        target, kind, trigger, params, tparams, body)
-        p = DynamicProgram(f"rand{trial}", sch, rules, "Q", InitSpec("empty"))
-        validate_program(p)
+        p = random_program(rng, f"rand{trial}")
+        sch = p.schema
         n = 3 + trial % 2
         s = init_state(p, make_state(sch.input_only(), n, {}, constants={"s": trial % n}))
         for _ in range(20):
@@ -229,6 +123,53 @@ def test_compiled_and_reference_agree_on_random_programs():
             slow = _reference_apply(p, s, m)
             assert fast == slow, (trial, m)
             s = fast
+
+
+def _defective(defect: str) -> DynamicProgram:
+    """non-empty-set, or for "formula-body" a program with an aux function,
+    with one defect that validate_program names."""
+    if defect == "formula-body":
+        schema = make_schema(input_relations={"U": 1}, aux_relations={"Q": 0}, aux_functions={"g": 1})
+        rules = {(target, kind, "U"): UpdateRule(target, kind, "U", ("a",), params, body)
+                 for kind in ("ins", "del")
+                 for target, params, body in (("Q", (), FALSE), ("g", ("x",), App("g", (Var("x"),))))}
+        rules[("g", "ins", "U")] = UpdateRule("g", "ins", "U", ("a",), ("x",), FALSE)
+        return DynamicProgram("defective", schema, rules, "Q", InitSpec("empty"))
+    p = builtin_program("non-empty-set").program
+    rules, query = dict(p.rules), "U" if defect == "query" else "Q"
+    first = rules[("First", "ins", "U")]
+    params, tparams, body = first.params, first.target_params, first.body
+    if defect == "key":
+        rules[first.key], rules[("Last", "ins", "U")] = rules[("Last", "ins", "U")], first
+    elif defect == "trigger-params":
+        params = ("a", "b")
+    elif defect == "target-params":
+        tparams = ("x", "y")
+    elif defect == "term-body":
+        body = Var("x")
+    elif defect == "unbound":
+        body = RelAtom("First", (Var("z"),))
+    elif defect == "unknown-symbol":
+        body = RelAtom("Nope", (Var("x"),))
+    if defect != "key":
+        rules[first.key] = UpdateRule("First", "ins", "U", params, tparams, body)
+    return DynamicProgram("defective", p.schema, rules, query, p.init)
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("query", "query symbol 'U' must be an aux relation"),
+    ("key", "rule stored under wrong key ('First', 'ins', 'U')"),
+    ("trigger-params", "First: trigger params do not match arity of 'U'"),
+    ("target-params", "First: target params do not match its arity"),
+    ("term-body", "First: relation target needs a formula body"),
+    ("formula-body", "g: function target needs a term body"),
+    ("unbound", "First: unbound variables ['z'] in rule body"),
+    ("unknown-symbol", "First: unknown symbol 'Nope' in rule body"),
+])
+def test_validate_program_names_each_defect(defect, message):
+    with pytest.raises(ProgramError) as exc:
+        validate_program(_defective(defect))
+    assert str(exc.value) == message
 
 
 def test_compiled_and_reference_agree_with_builtin_relations():

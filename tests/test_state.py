@@ -236,6 +236,25 @@ def test_a_domain_above_the_limit_is_refused_before_it_is_built():
 
 
 
+FUN = make_schema(input_relations={"U": 1}, aux_functions={"g": 1}, constants=("s",))
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((SET, 2, {"U": {(0, 1)}}), SchemaError, "tuple (0, 1) has wrong arity for 'U'"),
+    ((SET, 2, {"U": {(2,)}}), DomainError, "tuple (2,) of 'U' leaves the domain"),
+    ((SET, 2, {}, {}, {"s": 0}), SchemaError, "constant interpretations do not match schema"),
+    ((FUN, 2, {}, {}, {}), SchemaError, "missing constant interpretations: ['s']"),
+    ((FUN, 2, {}, {}, {"s": 2}), DomainError, "constant 's' = 2 leaves the domain"),
+    ((FUN, 2, {}, {"g": {(0,): 0}}, {"s": 0}), SchemaError, "function 'g' is not total (1 of 2 entries)"),
+    ((FUN, 2, {}, {"g": {(0,): 0, (1,): 2}}, {"s": 0}), DomainError, "function 'g' entry (1,)->2 leaves the domain"),
+], ids=["wrong-arity", "tuple-out-of-domain", "extra-constant", "missing-constant",
+        "constant-out-of-domain", "partial-function", "function-value-out-of-domain"])
+def test_make_state_refuses_what_the_schema_and_domain_do_not_admit(args, error, message):
+    with pytest.raises(error) as exc:
+        make_state(*args)
+    assert str(exc.value) == message
+
+
 def test_a_negative_domain_is_refused():
     assert make_state(SET, 0).n == 0
     for n in (-1, -3):
