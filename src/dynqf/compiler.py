@@ -17,14 +17,19 @@ over the old state:
     planning builds to try a rewrite and drops changes no source;
   - a relational rule body goes to DNF, its trigger-only parts and negations
     opaque, and a disjunct holding !(l1 & ... & lk) and every li is dropped;
-    in each disjunct, trigger-only literals guard, `x = t` binds x (putting
-    t in place of x when t is a trigger term or a variable), a positive aux
-    atom generates, other variables scan the domain, and the remaining
-    literals filter as soon as their variables are bound;
+  - union: a rule's Δ, or a set G below, is a union of disjuncts, each with
+    its bindings `x = t` to a trigger term substituted and its guard, the
+    And of its trigger-only literals, tested first; disjuncts with equal
+    other literals are one, under the Or of their guards.  Guards are nodes,
+    so true and false fold and a false one drops its disjunct.  Then `x = t`
+    binds x (putting t in place of x when t is a trigger term or a
+    variable), a positive aux atom generates, other variables scan the
+    domain, and the remaining literals filter once their variables are bound;
   - frame: a disjunct R(x̄) for the target R, alone or under trigger-only
-    guards, makes the result R ∪ Δ while a guard holds; Δ is built only
-    when some other disjunct's trigger-only guard holds, counting the
-    literals that its `x = t` bindings make trigger-only, and an unchanged
+    guards, makes the result R ∪ Δ while a guard holds.  Δ is built only
+    while some disjunct's wake holds, its guard and what its other literals
+    imply of the trigger alone (the literal if trigger-only, And and Or of
+    that of its parts), and a lone wake is not tested again.  An unchanged
     relation stays the old frozenset object.  A filter L | g beside R(x̄),
     g trigger-only, splits the disjunct into R(x̄) & g, a guarded frame, and
     R(x̄) & L & !g, so that R is scanned only while g is false.  With no
@@ -350,13 +355,12 @@ class _Planner:
             return any(k.kind is Var and not k.trig for k in f.kids)
         return False
 
-    def _disjunct(self, lits: list[_Node], tvars: tuple[str, ...], ind: str = "    ",
+    def _disjunct(self, guard: _Node, rest: list[_Node], tvars: tuple[str, ...], ind: str = "    ",
                   out: str = "_s") -> None:
-        """Add to the set `out` the tuples satisfying a conjunction of literals:
-        guard, then bind, generate or scan until every variable is bound,
-        filtering as soon as a literal's variables are bound."""
-        conds = [self._expr(lit, _AND) for lit in lits if lit.trig]  # for the next `if`
-        rest = [lit for lit in lits if not lit.trig]
+        """Add to the set `out` the tuples satisfying the guard and the other
+        literals: test the guard, then bind, generate or scan until every
+        variable is bound, filtering as soon as a literal's variables are bound."""
+        conds = [] if guard.kind is TrueConst else [self._expr(guard, _AND)]  # for the next `if`
         bound, free, temps = set(self.mvars), list(tvars), 0
         subst: dict[str, _Node] = {}  # variable -> the trigger term or variable it equals
         while True:
@@ -475,13 +479,39 @@ class _Planner:
         if local is None:
             local = self.sets[gamma.id] = "_g%d" % len(self.sets)
             self.lines.append("    %s = set()" % local)
-            for d in self._dnf(gamma):
-                self._disjunct(d, canon, out=local)
+            for guard, lits, _ in self._union(self._dnf(gamma)):
+                self._disjunct(guard, lits, canon, out=local)
         return local
 
-    def _guard(self, lits: list[_Node]) -> str:
-        """Code for the conjunction of the trigger-only literals; True if none."""
-        return " and ".join([self._expr(lit, _AND) for lit in lits if lit.trig]) or "True"
+    def _join(self, kind, nodes: list[_Node]) -> _Node:
+        """The And (or Or) of the distinct nodes: true (false) if none."""
+        out = self._node(TrueConst if kind is And else FalseConst)
+        for node in dict.fromkeys(nodes):
+            out = self._node(kind, None, (out, node))
+        return out
+
+    def _guard(self, lits: list[_Node]) -> _Node:
+        """The conjunction of the trigger-only literals."""
+        return self._join(And, [lit for lit in lits if lit.trig])
+
+    def _need(self, f: _Node) -> _Node:
+        """What f implies of the trigger alone: f itself when f is
+        trigger-only, And and Or of that of its parts, and else true."""
+        if f.trig or not (f.kind is And or f.kind is Or):
+            return f if f.trig else self._node(TrueConst)
+        return self._node(f.kind, None, (self._need(f.kids[0]), self._need(f.kids[1])))
+
+    def _union(self, disjuncts: list[list[_Node]]) -> list[tuple[_Node, list[_Node], _Node]]:
+        """The disjuncts as (guard, other literals, wake), bindings x = t
+        substituted, merged and dropped as the module docstring says."""
+        merged: dict[tuple, list] = {}
+        for d in disjuncts:
+            lits = self._bind(d)[0]
+            rest = list(dict.fromkeys([lit for lit in lits if not lit.trig]))
+            entry = merged.setdefault(tuple(rest), [self._node(FalseConst), rest])
+            entry[0] = self._join(Or, [entry[0], self._guard(d + lits)])
+        entries = [(g, rest, self._join(And, [g] + [self._need(lit) for lit in rest])) for g, rest in merged.values()]
+        return [e for e in entries if e[2].kind is not FalseConst]
 
     def _relation(self, target: str, tvars: tuple[str, ...], body: _Node) -> None:
         new, old, lines = "_N_" + target, "_R_" + target, self.lines
@@ -500,7 +530,7 @@ class _Planner:
         lone = len(disjuncts) == 1 and self._beside(disjuncts[0], target, tvars)
         common = {lit: g for lit, g in sets.items() if g and (lit is not lone or g != tvars)}
         # frame: R(x̄) under trigger-only guards keeps R when one of them holds
-        guards, delta, base = [], [], old
+        guards, delta, minus = [], [], False
         for d in [[lit for lit in d if lit not in common] for d in disjuncts]:
             rest, f = [lit for lit in d if not lit.trig], self._beside(d, target, tvars)
             g = f and f.kind is Or and next((k for k in f.kids if k.trig), None)
@@ -519,41 +549,39 @@ class _Planner:
             if f and self._negated_set(f, tvars) == tvars:
                 delta.remove(d)
                 guards.append(self._guard(d))
-                lines.append("    %s = %s" % (new, self._minus(old, f, tvars)))
-                base = new
+                lines.append("    %s = %s" % (new, self._minus(target, True, f, tvars)))
+                minus = True
                 break
+        base = new if minus else old
         union = "%s if _s <= %s else %s | _s" % (base, base, base)
         fresh = "%s if _s == %s else frozenset(_s)" % (old, old)
-        frame = "True" if "True" in guards else " or ".join(dict.fromkeys(guards))
-        if frame == "True":
+        frame = self._join(Or, guards)
+        if frame.kind is TrueConst:
             with_s, without_s = union, base
-        elif frame:
-            with_s, without_s = "(%s) if %s else (%s)" % (union, frame, fresh), base + " if " + frame + " else _E_"
-        else:
+        elif frame.kind is FalseConst:
             with_s, without_s = fresh, "_E_"
-        # each Δ disjunct's guard includes what its bindings x = t make trigger-only
-        delta = [self._bind(d)[0] for d in delta]
-        wakes = [self._guard(d) for d in delta]
-        wake = "" if "True" in wakes else " or ".join(dict.fromkeys(wakes))
-        one = frame == "True" and len(delta) == 1 and self._one_tuple(delta[0], tvars, base, False)
+        else:
+            keep = self._expr(frame)
+            with_s, without_s = "(%s) if %s else (%s)" % (union, keep, fresh), base + " if " + keep + " else _E_"
+        delta = self._union(delta)
+        wake = self._join(Or, [w for _, _, w in delta])
+        one = frame.kind is TrueConst and len(delta) == 1 and self._one_tuple(delta[0], tvars, target, not minus, False)
         if one:  # Δ is one trigger tuple: a membership test, and no set
             tup, test = one
             lines.append("    %s = %s | {%s} if %s else %s" % (new, base, tup, test, base))
-            delta = []
-        elif (wake or not delta) and without_s != new:  # the result unless Δ is built
-            lines.append("    %s = %s" % (new, without_s))
-        if delta:  # Δ is built only when some disjunct's trigger-only guard holds
+            return self._common(target, tvars, common)
+        if wake.kind is not TrueConst and not (minus and frame.kind is TrueConst):
+            lines.append("    %s = %s" % (new, without_s))  # the result unless Δ is built
+        if delta:  # Δ is built only when some disjunct's wake holds
             ind = "    "
-            if wake:
-                lines.append("    if %s:" % wake)
+            if wake.kind is not TrueConst:
+                lines.append("    if %s:" % self._expr(wake))
                 ind = "        "
             lines.append(ind + "_s = set()")
-            for d in delta:
-                if wake and len(set(wakes)) == 1:  # its guard is the wake condition
-                    d = [lit for lit in d if not lit.trig]
-                self._disjunct(d, tvars, ind)
+            for guard, lits, w in delta:  # the wake is not tested again
+                self._disjunct(self._node(TrueConst) if w is wake else guard, lits, tvars, ind)
             lines.append("%s%s = %s" % (ind, new, with_s))
-        self._common(new, tvars, common)
+        self._common(target, tvars, common)
 
     def _beside(self, d: list[_Node], target: str, tvars: tuple[str, ...]):
         """The literal beside R(x̄), the target's old value, when these two are
@@ -565,12 +593,15 @@ class _Planner:
                     return lit
         return None
 
-    def _minus(self, base: str, lit: _Node, tvars: tuple[str, ...]) -> str:
-        """Code for base − G, for lit = !G where each disjunct of G binds all
-        of tvars: one trigger tuple is removed after a membership test, and
-        any other G is planned into a set."""
-        dnf = self._dnf(lit.kids[0])
-        one = len(dnf) == 1 and self._one_tuple(dnf[0], tvars, base, True)
+    def _minus(self, target: str, old: bool, lit: _Node, tvars: tuple[str, ...]) -> str:
+        """Code for the old (or new) target relation less G, for lit = !G
+        where each disjunct of G binds all of tvars: one trigger tuple is
+        removed after a membership test, and any other G is planned into a set."""
+        base = ("_R_" if old else "_N_") + target
+        gamma = self._union(self._dnf(lit.kids[0]))
+        if not gamma:
+            return base
+        one = len(gamma) == 1 and self._one_tuple(gamma[0], tvars, target, old, True)
         if one:
             tup, test = one
             return "%s - {%s} if %s else %s" % (base, tup, test, base)
@@ -594,34 +625,33 @@ class _Planner:
             terms[binding[1]] = binding[2]
             lits = [k if k is lit else self._renamed(k, {binding[1]: binding[2]}) for k in lits]
 
-    def _one_tuple(self, lits: list[_Node], tvars: tuple[str, ...], base: str, present: bool):
-        """When the literals bind every variable of tvars to a trigger term
-        and test nothing else that reads a variable: code for the tuple, and
-        for their trigger-only guard and the test that the tuple is (present)
-        or is not in base, where on an old relation `_R_X` the local of a
-        hoisted atom X(t̄) is the test.  None otherwise."""
-        lits, terms = self._bind(lits)
-        if terms.keys() != set(tvars) or len({lit for lit in lits if not lit.trig}) > len(terms):
+    def _one_tuple(self, entry: tuple, tvars: tuple[str, ...], target: str, old: bool, present: bool):
+        """When the rest of a `_union` entry only binds every variable of
+        tvars to a trigger term: code for the tuple, and for the guard and the
+        test that the tuple is (present) or is not in the old (or new) target
+        relation, where on the old one the local of a hoisted atom R(t̄) is
+        the test.  None otherwise."""
+        guard, lits, _ = entry
+        terms = self._bind(lits)[1]
+        if terms.keys() != set(tvars) or len(lits) > len(terms):
             return None
-        guard = self._guard(lits)
+        test = "" if guard.kind is TrueConst else self._expr(guard, _AND) + " and "
         terms = tuple([terms[v] for v in tvars])
         tup = self._tuple([self._expr(t, _ATOM) for t in terms])
-        atom = base.startswith("_R_") and self._node(RelAtom, base[3:], terms)
-        if atom and self._hoists(atom):
-            test = ("" if present else "not ") + self._expr(atom, _NOT)
-        else:
-            test = tup + (" in " if present else " not in ") + base
-        return tup, test if guard == "True" else guard + " and " + test
+        atom = self._node(RelAtom, target, terms)
+        if old and self._hoists(atom):
+            return tup, test + ("" if present else "not ") + self._expr(atom, _NOT)
+        return tup, test + tup + (" in " if present else " not in ") + ("_R_" if old else "_N_") + target
 
-    def _common(self, new: str, tvars: tuple[str, ...], common: Mapping[_Node, tuple]) -> None:
-        """Apply the factored literals !G to the relation `new`.  When G's
+    def _common(self, target: str, tvars: tuple[str, ...], common: Mapping[_Node, tuple]) -> None:
+        """Apply the factored literals !G to the target's new relation.  When G's
         variables gvars are all of tvars, G is subtracted as `_minus` does;
         otherwise its tuples over gvars are a set, tested by membership in one
         pass, which runs only while some such set is not empty."""
-        subtract, tested, filters, lines = [], {}, [], self.lines
+        new, subtract, tested, filters, lines = "_N_" + target, [], {}, [], self.lines
         for lit, gvars in common.items():
             if gvars == tvars:
-                subtract.append(self._minus(new, lit, tvars))
+                subtract.append(self._minus(target, False, lit, tvars))
                 continue
             local = self._set(lit.kids[0], gvars)
             tested[local] = None

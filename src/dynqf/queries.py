@@ -281,9 +281,14 @@ def reduce_identify_st(g: Layered) -> State:
 
 def reduce_tensor_clique(g: State, m: int, copies: int = 1) -> State:
     """Add `copies` fresh m-cliques, each completely (bidirectionally)
-    connected to every original node; the copies are mutually unconnected."""
+    connected to every original node; the copies are mutually unconnected.
+    g is a graph: its symbols are E and at most the constants s and t."""
     if m < 0 or copies not in (1, 2):
         raise DynqfError("need m >= 0 and copies in {1, 2}")
+    sch = g.schema
+    extra = sorted((sch.relations.keys() - {"E"}) | sch.functions.keys() | (sch.constants - {"s", "t"}))
+    if extra:
+        raise SchemaError(f"tensor-clique needs a graph over E, s and t; extra symbol {extra[0]!r}")
     if m == 0:
         return g
     n = g.n

@@ -213,19 +213,63 @@ def _shipped_with_transforms():
                 pass
 
 
-# sha256 over the sources of those programs' appliers, in order; a planner
-# change that alters the generated code updates it and says why
-APPLIER_SOURCES_SHA256 = "c36f97ba43a5ad86af07a37ba8a519b31b53eb7fb29afd163fd7c8fe608020d0"
+# the first 12 hex digits of the sha256 of each of those programs' appliers'
+# sources; a planner change that alters the generated code updates the
+# digests of the appliers it changes and says why
+APPLIER_SOURCES_SHA256 = {
+    "non_empty_set ins U": "9d4c957a063e",
+    "non_empty_set del U": "e8d23a09c9ae",
+    "non_empty_set_rel2fun ins U": "b28563da6ec8",
+    "non_empty_set_rel2fun del U": "6a1061a6178b",
+    "non_empty_set_dedup ins U": "9d4c957a063e",
+    "non_empty_set_dedup del U": "e8d23a09c9ae",
+    "reach_1layer_qf ins E": "2c32fe8a6dd0",
+    "reach_1layer_qf del E": "d4c036ef99e9",
+    "reach_1layer_qf_rel2fun ins E": "5bc3c28518e7",
+    "reach_1layer_qf_rel2fun del E": "49757c22a323",
+    "s_twopath_ternary ins E": "82d217ab8214",
+    "s_twopath_ternary del E": "764f0131dd52",
+    "s_twopath_ternary_rel2fun ins E": "9ba5ff2adae3",
+    "s_twopath_ternary_rel2fun del E": "9e2d98e9c6d5",
+    "s_twopath_ternary_dedup ins E": "82d217ab8214",
+    "s_twopath_ternary_dedup del E": "764f0131dd52",
+    "st_twopath_binary ins E": "602930e81bc1",
+    "st_twopath_binary del E": "f19838643025",
+    "st_twopath_binary_rel2fun ins E": "763dca1087c0",
+    "st_twopath_binary_rel2fun del E": "35a2a45b3be0",
+    "st_twopath_binary_dedup ins E": "602930e81bc1",
+    "st_twopath_binary_dedup del E": "f19838643025",
+    "binary_reach2_naive ins E": "95a45497adde",
+    "binary_reach2_naive del E": "3acbe79f2344",
+    "binary_reach2_naive_rel2fun ins E": "2ae179870041",
+    "binary_reach2_naive_rel2fun del E": "89d2038c4fac",
+    "binary_reach2_naive_dedup ins E": "95a45497adde",
+    "binary_reach2_naive_dedup del E": "3acbe79f2344",
+    "cq_nonemptyset_naive ins U": "e0c176359925",
+    "cq_nonemptyset_naive del U": "d70355739a25",
+    "cq_nonemptyset_naive_rel2fun ins U": "35e7496cf396",
+    "cq_nonemptyset_naive_rel2fun del U": "7218b2d064bb",
+    "cq_nonemptyset_naive_dedup ins U": "e0c176359925",
+    "cq_nonemptyset_naive_dedup del U": "d70355739a25",
+    "unary_twopath_naive ins E": "c1e2baab10c8",
+    "unary_twopath_naive del E": "780b5619b549",
+    "unary_twopath_naive_rel2fun ins E": "7ca1a99116c8",
+    "unary_twopath_naive_rel2fun del E": "3c11262f4c10",
+    "unary_twopath_naive_dedup ins E": "c1e2baab10c8",
+    "unary_twopath_naive_dedup del E": "780b5619b549",
+}
 
 
 def test_applier_sources_are_pinned():
-    digest, count = hashlib.sha256(), 0
+    got = {}
     for p in _shipped_with_transforms():
         for trigger in sorted(p.schema.input_relations):
             for kind in (INS, DEL):
-                digest.update(_Planner(p, kind, trigger).source().encode())
-                count += 1
-    assert (count, digest.hexdigest()) == (40, APPLIER_SOURCES_SHA256)
+                source = _Planner(p, kind, trigger).source()
+                got[f"{p.name} {kind} {trigger}"] = hashlib.sha256(source.encode()).hexdigest()[:12]
+    pinned = APPLIER_SOURCES_SHA256
+    assert sorted(k for k in got.keys() | pinned.keys() if got.get(k) != pinned.get(k)) == []
+    assert len(got) == 40
 
 
 class _Probing(_Planner):
@@ -248,14 +292,50 @@ class _Probing(_Planner):
         super()._relation(target, tvars, body)
 
 
-def test_nodes_built_and_dropped_while_planning_change_no_source():
+def _planned():
+    """The shipped programs with their transforms, the shapes and 300
+    random programs, each with the kind and trigger of each applier."""
     programs = [*_shipped_with_transforms(), *[program(shape) for shape in sorted(SHAPES)],
                 *[random_program(random.Random(i), f"gen{i}") for i in range(300)]]
     for p in programs:
         for trigger in sorted(p.schema.input_relations):
             for kind in (INS, DEL):
-                assert _Probing(p, kind, trigger).source() == _Planner(p, kind, trigger).source(), \
-                    (p.name, kind, trigger)
+                yield p, kind, trigger
+
+
+def test_nodes_built_and_dropped_while_planning_change_no_source():
+    for p, kind, trigger in _planned():
+        assert _Probing(p, kind, trigger).source() == _Planner(p, kind, trigger).source(), \
+            (p.name, kind, trigger)
+
+
+def _repeated_blocks(src: str) -> list[str]:
+    """The `if` lines directly followed, at their indent, by another `if`
+    whose block is the same and adds to a set."""
+    lines = src.splitlines()
+
+    def block(i):  # the lines in the block that line i opens, dedented, and the index after it
+        indent, j = len(lines[i]) - len(lines[i].lstrip()), i + 1
+        while j < len(lines) and len(lines[j]) - len(lines[j].lstrip()) > indent:
+            j += 1
+        return [line[indent:] for line in lines[i + 1:j]], j
+
+    out = []
+    for i, line in enumerate(lines):
+        body, j = block(i)
+        indent = line[:len(line) - len(line.lstrip())]
+        if (line.startswith(indent + "if ") and j < len(lines) and lines[j].startswith(indent + "if ")
+                and block(j)[0] == body and ".add(" in body[-1]):
+            out.append(line)
+    return out
+
+
+def test_generated_sources_read_every_local_add_each_block_once_and_test_no_constant():
+    for p, kind, trigger in _planned():
+        src = _Planner(p, kind, trigger).source()
+        unread = [h for h in re.findall(r"^    (_h\d+) = ", src, re.M) if len(re.findall(r"\b%s\b" % h, src)) == 1]
+        constant = re.findall(r"^ *if .*\b(?:True|False)\b.*$", src, re.M)
+        assert (unread, _repeated_blocks(src), constant) == ([], [], []), (p.name, kind, trigger)
 
 
 def test_a_one_tuple_test_on_the_old_relation_reads_the_hoisted_atom():

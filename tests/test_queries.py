@@ -186,6 +186,17 @@ def test_tensor_two_copies_unconnected():
     assert not any((u, v) in E for u in second for v in first)
 
 
+@pytest.mark.parametrize("m", [0, 2])
+def test_tensor_refuses_a_state_that_is_not_a_plain_graph(m):
+    with_u = make_state(make_schema(input_relations={"E": 2}, constants=("s", "u")), 3,
+                        {"E": {(0, 1)}}, constants={"s": 0, "u": 1})
+    with pytest.raises(SchemaError, match="extra symbol 'u'"):
+        reduce_tensor_clique(with_u, m)
+    with_f = make_state(make_schema(input_relations={"E": 2, "F": 1}), 3, {"E": {(0, 1)}, "F": {(2,)}})
+    with pytest.raises(SchemaError, match="extra symbol 'F'"):
+        reduce_tensor_clique(with_f, m)
+
+
 def test_tensor_clique_shift_exhaustive():
     # g has a 3-clique iff g (x) K_m has a (3+m)-clique, all graphs |V| <= 4, m <= 2
     for n in (3, 4):
