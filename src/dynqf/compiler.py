@@ -549,7 +549,7 @@ class _Planner:
             if f and self._negated_set(f, tvars) == tvars:
                 delta.remove(d)
                 guards.append(self._guard(d))
-                lines.append("    %s = %s" % (new, self._minus(target, True, f, tvars)))
+                lines.append("    %s = %s" % (new, self._minus(target, True, f, tvars) or old))
                 minus = True
                 break
         base = new if minus else old
@@ -593,14 +593,15 @@ class _Planner:
                     return lit
         return None
 
-    def _minus(self, target: str, old: bool, lit: _Node, tvars: tuple[str, ...]) -> str:
+    def _minus(self, target: str, old: bool, lit: _Node, tvars: tuple[str, ...]) -> str | None:
         """Code for the old (or new) target relation less G, for lit = !G
         where each disjunct of G binds all of tvars: one trigger tuple is
-        removed after a membership test, and any other G is planned into a set."""
+        removed after a membership test, and any other G is planned into a set.
+        None when every disjunct of G is dropped, so nothing is subtracted."""
         base = ("_R_" if old else "_N_") + target
         gamma = self._union(self._dnf(lit.kids[0]))
         if not gamma:
-            return base
+            return None
         one = len(gamma) == 1 and self._one_tuple(gamma[0], tvars, target, old, True)
         if one:
             tup, test = one
@@ -662,7 +663,7 @@ class _Planner:
                           "            if %s:" % " and ".join(filters),
                           "                _f.add(_t)",
                           "        if len(_f) < len(%s):" % new, "            %s = frozenset(_f)" % new])
-        lines.extend(["    %s = %s" % (new, code) for code in subtract])
+        lines.extend(["    %s = %s" % (new, code) for code in subtract if code])
 
     def _function(self, target: str, tvars: tuple[str, ...], body: _Node) -> None:
         new, lines = "_NF_" + target, self.lines

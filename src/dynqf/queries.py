@@ -2,7 +2,9 @@
 graph reductions (identify s with t; tensor with complete graphs).
 
 Oracles are direct readings of the definitions: they are ground truth for
-the maintenance checker, not performance artifacts.
+the maintenance checker, not performance artifacts.  The marks `query` and
+`monotone` are facts about an oracle, which the checker may use to call it
+less often; they never change what an oracle computes.
 """
 from __future__ import annotations
 
@@ -59,6 +61,24 @@ def is_query(oracle: Callable) -> bool:
     return getattr(oracle, "is_query", False) is True
 
 
+def monotone(oracle: Callable) -> Callable:
+    """Mark an oracle as monotone in its input relations: inserting a tuple
+    never turns its answer from true to false, so deleting one never turns
+    it from false to true.  The checker then takes a step's answer from the
+    state the step left, when the move's kind fixes it.  Like `query`, the
+    mark is an attribute of the function."""
+    oracle.is_monotone = True
+    return oracle
+
+
+def is_monotone(oracle: Callable) -> bool:
+    """Is the oracle marked monotone, or a `functools.partial` of one?"""
+    if isinstance(oracle, functools.partial):
+        oracle = oracle.func
+    return getattr(oracle, "is_monotone", False) is True
+
+
+@monotone
 @query
 def oracle_st_reach(g: State) -> bool:
     """Is t reachable from s?  Plain breadth-first search."""
@@ -81,6 +101,7 @@ def oracle_st_reach(g: State) -> bool:
     return t in seen
 
 
+@monotone
 @query
 def oracle_nonemptyset(db: State) -> bool:
     try:
@@ -89,6 +110,7 @@ def oracle_nonemptyset(db: State) -> bool:
         raise SchemaError("non-empty-set needs a unary relation U") from None
 
 
+@monotone
 @query
 def oracle_st_twopath(g: State) -> bool:
     """Is there x with E(s,x) and E(x,t)?  x ranges over the whole domain,
@@ -101,6 +123,7 @@ def oracle_st_twopath(g: State) -> bool:
     return any((s, x) in E and (x, t) in E for x in g.domain)
 
 
+@monotone
 @query
 def oracle_s_twopath(g: State) -> bool:
     """Is there a path of length two starting at s, that is, an edge (s, x)
@@ -114,6 +137,7 @@ def oracle_s_twopath(g: State) -> bool:
     return any(u == s and x in sources for u, x in E)
 
 
+@monotone
 @query
 def oracle_k_clique(g: State, k: int) -> bool:
     """Some k nodes pairwise connected by an edge in at least one direction.
@@ -133,7 +157,8 @@ def oracle_k_clique(g: State, k: int) -> bool:
 @query
 def oracle_k_colorability(g: State, k: int) -> bool:
     """Proper k-colorability of the underlying undirected graph; self-loops
-    make a graph non-colorable.  Backtracking over nodes in id order."""
+    make a graph non-colorable.  Backtracking over nodes in id order.  Not
+    `monotone`: inserting an edge can only take colorability away."""
     if k < 1:
         raise DynqfError("k must be at least 1")
     n = g.n

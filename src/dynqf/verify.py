@@ -36,6 +36,7 @@ from .compiler import LeanContext, context_for_state
 from .corpus import InstanceGuard
 from .errors import DynqfError
 from .program import DynamicProgram, empty_input_db, init_state, run
+from .queries import is_monotone
 from .records import Record
 from .state import DEL, INS, Modification, State, check_domain_size, is_honest
 
@@ -91,6 +92,11 @@ class Counterexample(Record):
 class Verdict(Record):
     """The outcome of a check; `status` is "ok", "counterexample" or
     "resource".
+
+    A checked state's query bit is compared with the oracle's answer for it.
+    That answer is computed, or, for a monotone oracle
+    (`queries.is_monotone`), fixed by the answer before the step and the
+    move's kind (see `check_maintenance`); either way the state is counted.
 
     An exhaustive check counts what its search covered, whatever the status.
     `checked_states` counts each state checked against the oracle (and the
@@ -228,6 +234,14 @@ def check_maintenance(p: DynamicProgram, oracle: Callable[[State], bool],
     the verdict says so in a note.  An `ok` that took no step, because no
     modification was admissible, says so in a note too.
 
+    A step leaves from a state that passed its check, so the oracle's answer
+    there is its query bit, prev.  A monotone oracle keeps a true answer
+    across an insertion and a false one across a deletion, so when prev is
+    true and the move inserts, or prev is false and it deletes, the answer
+    after the step is prev and the oracle is not called.  Every other state
+    is compared with the oracle's computed answer.  Replaying a
+    counterexample calls the oracle itself.
+
     The exhaustive search runs with the cyclic garbage collector paused, and
     the caller's setting is restored however the search ends.  Its seen set
     holds every image of every orbit, which the collector would otherwise
@@ -257,12 +271,13 @@ def check_maintenance(p: DynamicProgram, oracle: Callable[[State], bool],
         db = empty_input_db(p, cfg.domain_size, cfg.constants)
         s0, lean0, ctx = _setup(p, db)
         moves, start, flip = _moves(p, cfg, s0)  # before the oracle, so a guard's error comes first
-        lean_oracle = _lean_oracle(oracle, ctx)
+        lean_oracle, monotone = _lean_oracle(oracle, ctx), is_monotone(oracle)
         exp, got = lean_oracle(lean0), ctx.query(lean0)
         if exp != got:
             verdict = Verdict("counterexample", bounds, 1, 0, Counterexample(p.name, db, (), 0, exp, got))
         elif cfg.mode == "random":
-            verdict = _random_check(p, db, ctx, lean0, lean_oracle, moves, start, flip, cfg, bounds)
+            verdict = _random_check(p, db, ctx, lean0, lean_oracle, moves, start, flip, cfg, bounds,
+                                    monotone)
         else:
             from .symmetry import interchangeable
             slots, free = _move_slots(moves, ctx, cfg.honest_only), interchangeable(oracle, s0, moves)
@@ -276,7 +291,7 @@ def check_maintenance(p: DynamicProgram, oracle: Callable[[State], bool],
             collecting = gc.isenabled()
             gc.disable()
             try:
-                verdict = _orbit_bfs(p, db, ctx, lean0, lean_oracle, slots, free, cfg, bounds)
+                verdict = _orbit_bfs(p, db, ctx, lean0, lean_oracle, slots, free, cfg, bounds, monotone)
             finally:
                 if collecting:
                     gc.enable()
@@ -321,10 +336,12 @@ def _move_slots(mods: list[Modification], ctx: LeanContext, honest_only: bool) -
 
 
 def _orbit_bfs(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracle,
-               slots: list[tuple], free: tuple[int, ...], cfg: CheckConfig, bounds: dict) -> Verdict:
+               slots: list[tuple], free: tuple[int, ...], cfg: CheckConfig, bounds: dict,
+               monotone: bool) -> Verdict:
     """Breadth-first search over the orbits of the free elements, within the
     bounds of cfg, from lean0, which the caller has checked against the
-    oracle; with no free element, the plain search.
+    oracle; with no free element, the plain search.  A monotone oracle's
+    answer may be fixed by the move (see `check_maintenance`).
 
     The set of seen states stays closed under the permutations of the free
     elements: a successor not seen yet is the representative of a new orbit,
@@ -361,6 +378,7 @@ def _orbit_bfs(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracl
         new_frontier = []
         for st in frontier:
             support, size = parents[st][2:]
+            prev = ctx.query(st)  # st passed its check, so this is the oracle's answer
             taken = 0
             for i, tup, if_present, if_absent, names in slots:
                 for m in (if_present if tup in st[i] else if_absent):
@@ -379,7 +397,8 @@ def _orbit_bfs(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracl
                     if len(seen) > cap:
                         return Verdict("resource", bounds, len(seen), steps + size * taken,
                                        notes=[f"state cap {cfg.state_cap} reached at depth {depth}"])
-                    exp, got = lean_oracle(succ), ctx.query(succ)
+                    exp = prev if monotone and prev == (m.kind == INS) else lean_oracle(succ)
+                    got = ctx.query(succ)
                     if exp != got:
                         seq, node = [], succ
                         while parents[node][0] is not None:
@@ -394,11 +413,12 @@ def _orbit_bfs(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracl
 
 
 def _random_check(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_oracle,
-                  moves, start, flip, cfg: CheckConfig, bounds: dict) -> Verdict:
+                  moves, start, flip, cfg: CheckConfig, bounds: dict, monotone: bool) -> Verdict:
     """`samples` seeded walks from lean0, which the caller has checked
     against the oracle, each of a seeded length from 1 to max_len, comparing
     the query bit with the oracle after every step; with max_len 0 there is
-    no walk.  A counterexample is returned not yet finished.
+    no walk.  A monotone oracle's answer may be fixed by the move (see
+    `check_maintenance`).  A counterexample is returned not yet finished.
 
     Every walk starts from the initial state, so walks share their first
     moves.  Walks draw move numbers (see `_moves`), and a per-run table maps
@@ -426,8 +446,10 @@ def _random_check(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_or
     while depth < cfg.max_len and len(start) ** (depth + 1) <= cfg.samples:
         depth += 1
     known: dict[int, tuple] = {}  # move number -> (payload, children) at the empty prefix
+    bit0 = ctx.query(lean0)
     for _ in range(cfg.samples if cfg.max_len else 0):
-        lean, level = lean0, known
+        # prev: the query bit, and so the oracle's answer, where the walk stands
+        lean, level, prev = lean0, known, bit0
         seq: list[int] = []
         for i, k in enumerate(_walk(start, flip, rng, rng.randint(1, cfg.max_len)), start=1):
             seq.append(k)
@@ -436,11 +458,13 @@ def _random_check(p: DynamicProgram, db: State, ctx: LeanContext, lean0, lean_or
                 node = level.get(k)
                 if node is not None:
                     lean, level = node
+                    prev = ctx.query(lean)
                     continue
-            lean = ctx.apply(lean, moves[k])
+            m = moves[k]
+            lean = ctx.apply(lean, m)
             states += 1
-            exp = lean_oracle(lean)
-            got = ctx.query(lean)
+            exp = prev if monotone and prev == (m.kind == INS) else lean_oracle(lean)
+            got = prev = ctx.query(lean)
             if exp != got:
                 return Verdict("counterexample", bounds, states, steps,
                                Counterexample(p.name, db, tuple([moves[j] for j in seq]), i, exp, got))

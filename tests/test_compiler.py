@@ -338,6 +338,15 @@ def test_generated_sources_read_every_local_add_each_block_once_and_test_no_cons
         assert (unread, _repeated_blocks(src), constant) == ([], [], []), (p.name, kind, trigger)
 
 
+def test_no_generated_applier_assigns_a_local_to_itself():
+    # seeds 1726 (del U) and 1905 (ins U) drop every disjunct of a factored
+    # negated set, which once left the line `_N_A = _N_A`
+    extra = [(random_program(random.Random(i), f"gen{i}"), kind, "U") for i, kind in ((1726, DEL), (1905, INS))]
+    for p, kind, trigger in [*_planned(), *extra]:
+        src = _Planner(p, kind, trigger).source()
+        assert not re.findall(r"^ *(\w+) = \1$", src, re.M), (p.name, kind, trigger)
+
+
 def test_a_one_tuple_test_on_the_old_relation_reads_the_hoisted_atom():
     insertion = source(builtin_program("s-twopath-ternary").program, "ins", "E")
     a = _local(insertion, "(m0,)")

@@ -1,11 +1,13 @@
+import functools
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dynqf.errors import DomainError, DynqfError, SchemaError
-from dynqf.queries import (LayeredSpec, allowed_layer_edges,
-                           check_layered, gen_layered, graph_state,
+from dynqf.queries import (ORACLES, LayeredSpec, allowed_layer_edges,
+                           check_layered, gen_layered, graph_state, is_monotone,
                            oracle_k_clique, oracle_k_colorability,
                            oracle_nonemptyset, oracle_s_twopath,
                            oracle_st_reach, oracle_st_twopath,
@@ -106,6 +108,45 @@ def test_clique_monotone_colorability_antitone(n, data):
             assert oracle_k_clique(bigger, k)
         if not oracle_k_colorability(g, k):
             assert not oracle_k_colorability(bigger, k)
+
+
+# each marked oracle: its input relation with arity, and the constants it reads
+MARKED = {
+    "non-empty-set": (ORACLES["non-empty-set"], "U", 1, ()),
+    "st-reach": (ORACLES["st-reach"], "E", 2, ("s", "t")),
+    "st-twopath": (ORACLES["st-twopath"], "E", 2, ("s", "t")),
+    "s-twopath": (ORACLES["s-twopath"], "E", 2, ("s",)),
+    **{f"{k}-clique": (functools.partial(oracle_k_clique, k=k), "E", 2, ()) for k in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARKED))
+def test_marked_oracles_are_monotone_on_every_small_input(name):
+    # every relation on n <= 3 elements and every placement of the
+    # constants, equal ones included: inserting an absent tuple never turns
+    # the answer from true to false
+    assert MARKED.keys() >= ORACLES.keys()
+    oracle, rel, arity, consts = MARKED[name]
+    fn = getattr(oracle, "func", oracle)  # a wrapper of the function keeps its mark
+    assert is_monotone(oracle) and is_monotone(functools.wraps(fn)(lambda g: fn(g)))
+    schema = make_schema(input_relations={rel: arity}, constants=consts)
+    for n in (1, 2, 3):
+        tuples = list(itertools.product(range(n), repeat=arity))
+        for place in itertools.product(range(n), repeat=len(consts)):
+            answers = [oracle(make_state(schema, n, {rel: {t for i, t in enumerate(tuples) if mask >> i & 1}},
+                                         constants=dict(zip(consts, place))))
+                       for mask in range(1 << len(tuples))]
+            for mask, before in enumerate(answers):
+                absent = [1 << i for i in range(len(tuples)) if not mask >> i & 1]
+                assert not before or all(answers[mask | bit] for bit in absent), (n, place, mask)
+
+
+def test_colorability_is_not_marked_monotone():
+    # an insertion turns it from true to false, so the mark would be wrong
+    assert oracle_k_colorability(graph_state(2, set()), 1)
+    assert not oracle_k_colorability(graph_state(2, {(0, 1)}), 1)
+    assert not is_monotone(oracle_k_colorability)
+    assert not is_monotone(functools.partial(oracle_k_colorability, k=1))
 
 
 def test_gen_layered_star():

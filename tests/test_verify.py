@@ -14,8 +14,8 @@ from dynqf.formulas import And, Not, Or, eval_term, terms_up_to_depth
 from dynqf.parser import parse_program
 from dynqf.program import (DynamicProgram, UpdateRule, _reference_apply, apply, empty_input_db,
                            init_state, run)
-from dynqf.queries import (ORACLES, is_query, oracle_k_clique, oracle_nonemptyset,
-                           oracle_st_reach, oracle_st_twopath)
+from dynqf.queries import (ORACLES, is_monotone, is_query, oracle_k_clique, oracle_nonemptyset,
+                           oracle_st_reach, oracle_st_twopath, query)
 from dynqf.schema import Role, make_schema
 from dynqf.serialize import counterexample_to_dict, trace_digest, verdict_to_dict
 from dynqf.state import DEL, INS, Modification, ins, is_honest, make_state, transport
@@ -605,7 +605,8 @@ def test_reduced_search_finds_the_plain_search_counterexample():
             if not free:
                 continue  # both runs would be the plain search
             search = (p, db, ctx, lean0, _lean_oracle(oracle, ctx), _move_slots(moves, ctx, honest))
-            reduced, plain = (_orbit_bfs(*search, group, cfg, {}) for group in (free, ()))
+            reduced, plain = (_orbit_bfs(*search, group, cfg, {}, is_monotone(oracle))
+                              for group in (free, ()))
             assert reduced.status == plain.status
             if plain.counterexample:
                 a, b = reduced.counterexample, plain.counterexample
@@ -792,6 +793,48 @@ def test_the_exhaustive_search_makes_no_reference_cycle(collector, name, state_c
     assert gc.collect() == 0
     assert v.status == ("resource" if state_cap else "counterexample" if strawman else "ok")
     assert not strawman or state_cap or v.counterexample.trace_digest
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+@pytest.mark.parametrize("honest", [True, False])
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_the_monotone_rule_changes_no_verdict(name, honest, mode):
+    # the shipped oracle is marked monotone; the same oracle marked only as
+    # a query is called on every checked state.  Status, counts, notes and
+    # each counterexample field, its trace digest included, must agree.
+    p, oracle = PROGRAMS[name]
+    assert is_monotone(oracle)
+    guard = None if name.endswith("-naive") else builtin_program(name).instance_guard
+    for n, max_len, seed in ((3, 4, 0), (4, 3, 5)):
+        cfg = CheckConfig(domain_size=n, max_len=max_len + 3 * (mode == "random"), mode=mode,
+                          samples=200, seed=seed, honest_only=honest, guard=guard)
+        marked = verdict_to_dict(check_maintenance(p, oracle, cfg))
+        assert marked == verdict_to_dict(check_maintenance(p, query(lambda g: oracle(g)), cfg))
+
+
+def _counting(oracle, calls, monotone):
+    """The oracle counting its calls, marked as a query, and as monotone
+    only when asked."""
+    def counted(g):
+        calls.append(None)
+        return oracle(g)
+    return functools.wraps(oracle)(counted) if monotone else query(counted)
+
+
+@pytest.mark.parametrize("name,cfg,calls", [
+    ("s-twopath-ternary", CheckConfig(domain_size=4, max_len=6, mode="random", samples=300, seed=5),
+     (455, 661)),
+    ("st-twopath-binary", CheckConfig(domain_size=4, max_len=3, constants={"s": 0, "t": 1}),
+     (352, 372)),
+])
+def test_a_monotone_oracle_is_called_less_often(name, cfg, calls):
+    p, oracle = PROGRAMS[name]
+    marked, unmarked = [], []
+    v = check_maintenance(p, _counting(oracle, marked, True), cfg)
+    assert verdict_to_dict(v) == verdict_to_dict(check_maintenance(p, _counting(oracle, unmarked, False), cfg))
+    assert (len(marked), len(unmarked)) == calls
+    # unmarked, random mode calls the oracle once per checked state
+    assert cfg.mode != "random" or len(unmarked) == v.checked_states
 
 
 def test_oracles_are_marked_as_queries():
