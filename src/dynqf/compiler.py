@@ -34,18 +34,11 @@ over the old state:
     g trigger-only, splits the disjunct into R(x̄) & g, a guarded frame, and
     R(x̄) & L & !g, so that R is scanned only while g is false.  With no
     such frame, a disjunct R(x̄) & !G, where each disjunct of G binds all
-    of x̄, makes the result (R − G) ∪ Δ.  Such a G, or a Δ beside an
+    of x̄, makes the result (R − G) ∪ Δ, G planned like a delta query into a
+    set of its tuples once per applier.  Such a G, or a Δ beside an
     unguarded frame, that is one trigger tuple t is a membership test on t,
     without a set, and on the old R the test is the local of R(t) when that
-    atom is hoisted;
-  - factor: a literal !G in every disjunct, where each disjunct of G binds
-    all of G's variables, is taken out of the disjuncts and applied once to
-    their union: G is planned like a delta query into a set of its tuples,
-    once per applier, and the set is subtracted (R − G), or, when G binds
-    only some target variables and each of its disjuncts tests more than it
-    binds, tested by membership in a pass that runs only while the set is
-    not empty.  A lone disjunct R(x̄) & !G, G binding x̄, is left to the
-    frame rewrite above.  Other filters stay in the loops;
+    atom is hoisted.  Other filters stay in the loops;
   - past _DNF_CAP disjuncts, a scan of the domain tests the whole body;
   - a tuple of trigger terms is hoisted like a compound term, and the
     trigger parameters in order are `_m` itself; `not` of a hoisted local is
@@ -447,20 +440,12 @@ class _Planner:
 
     # -- rules -------------------------------------------------------------------------
 
-    def _negated_set(self, lit: _Node, tvars: tuple[str, ...]):
-        """For lit = !G where each disjunct of G binds all of G's variables:
-        those variables in target order.  None otherwise, and None when G
-        binds only some of tvars and a disjunct of G only binds, since then
-        G's set is never empty and a membership test costs what lit does."""
+    def _negated_set(self, lit: _Node, tvars: tuple[str, ...]) -> bool:
+        """Is lit = !G, where each disjunct of G binds all of tvars?"""
         if lit.trig or lit.kind is not Not:
-            return None
-        names, dnf = self._free(lit.kids[0]), self._dnf(lit.kids[0])
-        if dnf is None or not all([names <= self._bind(d)[1].keys() for d in dnf]):
-            return None
-        gvars = tuple(v for v in tvars if v in names)
-        if gvars != tvars and not all([any([k.trig or k.kind is not Eq for k in d]) for d in dnf]):
-            return None
-        return gvars
+            return False
+        dnf = self._dnf(lit.kids[0])
+        return dnf is not None and all([set(tvars) <= self._bind(d)[1].keys() for d in dnf])
 
     def _renamed(self, node: _Node, names: Mapping[str, _Node]) -> _Node:
         if node.trig or not (node.kids or node.kind is Var):
@@ -469,18 +454,15 @@ class _Planner:
             return names.get(node.name, node)
         return self._node(node.kind, node.name, tuple([self._renamed(k, names) for k in node.kids]))
 
-    def _set(self, gamma: _Node, gvars: tuple[str, ...]) -> str:
-        """The local holding the tuples over gvars that satisfy gamma, planned
-        like a delta query once per applier.  Its variables are renamed to
-        t0, t1, ... first, so that G(t0) and G(t1) share one set."""
-        canon = tuple("t%d" % i for i in range(len(gvars)))
-        gamma = self._renamed(gamma, {v: self._node(Var, c) for v, c in zip(gvars, canon)})
+    def _set(self, gamma: _Node, tvars: tuple[str, ...]) -> str:
+        """The local holding the tuples over tvars that satisfy gamma, planned
+        like a delta query once per applier."""
         local = self.sets.get(gamma.id)
         if local is None:
             local = self.sets[gamma.id] = "_g%d" % len(self.sets)
             self.lines.append("    %s = set()" % local)
             for guard, lits, _ in self._union(self._dnf(gamma)):
-                self._disjunct(guard, lits, canon, out=local)
+                self._disjunct(guard, lits, tvars, out=local)
         return local
 
     def _join(self, kind, nodes: list[_Node]) -> _Node:
@@ -521,17 +503,9 @@ class _Planner:
         disjuncts = self._dnf(body)
         if disjuncts is None:  # past the cap, the body is one literal: the domain is scanned
             disjuncts = [[body]]
-        # a negated condition in every disjunct that binds its variables is
-        # applied once, to their union, as a set; other filters stay in the
-        # loops, where they prune as soon as their variables are bound.  A lone
-        # disjunct R(x̄) & !G, G binding x̄, is left to the frame-minus rewrite
-        sets = {lit: self._negated_set(lit, tvars) for lit in (disjuncts[0] if disjuncts else [])
-                if all([lit in d for d in disjuncts[1:]])}
-        lone = len(disjuncts) == 1 and self._beside(disjuncts[0], target, tvars)
-        common = {lit: g for lit, g in sets.items() if g and (lit is not lone or g != tvars)}
         # frame: R(x̄) under trigger-only guards keeps R when one of them holds
         guards, delta, minus = [], [], False
-        for d in [[lit for lit in d if lit not in common] for d in disjuncts]:
+        for d in disjuncts:
             rest, f = [lit for lit in d if not lit.trig], self._beside(d, target, tvars)
             g = f and f.kind is Or and next((k for k in f.kids if k.trig), None)
             if g:  # R(x̄) & (L | g), g trigger-only, is R(x̄) & g or R(x̄) & L & !g
@@ -546,10 +520,10 @@ class _Planner:
                 delta.append(d)
         for d in [] if guards else delta:  # R(x̄) & !G, each disjunct of G binding x̄, keeps R − G
             f = self._beside(d, target, tvars)
-            if f and self._negated_set(f, tvars) == tvars:
+            if f and self._negated_set(f, tvars):
                 delta.remove(d)
                 guards.append(self._guard(d))
-                lines.append("    %s = %s" % (new, self._minus(target, True, f, tvars) or old))
+                lines.append("    %s = %s" % (new, self._minus(target, f, tvars) or old))
                 minus = True
                 break
         base = new if minus else old
@@ -569,7 +543,7 @@ class _Planner:
         if one:  # Δ is one trigger tuple: a membership test, and no set
             tup, test = one
             lines.append("    %s = %s | {%s} if %s else %s" % (new, base, tup, test, base))
-            return self._common(target, tvars, common)
+            return
         if wake.kind is not TrueConst and not (minus and frame.kind is TrueConst):
             lines.append("    %s = %s" % (new, without_s))  # the result unless Δ is built
         if delta:  # Δ is built only when some disjunct's wake holds
@@ -581,7 +555,6 @@ class _Planner:
             for guard, lits, w in delta:  # the wake is not tested again
                 self._disjunct(self._node(TrueConst) if w is wake else guard, lits, tvars, ind)
             lines.append("%s%s = %s" % (ind, new, with_s))
-        self._common(target, tvars, common)
 
     def _beside(self, d: list[_Node], target: str, tvars: tuple[str, ...]):
         """The literal beside R(x̄), the target's old value, when these two are
@@ -593,16 +566,16 @@ class _Planner:
                     return lit
         return None
 
-    def _minus(self, target: str, old: bool, lit: _Node, tvars: tuple[str, ...]) -> str | None:
-        """Code for the old (or new) target relation less G, for lit = !G
-        where each disjunct of G binds all of tvars: one trigger tuple is
-        removed after a membership test, and any other G is planned into a set.
-        None when every disjunct of G is dropped, so nothing is subtracted."""
-        base = ("_R_" if old else "_N_") + target
+    def _minus(self, target: str, lit: _Node, tvars: tuple[str, ...]) -> str | None:
+        """Code for the old target relation less G, for lit = !G where each
+        disjunct of G binds all of tvars: one trigger tuple is removed after a
+        membership test, and any other G is planned into a set.  None when
+        every disjunct of G is dropped, so nothing is subtracted."""
+        base = "_R_" + target
         gamma = self._union(self._dnf(lit.kids[0]))
         if not gamma:
             return None
-        one = len(gamma) == 1 and self._one_tuple(gamma[0], tvars, target, old, True)
+        one = len(gamma) == 1 and self._one_tuple(gamma[0], tvars, target, True, True)
         if one:
             tup, test = one
             return "%s - {%s} if %s else %s" % (base, tup, test, base)
@@ -643,27 +616,6 @@ class _Planner:
         if old and self._hoists(atom):
             return tup, test + ("" if present else "not ") + self._expr(atom, _NOT)
         return tup, test + tup + (" in " if present else " not in ") + ("_R_" if old else "_N_") + target
-
-    def _common(self, target: str, tvars: tuple[str, ...], common: Mapping[_Node, tuple]) -> None:
-        """Apply the factored literals !G to the target's new relation.  When G's
-        variables gvars are all of tvars, G is subtracted as `_minus` does;
-        otherwise its tuples over gvars are a set, tested by membership in one
-        pass, which runs only while some such set is not empty."""
-        new, subtract, tested, filters, lines = "_N_" + target, [], {}, [], self.lines
-        for lit, gvars in common.items():
-            if gvars == tvars:
-                subtract.append(self._minus(target, False, lit, tvars))
-                continue
-            local = self._set(lit.kids[0], gvars)
-            tested[local] = None
-            filters.append(_tup(["_t[%d]" % tvars.index(v) for v in gvars]) + " not in " + local)
-        if filters:
-            lines.extend(["    if %s:" % " or ".join(tested), "        _f = set()",
-                          "        for _t in %s:" % new,
-                          "            if %s:" % " and ".join(filters),
-                          "                _f.add(_t)",
-                          "        if len(_f) < len(%s):" % new, "            %s = frozenset(_f)" % new])
-        lines.extend(["    %s = %s" % (new, code) for code in subtract if code])
 
     def _function(self, target: str, tvars: tuple[str, ...], body: _Node) -> None:
         new, lines = "_NF_" + target, self.lines

@@ -53,12 +53,18 @@ def query(oracle: Callable) -> Callable:
     return oracle
 
 
+def _marked(oracle: Callable, attr: str) -> bool:
+    """Does the oracle, or the function of a `functools.partial` of it, carry
+    the mark attr?"""
+    if isinstance(oracle, functools.partial):
+        oracle = oracle.func
+    return getattr(oracle, attr, False) is True
+
+
 def is_query(oracle: Callable) -> bool:
     """Is the oracle a marked query, or a `functools.partial` of one (whose
     bound arguments are parameters such as k, not elements)?"""
-    if isinstance(oracle, functools.partial):
-        oracle = oracle.func
-    return getattr(oracle, "is_query", False) is True
+    return _marked(oracle, "is_query")
 
 
 def monotone(oracle: Callable) -> Callable:
@@ -73,9 +79,7 @@ def monotone(oracle: Callable) -> Callable:
 
 def is_monotone(oracle: Callable) -> bool:
     """Is the oracle marked monotone, or a `functools.partial` of one?"""
-    if isinstance(oracle, functools.partial):
-        oracle = oracle.func
-    return getattr(oracle, "is_monotone", False) is True
+    return _marked(oracle, "is_monotone")
 
 
 @monotone

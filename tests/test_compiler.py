@@ -228,17 +228,21 @@ APPLIER_SOURCES_SHA256 = {
     "reach_1layer_qf_rel2fun ins E": "5bc3c28518e7",
     "reach_1layer_qf_rel2fun del E": "49757c22a323",
     "s_twopath_ternary ins E": "82d217ab8214",
-    "s_twopath_ternary del E": "764f0131dd52",
+    # del E of s_twopath_ternary and st_twopath_binary: List1 (List) filters
+    # !GONE(x) & !GONE(y) in its own scan, where a factored GONE set was
+    # tested by membership in a second pass, and First1 and Last1 (First and
+    # Last) subtract the GONE set from the old relation by frame minus
+    "s_twopath_ternary del E": "05f10d4792a9",
     "s_twopath_ternary_rel2fun ins E": "9ba5ff2adae3",
     "s_twopath_ternary_rel2fun del E": "9e2d98e9c6d5",
     "s_twopath_ternary_dedup ins E": "82d217ab8214",
-    "s_twopath_ternary_dedup del E": "764f0131dd52",
+    "s_twopath_ternary_dedup del E": "05f10d4792a9",
     "st_twopath_binary ins E": "602930e81bc1",
-    "st_twopath_binary del E": "f19838643025",
+    "st_twopath_binary del E": "909ab6dfdad1",
     "st_twopath_binary_rel2fun ins E": "763dca1087c0",
     "st_twopath_binary_rel2fun del E": "35a2a45b3be0",
     "st_twopath_binary_dedup ins E": "602930e81bc1",
-    "st_twopath_binary_dedup del E": "f19838643025",
+    "st_twopath_binary_dedup del E": "909ab6dfdad1",
     "binary_reach2_naive ins E": "95a45497adde",
     "binary_reach2_naive del E": "3acbe79f2344",
     "binary_reach2_naive_rel2fun ins E": "2ae179870041",
@@ -339,8 +343,8 @@ def test_generated_sources_read_every_local_add_each_block_once_and_test_no_cons
 
 
 def test_no_generated_applier_assigns_a_local_to_itself():
-    # seeds 1726 (del U) and 1905 (ins U) drop every disjunct of a factored
-    # negated set, which once left the line `_N_A = _N_A`
+    # seeds 1726 (del U) and 1905 (ins U) dropped every disjunct of a
+    # factored negated set, which once left the line `_N_A = _N_A`
     extra = [(random_program(random.Random(i), f"gen{i}"), kind, "U") for i, kind in ((1726, DEL), (1905, INS))]
     for p, kind, trigger in [*_planned(), *extra]:
         src = _Planner(p, kind, trigger).source()
@@ -434,21 +438,26 @@ def test_a_guarded_frame_copies_nothing():
     assert _scans(src, "_R_A") == 0
     assert "_N_A = _R_A if " in src and " else _E_" in src
     # the deletion applier of st-twopath-binary keeps First, Last, In and Out
-    # without a loop over them, and tests GONE(x) for List in one loop
+    # without a loop over them, and List is filtered by !GONE(x) & !GONE(y)
+    # in its own scan
     deletion = source(builtin_program("st-twopath-binary").program, "del", "E")
     for name in ("First", "Last", "In", "Out"):
         assert _scans(deletion, "_R_" + name) == 0, name
-    assert _scans(deletion, "_N_List") == 1 and "for _t in _N_List:" in deletion
+    assert _scans(deletion, "_N_List") == 0
+    assert "    for _t in _R_List:\n        if not ((_t[0],) in _R_In and " in deletion
 
 
-def test_common_negations_are_subtracted_or_tested_by_membership():
+def test_common_negations_filter_in_the_loops():
+    # !G beside the frame B(x,y), each disjunct of G binding x and y, is
+    # subtracted from the old B as a set; beside the Δ it filters the loop
     binds = source(program("common-negation-binds"), "del", "E")
-    assert "_N_B = _N_B - _g0" in binds and _scans(binds, "_R_B") == 0
-    # !(x = a & A(x)) becomes a set, tested in one pass; !(y = f(a)) only
-    # binds, so its set would never be empty, and it filters in the loops
+    assert "_N_B = _R_B - _g0 if _g0 and not _R_B.isdisjoint(_g0) else _R_B\n" in binds
+    assert _scans(binds, "_R_B") == 0 and "for (t0,) in _R_A:\n        if not (t0 == m0 or " in binds
+    # !(x = a & A(x)) and !(y = f(a)) bind only some of x, y: both filter
+    # each loop as soon as their variable is bound
     partial = source(program("common-negation-partial"), "del", "U")
-    assert "    if _g0:\n        _f = set()\n        for _t in _N_B:\n            if (_t[0],) not in _g0:" in partial
-    assert "for _t in _R_B:\n        if _t[1] != _h0:" in partial
+    assert "for _t in _R_B:\n        if not (_t[0] == m0 and (_t[0],) in _R_A) and _t[1] != _h0:" in partial
+    assert "if not (t0 == m0 and (t0,) in _R_A):\n            for (t1, _k0) in _R_B:" in partial
     # a G with a disjunct that binds nothing filters in the loops
     unbound = source(program("common-negation-unbound"), "del", "E")
     assert "_N_A - _g" not in unbound and _scans(unbound, "_N_A") == 0 and "_dom" not in unbound
@@ -456,9 +465,9 @@ def test_common_negations_are_subtracted_or_tested_by_membership():
     # a filter that is not a negated set stays in the loops
     lone = source(program("frame-and-not"), "del", "E")
     assert "for _t in _R_B:" in lone and "_f = set()" not in lone
-    # GONE(x) and GONE(y) of st-twopath-binary share one set
-    deletion = source(builtin_program("st-twopath-binary").program, "del", "E")
-    assert re.search(r"if \(_t\[0\],\) not in (_g\d+) and \(_t\[1\],\) not in \1:", deletion)
+    # no applier filters its new relation in a second pass
+    assert [(p.name, kind, trigger) for p, kind, trigger in _planned()
+            if "_f = set()" in _Planner(p, kind, trigger).source()] == []
 
 
 def _local(src: str, code: str) -> str:
@@ -500,15 +509,16 @@ def test_a_frame_minus_a_bound_set_scans_nothing():
     assert "_N_B = _R_B - {_m} if %s and _m in _R_B else _R_B\n" % a in one
     assert _scans(one, "_R_B") == 1  # the Δ's, not a frame copy
     # the deletion applier of s-twopath-ternary keeps First1, Last1, First2 and
-    # Last2 without a loop over them, and GONE(x) is one set for First1,
-    # Last1 and List1
+    # Last2 without a loop over them, and GONE(x) is one set for First1 and
+    # Last1, while List1 filters it in its own scan
     deletion = source(builtin_program("s-twopath-ternary").program, "del", "E")
     for name in ("First1", "Last1", "First2", "Last2"):
         assert _scans(deletion, "_R_" + name) == 0, name
     gone = re.search(r"_N_First1 = _R_First1 - (_g\d+) if", deletion).group(1)
     assert deletion.count(gone + " = set()") == 1
     assert "_N_Last1 = _R_Last1 - %s if" % gone in deletion
-    assert "if (_t[0],) not in %s and (_t[1],) not in %s:" % (gone, gone) in deletion
+    assert "_N_List1 = _R_List1 if _s == _R_List1 else frozenset(_s)\n" in deletion
+    assert "    for _t in _R_List1:\n        if not ((_t[0],) in _R_In and " in deletion
 
 
 def test_a_lone_frame_minus_one_tuple_assigns_the_relation_once():

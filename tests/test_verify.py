@@ -1558,18 +1558,62 @@ def _outcomes(calls):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(PROGRAMS))
-def test_attack_drivers_match_the_state_path(name, monkeypatch):
-    # star n = 1..9 and gadget n2 = 0..4 under st-reach and the program's
-    # own oracle, and cq bound = 0..9
-    import dynqf.lower_bounds
+def _driver_calls(name):
+    """Star n = 1..9 and gadget n2 = 0..4 under st-reach and the program's
+    own oracle, and cq bound = 0..9."""
     p, oracle = PROGRAMS[name]
     calls = [(attack_star_deletion, p, n, o) for n in range(1, 10) for o in (oracle_st_reach, oracle)]
     calls += [(attack_subset_gadget, p, n2, o) for n2 in range(5) for o in (oracle_st_reach, oracle)]
-    calls += [(cq_adversary, p, bound) for bound in range(10)]
+    return calls + [(cq_adversary, p, bound) for bound in range(10)]
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_attack_drivers_match_the_state_path(name, monkeypatch):
+    import dynqf.lower_bounds
+    calls = _driver_calls(name)
     walked = _outcomes(calls)
     monkeypatch.setattr(dynqf.lower_bounds, "_witness_walk", _state_path_walk)
     assert walked == _outcomes(calls)
+
+
+# per program and driver, the first 12 hex digits of the sha256 of the
+# canonical JSON of the list of its calls' outcomes in `_driver_calls`
+# order: each a counterexample dict, null, or [error type, message]
+DRIVER_OUTCOMES_SHA256 = {
+    "binary-reach2-naive attack_star_deletion": "b49486763219",
+    "binary-reach2-naive attack_subset_gadget": "266381184e41",
+    "binary-reach2-naive cq_adversary": "9eba351b8feb",
+    "cq-nonemptyset-naive attack_star_deletion": "b729457f3109",
+    "cq-nonemptyset-naive attack_subset_gadget": "869704d8f6f4",
+    "cq-nonemptyset-naive cq_adversary": "58d84f0aeed2",
+    "non-empty-set attack_star_deletion": "c5b6e2dbcd48",
+    "non-empty-set attack_subset_gadget": "869704d8f6f4",
+    "non-empty-set cq_adversary": "f284acac4af0",
+    "reach-1layer-qf attack_star_deletion": "1c9b259ddbe0",
+    "reach-1layer-qf attack_subset_gadget": "a8f64970cf1b",
+    "reach-1layer-qf cq_adversary": "9eba351b8feb",
+    "s-twopath-ternary attack_star_deletion": "d62e8560a147",
+    "s-twopath-ternary attack_subset_gadget": "1faab2e81ad7",
+    "s-twopath-ternary cq_adversary": "9eba351b8feb",
+    "st-twopath-binary attack_star_deletion": "c5b6e2dbcd48",
+    "st-twopath-binary attack_subset_gadget": "8bc640bbb93e",
+    "st-twopath-binary cq_adversary": "9eba351b8feb",
+    "unary-twopath-naive attack_star_deletion": "fdd14a7a697c",
+    "unary-twopath-naive attack_subset_gadget": "dc975f8318f1",
+    "unary-twopath-naive cq_adversary": "9eba351b8feb",
+}
+
+
+def test_attack_driver_outcomes_are_pinned():
+    import hashlib
+    from dynqf.serialize import canonical_json
+    got = {}
+    for name in sorted(PROGRAMS):
+        calls = _driver_calls(name)
+        for driver, outcome in zip([c[0] for c in calls], _outcomes(calls)):
+            got.setdefault(f"{name} {driver.__name__}", []).append(outcome)
+    got = {k: hashlib.sha256(canonical_json(v).encode()).hexdigest()[:12] for k, v in got.items()}
+    assert got == DRIVER_OUTCOMES_SHA256
 
 
 def test_attack_drivers_match_the_state_path_on_early_divergences(monkeypatch):
