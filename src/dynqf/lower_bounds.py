@@ -309,6 +309,19 @@ def _witness_walk(p: DynamicProgram, oracle: Callable[[State], bool], db: State)
     return ctx, walk, first
 
 
+def _higman_step(first, words: Sequence[Sequence], otherwise: Sequence[Modification], schedule):
+    """The last step of the star and gadget drivers: for the least Higman
+    pair (l, k) of the type words, the first witness of schedule(l, every
+    position of word l) and then of schedule(k, the positions where word l
+    embeds into word k); first(otherwise) when there is no pair."""
+    pair = higman_pair(words)
+    if pair is None:
+        return first(otherwise)
+    l, k = pair
+    return (first(schedule(l, range(len(words[l]))))
+            or first(schedule(k, embedding_positions(words[l], words[k]))))
+
+
 def _check_relational_candidate(p: DynamicProgram, driver: str, data: str, max_arity: int) -> None:
     """The guard of the attack drivers on s-t reachability: auxiliary
     relations of arity at most max_arity, no auxiliary function, the
@@ -352,18 +365,13 @@ def attack_star_deletion(p: DynamicProgram, n: int,
     suffix = [Modification("E", (0, layer[i]), DEL) for i in range(n - 1, 0, -1)]
     states = {i: ctx.from_lean(walk(alpha + suffix[:n - i])) for i in range(n, 0, -1)}
 
-    words = {i: tuple(atomic_type(states[i], (layer[j],), sigma=aux_rels) for j in range(i))
-             for i in range(1, n + 1)}
-    pair = higman_pair([words[i] for i in range(1, n + 1)])
-    if pair is None:
-        # no pair at this scale; an outright maintenance failure along the
-        # construction is still a valid (shorter) witness
-        return first(alpha + suffix)
-    i, j = pair[0] + 1, pair[1] + 1  # word sizes, 1-based
-    pos = embedding_positions(words[i], words[j])
-    beta1 = [Modification("E", (0, layer[m]), DEL) for m in range(i)]
-    beta2 = [Modification("E", (0, layer[q]), DEL) for q in pos]
-    return first(alpha + suffix[:n - i] + beta1) or first(alpha + suffix[:n - j] + beta2)
+    words = [tuple(atomic_type(states[i], (layer[j],), sigma=aux_rels) for j in range(i))
+             for i in range(1, n + 1)]
+    # word w is that of the suffix state with w + 1 layer nodes left; with no
+    # pair at this scale, an outright maintenance failure along the
+    # construction is still a valid (shorter) witness
+    return _higman_step(first, words, alpha + suffix, lambda w, pos: alpha + suffix[:n - w - 1]
+                        + [Modification("E", (0, layer[q]), DEL) for q in pos])
 
 
 def attack_subset_gadget(p: DynamicProgram, n2: int,
@@ -407,22 +415,12 @@ def attack_subset_gadget(p: DynamicProgram, n2: int,
     early = first(alpha)
     if early or not b3:
         return early
-    words = []
-    for i in range(1, len(b3) + 1):
-        x_i = frozenset(b3[:i])
-        words.append(tuple(atomic_type(s_prime, (a_of(x_i), b3[j]), sigma=aux_rels)
-                           for j in range(i)))
-    pair = higman_pair(words)
-    if pair is None:
-        return None
-    i, j = pair[0] + 1, pair[1] + 1
-    pos = embedding_positions(words[i - 1], words[j - 1])
-    x_i, x_j = frozenset(b3[:i]), frozenset(b3[:j])
-    beta1 = [Modification("E", (a_of(x_i), b), DEL) for b in b3[:i]]
-    beta1.append(Modification("E", (0, a_of(x_i)), INS))
-    beta2 = [Modification("E", (a_of(x_j), b3[q]), DEL) for q in pos]
-    beta2.append(Modification("E", (0, a_of(x_j)), INS))
-    return first(alpha + beta1) or first(alpha + beta2)
+    xs = [a_of(frozenset(b3[:i])) for i in range(1, len(b3) + 1)]
+    words = [tuple(atomic_type(s_prime, (x, b3[j]), sigma=aux_rels) for j in range(i))
+             for i, x in enumerate(xs, start=1)]
+    # alpha is checked already, so with no pair this finds nothing
+    return _higman_step(first, words, alpha, lambda w, pos: alpha
+                        + [Modification("E", (xs[w], b3[q]), DEL) for q in pos] + [Modification("E", (0, xs[w]), INS)])
 
 
 # -- the conjunctive-fragment adversary ----------------------------------------------------
