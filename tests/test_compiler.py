@@ -464,7 +464,7 @@ def test_common_negations_filter_in_the_loops():
     assert "for _t in _R_A:\n        if not (_t[0] == m1 or _t in _R_A and (_t[0], m0) in _R_B):" in unbound
     # a filter that is not a negated set stays in the loops
     lone = source(program("frame-and-not"), "del", "E")
-    assert "for _t in _R_B:" in lone and "_f = set()" not in lone
+    assert "for _t in _R_B:" in lone
     # no applier filters its new relation in a second pass
     assert [(p.name, kind, trigger) for p, kind, trigger in _planned()
             if "_f = set()" in _Planner(p, kind, trigger).source()] == []
